@@ -110,8 +110,8 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    count = int(round((args.p_max - args.p_min) / args.step)) + 1
-    grid = [round(args.p_min + i * args.step, 10) for i in range(count)]
+    grid = harness.ExperimentConfig(p_min=args.p_min, p_max=args.p_max,
+                                    p_step=args.step).p_grid()
     opts = opt.OptimizeOptions(n=args.n, max_iters=args.max_iters,
                                perturb=args.perturb, seed=args.seed)
     records = opt.sweep(grid, opts)

@@ -44,6 +44,12 @@ class EnergyParams:
     j: float
     p: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.j) and math.isfinite(self.p)) \
+                or self.p <= 0:
+            raise ParameterDomainError(
+                f"need finite j and p > 0, got (j={self.j}, p={self.p})")
+
     def convergent(self) -> bool:
         """The double integral converges iff j < 2 + 1/p."""
         return 0 < self.j < 2.0 + 1.0 / self.p
@@ -160,7 +166,11 @@ def avg_chord_p(curve: PolyCurve, p: float) -> float:
     ((1/N^2) sum |c_i - c_k|^p)^(1/p); the diagonal contributes zero."""
     if p <= 0:
         raise ParameterDomainError(f"need p > 0, got {p}")
-    d2 = squared_chord_matrix(curve.vertices)
+    return chord_power_mean(squared_chord_matrix(curve.vertices), p)
+
+
+def chord_power_mean(d2: np.ndarray, p: float) -> float:
+    """((1/N^2) sum d2^(p/2))^(1/p) of an (N, N) squared chord table."""
     return float(np.mean(d2 ** (p / 2.0)) ** (1.0 / p))
 
 

@@ -15,6 +15,7 @@ from . import geometry as geo
 from . import optimizer as opt
 from . import shape as shp
 from . import spectral as spec
+from .errors import ParameterDomainError
 
 FORMAT_VERSION = 1
 
@@ -35,6 +36,11 @@ class ExperimentConfig:
     max_iters: int = 2000
     perturb: float = 0.05
     version: int = FORMAT_VERSION
+
+    def __post_init__(self):
+        if not self.p_step > 0:
+            raise ParameterDomainError(
+                f"need a positive p_step, got {self.p_step}")
 
     def to_json(self) -> str:
         payload = dict(self.__dict__)
@@ -286,27 +292,10 @@ def reproduce_figures(outdir, config: ExperimentConfig | None = None) -> dict:
     opts = opt.OptimizeOptions(n=config.n, max_iters=config.max_iters,
                                perturb=config.perturb, seed=config.seed)
     grid = config.p_grid()
-    records = []
-    curves = {}
-    current = geo.make_circle(config.n)
-    for p in grid:
-        try:
-            init = opt.perturb_mode2(current, config.perturb)
-            result = opt.maximize(p, init, opts)
-            current = result.curve
-            canon = opt.canonicalize(result.curve)
-            fit = shp.fit_conic(canon)
-            records.append(shp.SweepRecord(
-                p=p, value=result.value, r=shp.width_ratio(canon),
-                efit_log10=float(np.log10(max(fit.residual, 1e-300))),
-                eccentricity=fit.eccentricity, converged=result.converged))
-            curves[p] = canon
-            geo.save_curve(canon, os.path.join(outdir, f"curve_p{p:.3f}.json"))
-        except (geo.DegenerateCurveError, ValueError):
-            records.append(shp.SweepRecord(
-                p=p, value=float("nan"), r=float("nan"),
-                efit_log10=float("nan"), eccentricity=float("nan"),
-                converged=False))
+    records = opt.sweep(grid, opts)
+    curves = {rec.p: rec.curve for rec in records if rec.curve is not None}
+    for p, curve in curves.items():
+        geo.save_curve(curve, os.path.join(outdir, f"curve_p{p:.3f}.json"))
     csv_path = os.path.join(outdir, "sweep.csv")
     write_sweep_csv(records, csv_path)
     with open(os.path.join(outdir, "config.json"), "w") as fh:

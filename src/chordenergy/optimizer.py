@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import optimize
+from scipy.linalg import solveh_banded
 
 from .errors import DegenerateCurveError, ParameterDomainError, \
     SingularGradientError
-from .geometry import TWO_PI, PolyCurve, make_circle, resample_arclength, \
+from .geometry import PolyCurve, make_circle, resample_arclength, \
     squared_chord_matrix
-from .functionals import avg_chord_p, circle_avg_chord, segment_avg_chord
+from .functionals import chord_power_mean, circle_avg_chord, \
+    segment_avg_chord
 from . import shape as shape_mod
 
 #: minimum admissible distance between any two vertices during ascent
@@ -60,33 +62,48 @@ class OptimizeResult:
     diagnostic: str = ""
 
 
+def _chord_table(curve: PolyCurve) -> tuple[np.ndarray, float]:
+    """Squared chord table of a curve and its smallest off-diagonal
+    entry, the squared distance of the closest vertex pair."""
+    d2 = squared_chord_matrix(curve.vertices)
+    np.fill_diagonal(d2, np.inf)
+    closest = float(d2.min())
+    np.fill_diagonal(d2, 0.0)
+    return d2, closest
+
+
+def _require_regular_gradient(closest: float, p: float) -> None:
+    if p < 2 and closest < MIN_PAIR_DISTANCE ** 2:
+        raise SingularGradientError(
+            "coincident vertices make the chord-power gradient singular "
+            f"for p = {p} < 2")
+
+
+def _table_gradient(v: np.ndarray, d2: np.ndarray, p: float) -> np.ndarray:
+    """objective_grad from the squared chord table d2 of the vertices v."""
+    n = v.shape[0]
+    with np.errstate(divide="ignore"):
+        w = d2 ** ((p - 2.0) / 2.0)
+    np.fill_diagonal(w, 0.0)
+    # sum_k w_mk (v_m - v_k) = (row sums) v_m - w @ v
+    return (2.0 * p / n ** 2) * (w.sum(axis=1)[:, None] * v - w @ v)
+
+
 def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
     """Gradient of the power sum (1/N^2) sum_{i,k} |v_i - v_k|^p with
     respect to the vertices: row m is
     (2p/N^2) sum_{k != m} |v_m - v_k|^(p-2) (v_m - v_k)."""
     if p <= 0:
         raise ParameterDomainError(f"need p > 0, got {p}")
-    v = curve.vertices
-    n = curve.n
-    d2 = squared_chord_matrix(v)
-    off = ~np.eye(n, dtype=bool)
-    if p < 2 and d2[off].min() < MIN_PAIR_DISTANCE ** 2:
-        raise SingularGradientError(
-            "coincident vertices make the chord-power gradient singular "
-            f"for p = {p} < 2")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(off, d2, 1.0) ** ((p - 2.0) / 2.0)
-    w[~off] = 0.0
-    # sum_k w_mk (v_m - v_k) = (row sums) v_m - w @ v
-    grad = (2.0 * p / n ** 2) * (w.sum(axis=1)[:, None] * v - w @ v)
-    return grad
+    d2, closest = _chord_table(curve)
+    _require_regular_gradient(closest, p)
+    return _table_gradient(curve.vertices, d2, p)
 
 
 def project(curve: PolyCurve) -> PolyCurve:
     """Retract onto the feasible manifold: equal-arclength resampling,
-    perimeter 2*pi, centroid at the origin."""
-    if curve.perimeter() <= 1e-6:
-        raise DegenerateCurveError("cannot project a collapsed curve")
+    perimeter 2*pi, centroid at the origin.  A collapsed curve raises
+    DegenerateCurveError."""
     resampled = resample_arclength(curve, curve.n)
     return PolyCurve(resampled.vertices - resampled.centroid())
 
@@ -101,23 +118,27 @@ def _tangent_project(curve: PolyCurve, grad: np.ndarray) -> np.ndarray:
     u = edges / lengths[:, None]
     # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices i, i+1
     jg = np.einsum("id,id->i", u, np.roll(grad, -1, axis=0) - grad)
-    jjt = np.zeros((n, n))
-    np.fill_diagonal(jjt, 2.0)
     coupling = -np.einsum("id,id->i", u, np.roll(u, -1, axis=0))
-    idx = np.arange(n)
-    jjt[idx, (idx + 1) % n] = coupling
-    jjt[(idx + 1) % n, idx] = coupling
-    mult = linalg.solve(jjt, jg, assume_a="pos")
-    correction = np.zeros_like(grad)
-    correction += -mult[:, None] * u
-    correction += np.roll(mult, 1)[:, None] * np.roll(u, 1, axis=0)
-    return grad - correction
-
-
-def _min_pair_distance(v: np.ndarray) -> float:
-    d2 = squared_chord_matrix(v)
-    np.fill_diagonal(d2, 100.0)
-    return float(np.sqrt(d2.min()))
+    # J J^T is cyclic tridiagonal: 2 on the diagonal, coupling[i] at
+    # (i, i+1) and coupling[n-1] in the corners.  It equals B - w w^T with
+    # w = e_0 - coupling[n-1] e_{n-1} and B tridiagonal, positive definite
+    # since J J^T is; Sherman-Morrison turns the cyclic solve into one
+    # tridiagonal solve with two right-hand sides.
+    band = np.empty((2, n))
+    band[0, 0] = 0.0
+    band[0, 1:] = coupling[:-1]
+    band[1] = 2.0
+    band[1, 0] += 1.0
+    band[1, -1] += coupling[-1] ** 2
+    w = np.zeros(n)
+    w[0] = 1.0
+    w[-1] = -coupling[-1]
+    y, z = solveh_banded(band, np.column_stack([jg, w]),
+                         check_finite=False).T
+    mult = y + z * ((y[0] - coupling[-1] * y[-1])
+                    / (1.0 - (z[0] - coupling[-1] * z[-1])))
+    t = mult[:, None] * u
+    return grad - (np.roll(t, 1, axis=0) - t)
 
 
 def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
@@ -184,14 +205,18 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     if init.dim != 2:
         raise ValueError("optimization is restricted to planar curves")
     curve = project(init)
-    value = avg_chord_p(curve, p)
+    # one chord table per curve: the accepted candidate's table also
+    # gives the next gradient
+    d2, closest = _chord_table(curve)
+    _require_regular_gradient(closest, p)
+    value = chord_power_mean(d2, p)
     step = opts.step0
     history = [(0, value, float("nan"))]
     converged = False
     diagnostic = ""
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        grad = objective_grad(curve, p)
+        grad = _table_gradient(curve.vertices, d2, p)
         pg = _tangent_project(curve, grad)
         gnorm = float(np.linalg.norm(pg))
         if gnorm < opts.tol_grad:
@@ -208,18 +233,19 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
         direction /= dnorm
         accepted = False
         for _ in range(60):
-            candidate_pts = curve.vertices + step * direction
-            if _min_pair_distance(candidate_pts) < MIN_PAIR_DISTANCE:
-                step *= 0.5
-                continue
             try:
-                candidate = project(PolyCurve(candidate_pts))
+                candidate = project(
+                    PolyCurve(curve.vertices + step * direction))
             except DegenerateCurveError:
                 step *= 0.5
                 continue
-            new_value = avg_chord_p(candidate, p)
+            cand_d2, closest = _chord_table(candidate)
+            if closest < MIN_PAIR_DISTANCE ** 2:
+                step *= 0.5
+                continue
+            new_value = chord_power_mean(cand_d2, p)
             if new_value >= value:
-                curve, value = candidate, new_value
+                curve, value, d2 = candidate, new_value, cand_d2
                 accepted = True
                 break
             step *= 0.5
@@ -262,6 +288,7 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
                 efit_log10=float(np.log10(max(fit.residual, 1e-300))),
                 eccentricity=fit.eccentricity,
                 converged=result.converged,
+                curve=canon,
             ))
         except (DegenerateCurveError, SingularGradientError):
             records.append(shape_mod.SweepRecord(

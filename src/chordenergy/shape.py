@@ -4,7 +4,7 @@ fitting, and Hausdorff comparison."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class ConicFit:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One row of a p-sweep: functional value and shape diagnostics."""
+    """One row of a p-sweep: functional value and shape diagnostics,
+    with the canonicalized maximizer when the solve succeeded."""
 
     p: float
     value: float
@@ -39,6 +40,7 @@ class SweepRecord:
     efit_log10: float
     eccentricity: float
     converged: bool
+    curve: PolyCurve | None = field(default=None, compare=False, repr=False)
 
 
 def width_ratio(curve: PolyCurve, m_angles: int = 180) -> float:

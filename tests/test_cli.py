@@ -123,3 +123,33 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "--quiet", "bound", "--j", "2", "--p", "1")
         assert code == cli.EXIT_OK
         assert out == ""
+
+    def test_nan_vertex_curve_file(self, capsys, tmp_path):
+        payload = {"dim": 2, "n": 64,
+                   "vertices": geo.make_circle(64).vertices.tolist()}
+        payload["vertices"][3][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "apnorm", "--curve", str(bad),
+                           "--p", "2")
+        assert code == cli.EXIT_PRECONDITION
+        if out:
+            json.loads(out)
+
+    def test_curve_file_without_n(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 2, "vertices": [[0, 0]]}')
+        code, _, err = run(capsys, "distortion", "--curve", str(bad))
+        assert code == cli.EXIT_PRECONDITION
+        assert "error" in err
+
+    def test_bound_rejects_zero_p(self, capsys):
+        code, _, err = run(capsys, "bound", "--j", "2", "--p", "0")
+        assert code == cli.EXIT_PRECONDITION
+        assert "error" in err
+
+    def test_sweep_rejects_zero_step(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", "--p-min", "2", "--p-max", "3",
+                           "--step", "0", "--out", str(tmp_path / "s.csv"))
+        assert code == cli.EXIT_PRECONDITION
+        assert "error" in err

@@ -7,6 +7,7 @@ from chordenergy import functionals as fn
 from chordenergy import geometry as geo
 from chordenergy.errors import (
     DegenerateCurveError,
+    InvalidDiscretizationError,
     KernelSingularityError,
     ParameterDomainError,
 )
@@ -23,6 +24,13 @@ class TestEnergyParams:
         assert fn.EnergyParams(2, 0.5).convergent()
         assert not fn.EnergyParams(2, 0.5).theorem_applies()
         assert fn.EnergyParams(2, 1).theorem_applies()
+
+    @pytest.mark.parametrize("j,p", [
+        (2, 0), (2, -1), (math.nan, 1), (2, math.nan), (math.inf, 1),
+        (2, math.inf)])
+    def test_out_of_domain_rejected(self, j, p):
+        with pytest.raises(ParameterDomainError):
+            fn.EnergyParams(j, p)
 
     def test_require_convergent_raises(self):
         with pytest.raises(ParameterDomainError):
@@ -150,6 +158,12 @@ class TestDistortion:
         assert fn.distortion(double_segment512) == fn.INFINITE_DISTORTION
         assert fn.distortion_at(double_segment512, 2) \
             == fn.INFINITE_DISTORTION
+
+    def test_nan_curve_rejected_before_distortion(self, circle256):
+        v = circle256.vertices.copy()
+        v[0, 0] = np.nan
+        with pytest.raises(InvalidDiscretizationError):
+            fn.distortion(geo.PolyCurve(v))
 
     def test_pointwise_bound(self, random_curves):
         curve = random_curves[0]

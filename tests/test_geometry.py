@@ -9,6 +9,15 @@ from chordenergy.errors import InvalidDiscretizationError
 TWO_PI = 2 * np.pi
 
 
+class TestPolyCurve:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        v = geo.make_circle(64).vertices.copy()
+        v[5, 1] = bad
+        with pytest.raises(InvalidDiscretizationError, match="finite"):
+            geo.PolyCurve(v).validate()
+
+
 class TestMakeCircle:
     def test_below_minimum_raises(self):
         with pytest.raises(InvalidDiscretizationError):
@@ -176,4 +185,14 @@ class TestCurveFile:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(InvalidDiscretizationError):
+            geo.load_curve(path)
+
+    @pytest.mark.parametrize("key", ["dim", "n", "vertices"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        c = geo.make_circle(64)
+        payload = {"dim": 2, "n": 64, "vertices": c.vertices.tolist()}
+        del payload[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidDiscretizationError, match=key):
             geo.load_curve(path)

@@ -4,6 +4,7 @@ import pytest
 from chordenergy import geometry as geo
 from chordenergy import harness
 from chordenergy import shape as shp
+from chordenergy.errors import ParameterDomainError
 
 
 class TestExperimentConfig:
@@ -21,6 +22,11 @@ class TestExperimentConfig:
         config = harness.ExperimentConfig(p_min=1.0, p_max=2.0, p_step=0.5,
                                           fine_grid=(1.25, 1.5))
         assert config.p_grid() == [1.0, 1.25, 1.5, 2.0]
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan")])
+    def test_nonpositive_step_rejected(self, step):
+        with pytest.raises(ParameterDomainError):
+            harness.ExperimentConfig(p_step=step)
 
 
 class TestVerifyAll:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from chordenergy import functionals as fn
 from chordenergy import geometry as geo
@@ -22,6 +23,28 @@ def _fd_gradient(curve, p, h=1e-6):
             f_minus = np.mean(geo.squared_chord_matrix(minus) ** (p / 2))
             grad[i, d] = (f_plus - f_minus) / (2 * h)
     return grad
+
+
+def _dense_tangent_project(curve, grad):
+    """Reference: solve the n x n system J J^T mult = J grad densely."""
+    v = curve.vertices
+    n = curve.n
+    edges = np.roll(v, -1, axis=0) - v
+    u = edges / np.linalg.norm(edges, axis=1)[:, None]
+    jg = np.einsum("id,id->i", u, np.roll(grad, -1, axis=0) - grad)
+    jjt = 2.0 * np.eye(n)
+    coupling = -np.einsum("id,id->i", u, np.roll(u, -1, axis=0))
+    idx = np.arange(n)
+    jjt[idx, (idx + 1) % n] = coupling
+    jjt[(idx + 1) % n, idx] = coupling
+    mult = linalg.solve(jjt, jg, assume_a="pos")
+    return grad + mult[:, None] * u - np.roll(mult[:, None] * u, 1, axis=0)
+
+
+def _min_pair_distance(curve):
+    d2 = geo.squared_chord_matrix(curve.vertices)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min()))
 
 
 class TestObjectiveGradient:
@@ -64,6 +87,18 @@ class TestProjection:
         u = edges / np.linalg.norm(edges, axis=1)[:, None]
         jg = np.einsum("id,id->i", u, np.roll(pg, -1, axis=0) - pg)
         assert np.abs(jg).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("shape", ["bumped circle", "stretched ellipse"])
+    def test_tangent_projection_matches_dense_solve(self, n, shape):
+        if shape == "bumped circle":
+            curve = opt.perturb_mode2(geo.make_circle(n), 0.05)
+        else:
+            curve = geo.make_ellipse(8, n)
+        grad = opt.objective_grad(curve, 3.0)
+        pg = opt._tangent_project(curve, grad)
+        ref = _dense_tangent_project(curve, grad)
+        assert np.linalg.norm(pg - ref) / np.linalg.norm(ref) < 1e-10
 
     def test_perturb_mode2_breaks_roundness(self, circle256):
         bumped = opt.perturb_mode2(circle256, 0.05)
@@ -115,6 +150,51 @@ class TestMaximize:
         values = [v for _, v, _ in result.history]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_one_chord_table_per_trial(self, monkeypatch):
+        counts = {"tables": 0, "projections": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        monkeypatch.setattr(opt, "squared_chord_matrix",
+                            counting("tables", geo.squared_chord_matrix))
+        monkeypatch.setattr(opt, "project",
+                            counting("projections", opt.project))
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(
+            n=128, max_iters=50))
+        # project runs once on the initial curve, then once per trial
+        trials = counts["projections"] - 1
+        assert trials >= result.iterations
+        assert counts["tables"] <= trials + 1
+
+    def test_close_vertex_pair_never_accepted(self, monkeypatch):
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        start = opt.project(init)
+        start_value = fn.avg_chord_p(start, 4.0)
+        # scaled up, the curve beats the start by far; its vertex 1 sits
+        # within MIN_PAIR_DISTANCE / 10 of vertex 0
+        crowded = 1.1 * start.vertices
+        crowded[1] = crowded[0] + 0.1 * opt.MIN_PAIR_DISTANCE
+        crowded = geo.PolyCurve(crowded)
+        assert fn.avg_chord_p(crowded, 4.0) > start_value
+        calls = []
+        real_project = opt.project
+
+        def project(curve):
+            calls.append(curve)
+            return real_project(curve) if len(calls) == 1 else crowded
+
+        monkeypatch.setattr(opt, "project", project)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(
+            n=128, max_iters=20))
+        assert len(calls) > 2
+        assert result.value == start_value
+        assert _min_pair_distance(result.curve) >= opt.MIN_PAIR_DISTANCE
+
     def test_invalid_inputs(self):
         opts = opt.OptimizeOptions(n=128)
         with pytest.raises(ParameterDomainError):
@@ -141,6 +221,9 @@ class TestSweep:
         assert [r.p for r in records] == grid
         assert all(np.isfinite(r.value) for r in records)
         assert all(r.r < 1.05 for r in records)
+        for rec in records:
+            rec.curve.validate()
+            assert shp.width_ratio(rec.curve) == rec.r
 
 
 class TestCrossover:

@@ -22,7 +22,7 @@ from chordenergy import (
 curve = random_closed_curve(7, n=512)
 fc = analyze(curve)
 profile = deficit(fc)
-direct = np.array([deficit_direct(curve, k) for k in range(1, curve.n)])
+direct = deficit_direct(curve, np.arange(1, curve.n))
 
 print("random curve, deficit at a few shifts:")
 for k in (32, 128, 256, 384):

@@ -55,6 +55,7 @@ from .spectral import (
 from .optimizer import (
     OptimizeOptions,
     OptimizeResult,
+    Termination,
     canonicalize,
     crossover_segment_circle,
     maximize,

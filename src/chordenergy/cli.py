@@ -78,9 +78,10 @@ def cmd_bound(args) -> int:
 def cmd_deficit(args) -> int:
     curve = _load(args.curve)
     if args.direct:
-        rows = [(fn.arc_distance_scalar(curve.n, k),
-                 spec.deficit_direct(curve, k))
-                for k in range(1, curve.n)]
+        ks = np.arange(1, curve.n)
+        # the shift grid of spec.deficit, so both paths share the s column
+        rows = list(zip((geo.TWO_PI * ks / curve.n).tolist(),
+                        spec.deficit_direct(curve, ks).tolist()))
     else:
         prof = spec.deficit(spec.analyze(curve))
         rows = list(zip(prof.s.tolist(), prof.rho.tolist()))
@@ -105,7 +106,8 @@ def cmd_maximize(args) -> int:
         geo.save_curve(canon, args.out)
     _emit({"value": result.value, "n": args.n,
            "params": {"p": args.p, "iterations": result.iterations,
-                      "converged": result.converged}}, args.quiet)
+                      "converged": result.converged,
+                      "reason": result.reason.value}}, args.quiet)
     return EXIT_OK
 
 
@@ -190,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("deficit", help="Wirtinger deficit profile as CSV")
     s.add_argument("--curve", required=True)
     group = s.add_mutually_exclusive_group()
-    group.add_argument("--series", action="store_true", default=True)
+    # the series is the default; --series is accepted to say so
+    group.add_argument("--series", action="store_true")
     group.add_argument("--direct", action="store_true")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_deficit)

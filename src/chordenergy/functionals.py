@@ -2,8 +2,11 @@
 
 Everything here is a uniform double Riemann sum over the parameter grid
 t_i = 2*pi*i/N with weight (2*pi/N)^2, diagonal excluded where the
-integrand is singular.  The circle reference values come from adaptive
-quadrature of the corresponding closed-form integrals.
+integrand is singular.  The arc of a vertex pair depends on its grid
+offset k = j - i alone, and offsets k and N - k hold the same chords, so
+the sums over pairs walk the offsets k = 1..N/2 of one exact-difference
+chord table, a block of offsets at a time.  The circle reference values
+come from adaptive quadrature of the corresponding closed-form integrals.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ from .errors import (
 from .geometry import (
     TWO_PI,
     PolyCurve,
-    arc_matrix,
-    chord_matrix,
+    half_offsets,
     lambda_chord,
+    offset_arcs,
+    offset_chord_blocks,
+    offset_squared_chords,
     squared_chord_matrix,
 )
 
@@ -99,44 +104,52 @@ class ChordKernel:
                     f"but is concave at y={y:.3f}")
 
 
-def _check_embedded(dist: np.ndarray) -> None:
-    off = dist + np.eye(dist.shape[0]) * 10.0
-    if off.min() < COINCIDENCE_TOL:
-        i, k = np.unravel_index(np.argmin(off), off.shape)
+def _check_embedded(d2: np.ndarray, ks: np.ndarray) -> None:
+    """Raise on a chord below COINCIDENCE_TOL in the offset table block d2
+    of the offsets ks, naming the vertex pair."""
+    r, i = np.unravel_index(np.argmin(d2), d2.shape)
+    if math.sqrt(d2[r, i]) < COINCIDENCE_TOL:
         raise DegenerateCurveError(
-            f"coincident vertices at distinct parameters ({i}, {k})")
+            "coincident vertices at distinct parameters "
+            f"({i}, {(i + ks[r]) % d2.shape[1]})")
 
 
 def energy_Ejp(curve: PolyCurve, params: EnergyParams) -> float:
     """Discrete chord/arc energy sum (2pi/N)^2 sum_{i!=k}
     (chord^-j - arc^-j)^p."""
     params.require_convergent()
-    dist = chord_matrix(curve)
-    _check_embedded(dist)
-    arc = arc_matrix(curve)
     n = curve.n
-    mask = ~np.eye(n, dtype=bool)
-    integrand = dist[mask] ** -params.j - arc[mask] ** -params.j
-    # chord <= arc, so the integrand is nonnegative up to round-off;
-    # clip keeps fractional powers real at the adjacent-edge zeros
-    integrand = np.maximum(integrand, 0.0)
-    return float((TWO_PI / n) ** 2 * np.sum(integrand ** params.p))
+    ks, weights = half_offsets(n)
+    arc_term = offset_arcs(n, ks) ** -params.j
+    total = 0.0
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        _check_embedded(d2, ks[rows])
+        integrand = d2 ** (-params.j / 2.0)
+        integrand -= arc_term[rows, None]
+        # chord <= arc, so the integrand is nonnegative up to round-off;
+        # clip keeps fractional powers real at the adjacent-edge zeros
+        np.maximum(integrand, 0.0, out=integrand)
+        total += weights[rows] @ np.sum(integrand ** params.p, axis=1)
+    return float((TWO_PI / n) ** 2 * total)
 
 
 def renorm_energy(curve: PolyCurve, kernel: ChordKernel) -> float:
-    """Double Riemann sum of F(chord, arc) excluding the diagonal."""
-    dist = chord_matrix(curve)
-    arc = arc_matrix(curve)
+    """Double Riemann sum of F(chord, arc) excluding the diagonal.  The
+    kernel is applied elementwise to equal-shape chord and arc arrays."""
     n = curve.n
-    mask = ~np.eye(n, dtype=bool)
-    vals = np.asarray(kernel(dist[mask], arc[mask]), dtype=float)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        flat = np.zeros((n, n))
-        flat[mask] = bad
-        i, k = np.unravel_index(np.argmax(flat), flat.shape)
-        raise KernelSingularityError(i, k, float("nan"))
-    return float((TWO_PI / n) ** 2 * vals.sum())
+    ks, weights = half_offsets(n)
+    arcs = offset_arcs(n, ks)
+    total = 0.0
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        vals = np.asarray(kernel(np.sqrt(d2), np.broadcast_to(
+            arcs[rows, None], d2.shape)), dtype=float)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            r, i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise KernelSingularityError(
+                int(i), int((i + ks[rows][r]) % n), float("nan"))
+        total += weights[rows] @ vals.sum(axis=1)
+    return float((TWO_PI / n) ** 2 * total)
 
 
 def _bound_integrand(s: np.ndarray, j: float, p: float) -> np.ndarray:
@@ -201,30 +214,28 @@ def distortion_at(curve: PolyCurve, k: int) -> float:
     k = k % n
     if k == 0:
         return 0.0
-    arc = arc_distance_scalar(n, k)
-    chords = np.linalg.norm(
-        np.roll(curve.vertices, -k, axis=0) - curve.vertices, axis=1)
-    cmin = chords.min()
+    cmin = math.sqrt(offset_squared_chords(curve.vertices, k).min())
     if cmin < COINCIDENCE_TOL:
         return INFINITE_DISTORTION
-    return float(arc / cmin)
+    return float(arc_distance_scalar(n, k) / cmin)
 
 
 def arc_distance_scalar(n: int, k: int) -> float:
-    s = (k % n) * (TWO_PI / n)
-    return min(s, TWO_PI - s)
+    return float(offset_arcs(n, k))
 
 
 def distortion(curve: PolyCurve) -> float:
     """Gromov distortion over the grid: max over separations k in
     [1, N/2] of the worst arc/chord ratio."""
     n = curve.n
+    ks, _ = half_offsets(n)
+    arcs = offset_arcs(n, ks)
     best = 0.0
-    for k in range(1, n // 2 + 1):
-        d = distortion_at(curve, k)
-        if d == INFINITE_DISTORTION:
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        cmin = np.sqrt(d2.min(axis=1))
+        if cmin.min() < COINCIDENCE_TOL:
             return INFINITE_DISTORTION
-        best = max(best, d)
+        best = max(best, float((arcs[rows] / cmin).max()))
     return best
 
 
@@ -232,6 +243,5 @@ def chord_average(curve: PolyCurve, k: int,
                  f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Mean of f(squared chord) at grid separation k:
     (1/N) sum_i f(|c_{i+k} - c_i|^2)."""
-    chords = np.roll(curve.vertices, -(k % curve.n), axis=0) - curve.vertices
-    sq = np.sum(chords ** 2, axis=1)
+    sq = offset_squared_chords(curve.vertices, k)[0]
     return float(np.mean(f(sq)))

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateCurveError, InvalidDiscretizationError
 
@@ -103,9 +104,7 @@ def arc_distance(curve: PolyCurve, i: int, k: int) -> float:
 
     Always in [0, pi] since the curve has length 2*pi.
     """
-    step = TWO_PI / curve.n
-    s = (k % curve.n) * step
-    return float(min(s, TWO_PI - s))
+    return float(offset_arcs(curve.n, k))
 
 
 def lambda_chord(s):
@@ -128,17 +127,70 @@ def squared_chord_matrix(vertices: np.ndarray) -> np.ndarray:
     return d2
 
 
-def chord_matrix(curve: PolyCurve) -> np.ndarray:
-    """All pairwise vertex distances as an (n, n) array."""
-    return np.sqrt(squared_chord_matrix(curve.vertices))
+#: table entries per block in the reductions over the offset-indexed
+#: chord table: a block holds max(1, OFFSET_BLOCK // n) offsets, so its
+#: arrays stay cache-sized at every n
+OFFSET_BLOCK = 1 << 14
 
 
-def arc_matrix(curve: PolyCurve) -> np.ndarray:
-    """Pairwise arc distances; entry (i, j) depends only on (j - i) mod n."""
-    n = curve.n
-    k = np.abs(np.arange(n)[None, :] - np.arange(n)[:, None])
-    s = np.minimum(k, n - k) * (TWO_PI / n)
-    return s
+def _cyclic_windows(vertices: np.ndarray) -> np.ndarray:
+    """Read-only (dim, n, n) view W of the doubled coordinate rows, with
+    W[d, k] the d-th coordinate column rolled by -k; W[:, 0] is v.T."""
+    n = vertices.shape[0]
+    doubled = np.concatenate([vertices, vertices]).T.copy()
+    row, item = doubled.strides
+    return as_strided(doubled, (doubled.shape[0], n, n), (row, item, item),
+                      writeable=False)
+
+
+def _gather_squared_chords(windows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    diff = windows[:, ks]
+    diff -= windows[:, :1]
+    diff *= diff
+    # summed coordinate by coordinate, in the order of np.linalg.norm
+    table = diff[0]
+    for sq in diff[1:]:
+        table += sq
+    return table
+
+
+def offset_squared_chords(vertices: np.ndarray, ks) -> np.ndarray:
+    """Squared chords |v_{i+k} - v_i|^2 (indices cyclic) for each offset k
+    in ks, as a (len(ks), n) array; row r holds offset ks[r].
+
+    Built from exact vertex differences, so short chords keep full
+    relative precision, unlike the Gram form of squared_chord_matrix.
+    """
+    ks = np.atleast_1d(np.asarray(ks)) % vertices.shape[0]
+    return _gather_squared_chords(_cyclic_windows(vertices), ks)
+
+
+def half_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets k = 1..floor(n/2) and how many ordered vertex pairs each
+    stands for: offsets k and n - k hold the same chords, so weight 2,
+    except k = n/2 at even n, which is its own partner, weight 1."""
+    ks = np.arange(1, n // 2 + 1)
+    weights = np.full(ks.shape, 2.0)
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return ks, weights
+
+
+def offset_arcs(n: int, ks) -> np.ndarray:
+    """Arc distance min(s, 2*pi - s), s = 2*pi*k/n, for each offset k."""
+    s = (np.asarray(ks) % n) * (TWO_PI / n)
+    return np.minimum(s, TWO_PI - s)
+
+
+def offset_chord_blocks(vertices: np.ndarray, ks):
+    """Yield (rows, table) over the offsets ks, a block at a time: table
+    is offset_squared_chords(vertices, ks[rows])."""
+    windows = _cyclic_windows(vertices)
+    ks = np.asarray(ks) % vertices.shape[0]
+    step = max(1, OFFSET_BLOCK // vertices.shape[0])
+    for start in range(0, len(ks), step):
+        rows = slice(start, start + step)
+        yield rows, _gather_squared_chords(windows, ks[rows])
 
 
 def _closed_edge_lengths(closed: np.ndarray) -> np.ndarray:
@@ -239,6 +291,7 @@ def _inscribe_equal_chords(trace, n: int, max_iter: int = 80,
     the Fourier-side checks rely on.
     """
     t = TWO_PI * np.arange(n) / n
+    previous = np.inf
     for _ in range(max_iter):
         pts = trace(t)
         closed = np.vstack([pts, pts[:1]])
@@ -247,8 +300,11 @@ def _inscribe_equal_chords(trace, n: int, max_iter: int = 80,
         if total < 1e-6:
             raise DegenerateCurveError("curve perimeter collapsed below 1e-6")
         spread = (seg.max() - seg.min()) / (total / n)
-        if spread < tol:
+        # the spread falls quadratically until it reaches round-off, then
+        # wanders there: stop at the first pass that does not halve it
+        if spread < tol or spread > 0.5 * previous:
             break
+        previous = spread
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         t_ext = np.concatenate([t, [t[0] + TWO_PI]])
         targets = np.arange(n) * (total / n)

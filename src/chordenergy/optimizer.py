@@ -12,6 +12,7 @@ the rotational symmetry.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -52,14 +53,29 @@ class OptimizeOptions:
             raise ValueError(f"need n >= 32, got {self.n}")
 
 
+class Termination(enum.Enum):
+    """Why maximize stopped."""
+
+    #: the projected gradient norm fell below tol_grad
+    GRAD_TOL = "grad_tol"
+    #: no step along the ascent direction raised the value
+    LINE_SEARCH_STALLED = "line_search_stalled"
+    #: max_iters iterations ran
+    MAX_ITERS = "max_iters"
+
+
 @dataclass
 class OptimizeResult:
     curve: PolyCurve
     value: float
     iterations: int
-    converged: bool
+    reason: Termination
     history: list = field(default_factory=list)
-    diagnostic: str = ""
+
+    @property
+    def converged(self) -> bool:
+        """True only when the gradient test stopped the ascent."""
+        return self.reason is Termination.GRAD_TOL
 
 
 def _chord_table(curve: PolyCurve) -> tuple[np.ndarray, float]:
@@ -198,7 +214,8 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     Steps follow the tangent-projected gradient; backtracking halves the
     step until the functional does not decrease, and accepted steps grow
     the step length again.  Terminates when the projected gradient norm
-    falls below opts.tol_grad or after opts.max_iters iterations.
+    falls below opts.tol_grad, when the line search finds no ascent, or
+    after opts.max_iters iterations; result.reason says which.
     """
     if p <= 0:
         raise ParameterDomainError(f"need p > 0, got {p}")
@@ -212,22 +229,22 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     value = chord_power_mean(d2, p)
     step = opts.step0
     history = [(0, value, float("nan"))]
-    converged = False
-    diagnostic = ""
+    reason = Termination.MAX_ITERS
     iters = 0
     for iters in range(1, opts.max_iters + 1):
         grad = _table_gradient(curve.vertices, d2, p)
         pg = _tangent_project(curve, grad)
         gnorm = float(np.linalg.norm(pg))
         if gnorm < opts.tol_grad:
-            converged = True
+            reason = Termination.GRAD_TOL
             history.append((iters, value, gnorm))
             break
         direction = _tangent_project(
             curve, _smooth_direction(pg, opts.smooth_sigma))
         dnorm = float(np.linalg.norm(direction))
         if dnorm < 1e-15:
-            converged = True
+            # no ascent direction left to search along
+            reason = Termination.LINE_SEARCH_STALLED
             history.append((iters, value, gnorm))
             break
         direction /= dnorm
@@ -251,15 +268,12 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
             step *= 0.5
         history.append((iters, value, gnorm))
         if not accepted:
-            # step shrank to nothing without finding ascent: stationary
-            converged = True
+            # step shrank to nothing without finding ascent
+            reason = Termination.LINE_SEARCH_STALLED
             break
         step *= 2.0
-    else:
-        diagnostic = "iteration limit reached"
     return OptimizeResult(curve=curve, value=value, iterations=iters,
-                          converged=converged, history=history,
-                          diagnostic=diagnostic)
+                          reason=reason, history=history)
 
 
 def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, PolyCurve, lambda_chord
+from .geometry import TWO_PI, PolyCurve, lambda_chord, offset_chord_blocks
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,7 @@ def analyze(curve: PolyCurve, K: int | None = None) -> FourierCurve:
     if K is None:
         K = n // 2 - 1
     spec = np.fft.fft(curve.vertices, axis=0) / n
-    coeffs = np.empty((2 * K + 1, curve.dim), dtype=complex)
-    for k in range(-K, K + 1):
-        coeffs[K + k] = spec[k % n]
-    return FourierCurve(coeffs=coeffs, n=n)
+    return FourierCurve(coeffs=spec[np.arange(-K, K + 1) % n], n=n)
 
 
 def deficit(fc: FourierCurve, n: int | None = None) -> DeficitProfile:
@@ -89,29 +86,36 @@ def deficit(fc: FourierCurve, n: int | None = None) -> DeficitProfile:
     n = n or fc.n
     s = TWO_PI * np.arange(1, n) / n
     K = fc.K
-    rho = np.zeros_like(s)
-    for k in range(2, K + 1):
-        weight = float(np.sum(np.abs(fc.coeff(k)) ** 2
-                              + np.abs(fc.coeff(-k)) ** 2))
-        if weight == 0.0:
-            continue
-        rho += 8 * np.pi * weight * (k ** 2 * np.sin(s / 2) ** 2
-                                     - np.sin(k * s / 2) ** 2)
-    return DeficitProfile(s=s, rho=rho)
+    k = np.arange(2, K + 1)
+    weight = np.sum(np.abs(fc.coeffs[K + k]) ** 2
+                    + np.abs(fc.coeffs[K - k]) ** 2, axis=1)
+    # sum_k w_k k^2 sin^2(s/2) is one scalar times sin^2(s/2); only the
+    # sin^2(k s/2) part needs the (K-1) x (n-1) table, built in place
+    sin2 = np.outer(k, s / 2)
+    np.sin(sin2, out=sin2)
+    sin2 *= sin2
+    rho = (weight @ k ** 2) * np.sin(s / 2) ** 2 - weight @ sin2
+    return DeficitProfile(s=s, rho=8 * np.pi * rho)
 
 
-def deficit_direct(curve: PolyCurve, k: int) -> float:
+def deficit_direct(curve: PolyCurve, k):
     """Deficit at shift s = 2 pi k / n straight from the polygon:
     lambda^2(s) * int |c'|^2 (piecewise-constant derivative) minus the
-    Riemann sum of the squared chords."""
+    Riemann sum of the squared chords.
+
+    k is an int, giving a float, or an int array, giving an array.  The
+    chords are exact vertex differences, independent of the DFT that
+    the series side rests on.
+    """
     n = curve.n
     step = TWO_PI / n
-    s = (k % n) * step
-    edges = curve.edges()
-    deriv_energy = float(np.sum(edges ** 2)) / step
-    chords = np.roll(curve.vertices, -(k % n), axis=0) - curve.vertices
-    chord_term = step * float(np.sum(chords ** 2))
-    return float(lambda_chord(s) ** 2 * deriv_energy - chord_term)
+    ks = np.atleast_1d(np.asarray(k)) % n
+    deriv_energy = float(np.sum(curve.edges() ** 2)) / step
+    chord_sums = np.empty(ks.shape)
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        chord_sums[rows] = d2.sum(axis=1)
+    rho = lambda_chord(ks * step) ** 2 * deriv_energy - step * chord_sums
+    return float(rho[0]) if np.ndim(k) == 0 else rho
 
 
 def trig_lemma_check(k: int, theta: float) -> tuple[float, float]:

@@ -75,6 +75,19 @@ class TestDeficitCommand:
         assert code == cli.EXIT_OK
         assert out.splitlines()[0] == "s,rho"
 
+    def test_series_and_direct_share_the_shift_column(self, capsys,
+                                                      tmp_path):
+        path = tmp_path / "curve.json"
+        geo.save_curve(geo.random_closed_curve(3, n=128), path)
+        tables = {}
+        for flag in ("--series", "--direct"):
+            code, out, _ = run(capsys, "deficit", "--curve", str(path), flag)
+            assert code == cli.EXIT_OK
+            tables[flag] = [line.split(",") for line in out.splitlines()[1:]]
+        series, direct = tables["--series"], tables["--direct"]
+        assert [s for s, _ in series] == [s for s, _ in direct]
+        assert len(series) == 127
+
 
 class TestOptimizationCommands:
     def test_maximize_writes_curve(self, capsys, tmp_path):
@@ -84,6 +97,10 @@ class TestOptimizationCommands:
         assert code == cli.EXIT_OK
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(2 ** 0.5, abs=1e-2)
+        assert payload["params"]["reason"] in (
+            "grad_tol", "line_search_stalled", "max_iters")
+        assert payload["params"]["converged"] is (
+            payload["params"]["reason"] == "grad_tol")
         geo.load_curve(out_path).validate()
 
     def test_sweep_writes_csv(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,29 @@ from chordenergy.errors import (
     KernelSingularityError,
     ParameterDomainError,
 )
+
+
+def _longdouble_energy(v, j, p):
+    """(2pi/N)^2 sum over ordered pairs i != k of (chord^-j - arc^-j)^p,
+    with exact vertex differences in extended precision."""
+    n = len(v)
+    v = v.astype(np.longdouble)
+    step = 2 * np.pi / n
+    total = np.longdouble(0)
+    for k in range(1, n):
+        chord = np.sqrt(np.sum((np.roll(v, -k, axis=0) - v) ** 2, axis=1))
+        arc = np.longdouble(min(k, n - k) * step)
+        total += np.sum(np.maximum(chord ** -j - arc ** -j, 0) ** p)
+    return np.longdouble(step) ** 2 * total
+
+
+def _roll_distortion_at(v, k):
+    """Per-offset distortion by the np.roll form, the reference for the
+    offset table."""
+    n = len(v)
+    s = k * (2 * np.pi / n)
+    chords = np.linalg.norm(np.roll(v, -k, axis=0) - v, axis=1)
+    return min(s, 2 * np.pi - s) / chords.min()
 
 
 class TestEnergyParams:
@@ -80,6 +104,24 @@ class TestEnergy:
         with pytest.raises(DegenerateCurveError):
             fn.energy_Ejp(double_segment512, fn.EnergyParams(2, 1))
 
+    def test_self_touching_pair_named(self, double_segment512):
+        with pytest.raises(DegenerateCurveError) as err:
+            fn.energy_Ejp(double_segment512, fn.EnergyParams(2, 1))
+        i, k = map(int, re.search(r"\((\d+), (\d+)\)",
+                                  str(err.value)).groups())
+        v = double_segment512.vertices
+        assert i != k and 0 <= max(i, k) < len(v)
+        assert np.array_equal(v[i], v[k])
+
+    @pytest.mark.parametrize("n", [64, 257, 512, 1024])
+    @pytest.mark.parametrize("jp", [(2, 1), (1, 1), (1, 2), (2, 1.5)])
+    def test_matches_longdouble_reference(self, n, jp):
+        curve = geo.random_closed_curve(n, n=n, dim=2 + n % 2)
+        params = fn.EnergyParams(*jp)
+        reference = _longdouble_energy(curve.vertices, *jp)
+        assert fn.energy_Ejp(curve, params) == pytest.approx(
+            float(reference), rel=1e-13)
+
 
 class TestRenormEnergy:
     def test_matches_energy_for_standard_integrand(self, circle256):
@@ -87,6 +129,18 @@ class TestRenormEnergy:
         kernel = fn.ChordKernel(lambda c, a: np.maximum(c**-2 - a**-2, 0))
         assert fn.renorm_energy(circle256, kernel) == pytest.approx(
             fn.energy_Ejp(circle256, params), rel=1e-12)
+
+    def test_singular_pair_named(self, circle256):
+        # non-finite only on the longest chords, near the antipodes
+        def long_chords_singular(c, a):
+            return np.where(c > 2.0 - 1e-3, np.nan, 0.0)
+        with pytest.raises(KernelSingularityError) as err:
+            fn.renorm_energy(circle256,
+                             fn.ChordKernel(long_chords_singular))
+        i, k = err.value.pair
+        v = circle256.vertices
+        assert 0 <= i < len(v) and 0 <= k < len(v) and i != k
+        assert np.linalg.norm(v[i] - v[k]) > 2.0 - 1e-3
 
     def test_singular_kernel_reported(self, circle256):
         def bad(c, a):
@@ -164,6 +218,26 @@ class TestDistortion:
         v[0, 0] = np.nan
         with pytest.raises(InvalidDiscretizationError):
             fn.distortion(geo.PolyCurve(v))
+
+    @pytest.mark.parametrize("n", [64, 257, 512])
+    def test_is_max_of_per_offset_distortion(self, n):
+        curve = geo.random_closed_curve(n, n=n)
+        per_offset = [fn.distortion_at(curve, k) for k in range(1, n // 2 + 1)]
+        assert fn.distortion(curve) == max(per_offset)
+        # bit for bit the np.roll form too
+        assert per_offset == [_roll_distortion_at(curve.vertices, k)
+                              for k in range(1, n // 2 + 1)]
+
+    def test_matches_longdouble_reference(self, random_curves):
+        curve = random_curves[1]
+        v = curve.vertices.astype(np.longdouble)
+        n = len(v)
+        reference = max(
+            min(k, n - k) * (2 * np.pi / n) / np.sqrt(np.min(np.sum(
+                (np.roll(v, -k, axis=0) - v) ** 2, axis=1)))
+            for k in range(1, n))
+        assert fn.distortion(curve) == pytest.approx(float(reference),
+                                                     rel=1e-13)
 
     def test_pointwise_bound(self, random_curves):
         curve = random_curves[0]

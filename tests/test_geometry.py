@@ -98,6 +98,87 @@ class TestRandomClosedCurve:
         assert c.dim == 3
         c.validate()
 
+    def test_inscriber_stops_at_round_off(self, monkeypatch):
+        # the edge spread falls quadratically to ~1e-13 by the sixth
+        # pass; the inscriber must stop there, not run its pass cap
+        calls = []
+        inscribe = geo._inscribe_equal_chords
+
+        def counting(trace, n, *args, **kwargs):
+            def counted(t):
+                calls.append(t)
+                return trace(t)
+            return inscribe(counted, n, *args, **kwargs)
+
+        monkeypatch.setattr(geo, "_inscribe_equal_chords", counting)
+        for seed in (1, 2, 3, 7, 1001):
+            calls.clear()
+            c = geo.random_closed_curve(seed, n=512)
+            c.validate()
+            lengths = c.edge_lengths()
+            spread = (lengths.max() - lengths.min()) / lengths.mean()
+            assert spread <= geo.EDGE_SPREAD_TOL
+            assert spread < 1e-10
+            assert len(calls) <= 12
+
+
+def _brute_squared_chords(v, ks):
+    n = len(v)
+    out = np.empty((len(ks), n))
+    for r, k in enumerate(ks):
+        for i in range(n):
+            acc = 0.0
+            for x in v[(i + k) % n] - v[i]:
+                acc += x * x
+            out[r, i] = acc
+    return out
+
+
+class TestOffsetKernel:
+    @pytest.mark.parametrize("n", [8, 9, 64, 257, 512])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_double_loop(self, n, dim):
+        v = np.random.default_rng(n + dim).normal(size=(n, dim))
+        if n <= 64:
+            ks = np.arange(n)
+        else:
+            ks = np.array([0, 1, 2, n // 2, n // 2 + 1, n - 1, n + 3])
+        table = geo.offset_squared_chords(v, ks)
+        assert table.shape == (len(ks), n)
+        assert np.array_equal(table, _brute_squared_chords(v, ks))
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 257])
+    def test_half_offsets_cover_every_ordered_pair(self, n):
+        ks, weights = geo.half_offsets(n)
+        assert ks[0] == 1 and ks[-1] == n // 2
+        assert weights.sum() == n - 1
+        # offset k and n - k hold the same chords, shifted by k
+        v = np.random.default_rng(n).normal(size=(n, 2))
+        table = geo.offset_squared_chords(v, ks)
+        partner = geo.offset_squared_chords(v, n - ks)
+        for r, k in enumerate(ks):
+            assert np.array_equal(np.roll(partner[r], -k), table[r])
+
+    def test_blocks_walk_every_offset_once(self):
+        ks = np.arange(1, 3 * geo.OFFSET_BLOCK + 5)
+        v = np.random.default_rng(0).normal(size=(400, 2))
+        seen = []
+        for rows, table in geo.offset_chord_blocks(v, ks):
+            assert len(table) <= geo.OFFSET_BLOCK
+            assert np.array_equal(table,
+                                  geo.offset_squared_chords(v, ks[rows]))
+            seen.extend(ks[rows])
+        assert seen == list(ks)
+
+    def test_arcs_fold_at_half_turn(self):
+        n = 512
+        arcs = geo.offset_arcs(n, np.arange(n))
+        assert arcs[0] == 0.0
+        assert arcs[n // 2] == pytest.approx(np.pi)
+        assert np.allclose(arcs[1:], arcs[1:][::-1])
+        for k in (0, 1, 100, 256, 400):
+            assert arcs[k] == geo.arc_distance(geo.make_circle(n), 0, k)
+
 
 class TestResample:
     def test_fixed_point_on_circle(self):
@@ -144,14 +225,13 @@ class TestMetricQueries:
 
     def test_chord_below_arc(self, random_curves):
         # edges are only equal to relative 1e-6, so the nominal grid arc
-        # can undershoot the true polygon path by that much; the diagonal
-        # is excluded because the Gram-trick distances leave ~1e-8 of
-        # round-off where the exact value is zero
+        # can undershoot the true polygon path by that much; offset 0 is
+        # included, its exact-difference chords are exactly zero
         for curve in random_curves[:3]:
-            off = ~np.eye(curve.n, dtype=bool)
-            chords = geo.chord_matrix(curve)[off]
-            arcs = geo.arc_matrix(curve)[off]
-            assert np.all(chords <= arcs * (1 + 1e-5))
+            ks = np.arange(curve.n)
+            chords = np.sqrt(geo.offset_squared_chords(curve.vertices, ks))
+            arcs = geo.offset_arcs(curve.n, ks)
+            assert np.all(chords <= arcs[:, None] * (1 + 1e-5))
 
     def test_lambda_matches_circle_chords(self, circle512):
         n = circle512.n

@@ -133,10 +133,28 @@ class TestMaximize:
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(1.5, init, opts)
         assert result.converged
+        assert result.reason is opt.Termination.GRAD_TOL
         assert result.value == pytest.approx(fn.circle_avg_chord(1.5),
                                              abs=1e-3)
         assert shp.hausdorff(opt.canonicalize(result.curve),
                              geo.make_circle(128)) < 1e-3
+
+    def test_line_search_stall_is_not_convergence(self):
+        # the circle is stationary, so its projected gradient is
+        # round-off, far above this tol_grad, and no step ascends
+        opts = opt.OptimizeOptions(n=128, max_iters=50, tol_grad=1e-300)
+        result = opt.maximize(1.5, geo.make_circle(128), opts)
+        assert result.reason is opt.Termination.LINE_SEARCH_STALLED
+        assert result.converged is False
+        assert result.iterations < opts.max_iters
+
+    def test_iteration_cap_is_not_convergence(self):
+        opts = opt.OptimizeOptions(n=128, max_iters=3)
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        result = opt.maximize(4.0, init, opts)
+        assert result.reason is opt.Termination.MAX_ITERS
+        assert result.converged is False
+        assert result.iterations == 3
 
     def test_p2_value_is_sqrt2(self):
         opts = opt.OptimizeOptions(n=128, max_iters=500)

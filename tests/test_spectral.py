@@ -34,6 +34,13 @@ class TestAnalyze:
             energy = spec.analyze(curve).derivative_energy()
             assert energy == pytest.approx(2 * np.pi, rel=1e-3)
 
+    def test_gather_matches_loop(self, random_curves):
+        curve = random_curves[2]
+        n, K = curve.n, 40
+        spec_n = np.fft.fft(curve.vertices, axis=0) / n
+        expected = np.array([spec_n[k % n] for k in range(-K, K + 1)])
+        assert np.array_equal(spec.analyze(curve, K=K).coeffs, expected)
+
     def test_truncation_control(self, circle512):
         fc = spec.analyze(circle512, K=3)
         assert fc.K == 3
@@ -71,6 +78,48 @@ class TestDeficitSeries:
                                for k in range(1, curve.n)])
             scale = max(1.0, 4.0 * fc.derivative_energy())
             assert np.abs(direct - prof.rho).max() / scale < 1e-4
+
+    def test_matches_harmonic_loop(self, random_curves):
+        fc = spec.analyze(random_curves[3])
+        s = 2 * np.pi * np.arange(1, fc.n) / fc.n
+        expected = np.zeros_like(s)
+        for k in range(2, fc.K + 1):
+            weight = np.sum(np.abs(fc.coeff(k)) ** 2
+                            + np.abs(fc.coeff(-k)) ** 2)
+            expected += 8 * np.pi * weight * (k ** 2 * np.sin(s / 2) ** 2
+                                              - np.sin(k * s / 2) ** 2)
+        prof = spec.deficit(fc)
+        assert np.array_equal(prof.s, s)
+        assert np.abs(prof.rho - expected).max() < 1e-14
+
+    def test_no_harmonics_above_one(self, circle512):
+        prof = spec.deficit(spec.analyze(circle512, K=1))
+        assert np.array_equal(prof.rho, np.zeros(511))
+
+    @pytest.mark.parametrize("n,dim", [(64, 3), (257, 2), (512, 2)])
+    def test_direct_vectorized_matches_scalar(self, n, dim):
+        curve = geo.random_closed_curve(n, n=n, dim=dim)
+        ks = np.arange(1, n)
+        vector = spec.deficit_direct(curve, ks)
+        scalar = np.array([spec.deficit_direct(curve, int(k)) for k in ks])
+        assert isinstance(spec.deficit_direct(curve, 5), float)
+        assert vector.shape == (n - 1,)
+        assert np.abs(vector - scalar).max() <= 1e-13
+
+    def test_direct_matches_longdouble_reference(self, random_curves):
+        curve = random_curves[4]
+        n = curve.n
+        v = curve.vertices.astype(np.longdouble)
+        step = 2 * np.pi / n
+        deriv = np.sum((np.roll(v, -1, axis=0) - v) ** 2) / np.longdouble(step)
+        reference = np.array([
+            np.longdouble(2 * np.sin(k * step / 2)) ** 2 * deriv
+            - step * np.sum((np.roll(v, -k, axis=0) - v) ** 2)
+            for k in range(1, n)])
+        direct = spec.deficit_direct(curve, np.arange(1, n))
+        # the deficit is the difference of two terms of size up to
+        # lambda^2 * deriv <= 4 deriv; its error is relative to that
+        assert np.abs(direct - reference).max() <= 1e-13 * float(4 * deriv)
 
     def test_shift_grid(self, circle256):
         prof = spec.deficit(spec.analyze(circle256))

@@ -204,10 +204,15 @@ def _equalize_and_scale(points: np.ndarray, m: int, max_iter: int = 60,
 
     Equalize first, scale second: scaling preserves edge equality.  The
     edge lengths of each pass are the segment lengths of the next one.
+    The passes stop below tol, at a round-off stall within
+    EDGE_SPREAD_TOL, or when the spread grows; a spread that grows, or is
+    still above EDGE_SPREAD_TOL after max_iter passes, raises
+    DegenerateCurveError.
     """
     pts = np.asarray(points, dtype=float)
     closed = np.vstack([pts, pts[:1]])
     seg = _closed_edge_lengths(closed)
+    spreads = []
     for _ in range(max_iter):
         total = seg.sum()
         if total < 1e-6:
@@ -220,8 +225,20 @@ def _equalize_and_scale(points: np.ndarray, m: int, max_iter: int = 60,
         new[m] = new[0]
         closed = new
         seg = _closed_edge_lengths(closed)
-        if (seg.max() - seg.min()) / seg.mean() < tol:
+        spreads.append((seg.max() - seg.min()) / seg.mean())
+        if spreads[-1] < tol:
             break
+        # two passes that fail to halve the spread: a round-off stall
+        # within EDGE_SPREAD_TOL, or above it a failure once the spread
+        # grows.  A noisy polyline can shrink its spread slowly and
+        # unevenly for a few passes before it falls fast.
+        if len(spreads) > 2 and spreads[-1] > 0.5 * spreads[-3] and (
+                spreads[-1] <= EDGE_SPREAD_TOL or spreads[-1] > spreads[-3]):
+            break
+    if spreads[-1] > EDGE_SPREAD_TOL:
+        raise DegenerateCurveError(
+            f"arclength resampling did not converge: edge spread "
+            f"{spreads[-1]:.3e} after {len(spreads)} passes")
     return closed[:m] * (TWO_PI / seg.sum())
 
 
@@ -229,6 +246,8 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     """Redistribute m vertices at equal arclength along the polygonal trace.
 
     Idempotent at fixed m: an already equal-edge curve maps to itself.
+    Raises DegenerateCurveError when the edge spread does not converge
+    below EDGE_SPREAD_TOL, so the result always has unit speed.
     """
     if m < MIN_VERTICES:
         raise InvalidDiscretizationError(f"need m >= {MIN_VERTICES}, got {m}")
@@ -253,7 +272,8 @@ def make_ellipse(axis_ratio: float, n: int) -> PolyCurve:
 
     The result is the unit-speed (equal-edge) reparameterization of the
     elliptical trace, which for axis_ratio > 1 is not the same mapping as
-    the uniform-parameter ellipse.
+    the uniform-parameter ellipse.  Like resample_arclength, it raises
+    DegenerateCurveError when the resampling does not converge.
     """
     if axis_ratio < 1:
         raise InvalidDiscretizationError(

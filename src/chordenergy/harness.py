@@ -17,7 +17,9 @@ from . import shape as shp
 from . import spectral as spec
 from .errors import ParameterDomainError
 
-FORMAT_VERSION = 1
+#: version of the sweep CSV and of the config JSON that reproduce_figures
+#: writes
+FORMAT_VERSION = 2
 
 #: floats are written with 17 significant digits so CSV/JSON round-trip
 FLOAT_FMT = "%.17g"
@@ -250,32 +252,45 @@ def _polyline_svg(xs, ys, path, xlabel, ylabel, size: int = 800) -> None:
         fh.write("\n".join(parts))
 
 
-SWEEP_COLUMNS = ["p", "value", "r", "efit_log10", "eccentricity", "converged"]
+#: sweep CSV header by format version; version 2 added the iteration
+#: count and the stop reason of each solve
+SWEEP_COLUMNS = {
+    1: ["p", "value", "r", "efit_log10", "eccentricity", "converged"],
+    2: ["p", "value", "r", "efit_log10", "eccentricity", "converged",
+        "iterations", "reason"],
+}
 
 
 def write_sweep_csv(records, path) -> None:
+    """Write the sweep records as CSV in format FORMAT_VERSION."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
+        writer.writerow(SWEEP_COLUMNS[FORMAT_VERSION])
         for rec in records:
             writer.writerow([
                 FLOAT_FMT % rec.p, FLOAT_FMT % rec.value, FLOAT_FMT % rec.r,
                 FLOAT_FMT % rec.efit_log10, FLOAT_FMT % rec.eccentricity,
-                int(rec.converged)])
+                int(rec.converged), rec.iterations, rec.reason])
 
 
 def read_sweep_csv(path) -> list[shp.SweepRecord]:
+    """Read a sweep CSV of any format version; version 1 rows get the
+    default iteration count and stop reason."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != SWEEP_COLUMNS:
+        if reader.fieldnames not in SWEEP_COLUMNS.values():
             raise ValueError(f"unexpected sweep CSV header {reader.fieldnames}")
         for row in reader:
+            extra = {}
+            if "iterations" in row:
+                extra = {"iterations": int(row["iterations"]),
+                         "reason": row["reason"]}
             out.append(shp.SweepRecord(
                 p=float(row["p"]), value=float(row["value"]),
                 r=float(row["r"]), efit_log10=float(row["efit_log10"]),
                 eccentricity=float(row["eccentricity"]),
-                converged=bool(int(row["converged"]))))
+                converged=bool(int(row["converged"])), **extra))
     return out
 
 

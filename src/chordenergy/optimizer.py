@@ -18,18 +18,21 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf as pttrf, dpttrs as pttrs
 
 from .errors import DegenerateCurveError, ParameterDomainError, \
     SingularGradientError
 from .geometry import PolyCurve, make_circle, resample_arclength, \
     squared_chord_matrix
-from .functionals import chord_power_mean, circle_avg_chord, \
-    segment_avg_chord
+from .functionals import circle_avg_chord, segment_avg_chord
 from . import shape as shape_mod
 
 #: minimum admissible distance between any two vertices during ascent
 MIN_PAIR_DISTANCE = 1e-6
+
+#: cap on a Barzilai-Borwein first trial step, in units of
+#: OptimizeOptions.step0
+MAX_STEP_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -95,12 +98,21 @@ def _require_regular_gradient(closest: float, p: float) -> None:
             f"for p = {p} < 2")
 
 
-def _table_gradient(v: np.ndarray, d2: np.ndarray, p: float) -> np.ndarray:
-    """objective_grad from the squared chord table d2 of the vertices v."""
-    n = v.shape[0]
+def _chord_weights(d2: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+    """The weights w = d2^((p-2)/2) of a squared chord table, with a zero
+    diagonal, and the power mean ((1/N^2) sum w d2)^(1/p) they give."""
     with np.errstate(divide="ignore"):
         w = d2 ** ((p - 2.0) / 2.0)
     np.fill_diagonal(w, 0.0)
+    # row sums, then their sum: no n x n temporary, and unlike a BLAS dot
+    # the same round-off at every BLAS thread count
+    total = np.einsum("ij,ij->i", w, d2).sum()
+    return w, float((total / d2.size) ** (1.0 / p))
+
+
+def _weights_gradient(v: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """objective_grad from the chord weights w of the vertices v."""
+    n = v.shape[0]
     # sum_k w_mk (v_m - v_k) = (row sums) v_m - w @ v
     return (2.0 * p / n ** 2) * (w.sum(axis=1)[:, None] * v - w @ v)
 
@@ -113,48 +125,60 @@ def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
         raise ParameterDomainError(f"need p > 0, got {p}")
     d2, closest = _chord_table(curve)
     _require_regular_gradient(closest, p)
-    return _table_gradient(curve.vertices, d2, p)
+    return _weights_gradient(curve.vertices, _chord_weights(d2, p)[0], p)
 
 
 def project(curve: PolyCurve) -> PolyCurve:
     """Retract onto the feasible manifold: equal-arclength resampling,
-    perimeter 2*pi, centroid at the origin.  A collapsed curve raises
-    DegenerateCurveError."""
+    perimeter 2*pi, centroid at the origin.  A collapsed curve, or one
+    the resampling cannot equalize, raises DegenerateCurveError."""
     resampled = resample_arclength(curve, curve.n)
     return PolyCurve(resampled.vertices - resampled.centroid())
 
 
-def _tangent_project(curve: PolyCurve, grad: np.ndarray) -> np.ndarray:
-    """Project a vertex-space gradient onto the tangent space of the
-    equal-edge-length constraints (one length constraint per edge)."""
-    v = curve.vertices
-    n = curve.n
-    edges = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(edges, axis=1)
-    u = edges / lengths[:, None]
-    # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices i, i+1
-    jg = np.einsum("id,id->i", u, np.roll(grad, -1, axis=0) - grad)
-    coupling = -np.einsum("id,id->i", u, np.roll(u, -1, axis=0))
-    # J J^T is cyclic tridiagonal: 2 on the diagonal, coupling[i] at
-    # (i, i+1) and coupling[n-1] in the corners.  It equals B - w w^T with
-    # w = e_0 - coupling[n-1] e_{n-1} and B tridiagonal, positive definite
-    # since J J^T is; Sherman-Morrison turns the cyclic solve into one
-    # tridiagonal solve with two right-hand sides.
-    band = np.empty((2, n))
-    band[0, 0] = 0.0
-    band[0, 1:] = coupling[:-1]
-    band[1] = 2.0
-    band[1, 0] += 1.0
-    band[1, -1] += coupling[-1] ** 2
-    w = np.zeros(n)
-    w[0] = 1.0
-    w[-1] = -coupling[-1]
-    y, z = solveh_banded(band, np.column_stack([jg, w]),
-                         check_finite=False).T
-    mult = y + z * ((y[0] - coupling[-1] * y[-1])
-                    / (1.0 - (z[0] - coupling[-1] * z[-1])))
-    t = mult[:, None] * u
-    return grad - (np.roll(t, 1, axis=0) - t)
+class _TangentFrame:
+    """Projection onto the tangent space of the equal-edge-length
+    constraints of one curve (one length constraint per edge), factored
+    once for every vertex field projected at that curve."""
+
+    __slots__ = ("u", "corner", "diag", "sub", "z", "denom")
+
+    def __init__(self, curve: PolyCurve):
+        v = curve.vertices
+        n = curve.n
+        edges = np.roll(v, -1, axis=0) - v
+        self.u = edges / np.linalg.norm(edges, axis=1)[:, None]
+        # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices
+        # i, i+1.  J J^T is cyclic tridiagonal: 2 on the diagonal,
+        # coupling[i] at (i, i+1) and coupling[n-1] in the corners.  It
+        # equals B - w w^T with w = e_0 - coupling[n-1] e_{n-1} and B
+        # tridiagonal, positive definite since J J^T is; Sherman-Morrison
+        # turns the cyclic solve into tridiagonal ones with B.
+        coupling = -np.einsum("id,id->i", self.u, np.roll(self.u, -1, axis=0))
+        self.corner = coupling[-1]
+        diag = np.full(n, 2.0)
+        diag[0] += 1.0
+        diag[-1] += self.corner ** 2
+        self.diag, self.sub, info = pttrf(diag, coupling[:-1])
+        if info != 0:
+            raise DegenerateCurveError(
+                "edge constraints of the curve are not independent")
+        w = np.zeros(n)
+        w[0] = 1.0
+        w[-1] = -self.corner
+        self.z = self._solve(w)
+        self.denom = 1.0 - (self.z[0] - self.corner * self.z[-1])
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return pttrs(self.diag, self.sub, rhs)[0]
+
+    def project(self, field: np.ndarray) -> np.ndarray:
+        """The tangent component of a vertex field."""
+        jg = np.einsum("id,id->i", self.u, np.roll(field, -1, axis=0) - field)
+        y = self._solve(jg)
+        mult = y + self.z * ((y[0] - self.corner * y[-1]) / self.denom)
+        t = mult[:, None] * self.u
+        return field - (np.roll(t, 1, axis=0) - t)
 
 
 def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
@@ -208,45 +232,69 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
     return PolyCurve(np.roll(w, -start, axis=0))
 
 
+def _first_trial_step(step: float, s: np.ndarray, y: np.ndarray,
+                      dnorm: float, opts: OptimizeOptions) -> float:
+    """First trial length of a line search along the unit ascent direction.
+
+    s is the displacement of the last accepted step and y the change of
+    the projected gradient of -A_p over it.  With positive curvature,
+    <s, y> > 0, this is the Barzilai-Borwein "short" step in the H^1
+    metric, <s, y> / <y, P y> times the direction's norm dnorm before
+    normalization (P the smoothing filter), capped at MAX_STEP_FACTOR *
+    opts.step0; otherwise it is step, the last accepted step doubled.
+    """
+    # numpy sums, not BLAS dots, whose round-off depends on the thread count
+    sy = float(np.sum(s * y))
+    if sy <= 0:
+        return step
+    ypy = float(np.sum(y * _smooth_direction(y, opts.smooth_sigma)))
+    return min(sy / ypy * dnorm, MAX_STEP_FACTOR * opts.step0)
+
+
 def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult:
     """Monotone projected gradient ascent on the p-th chord-power mean.
 
-    Steps follow the tangent-projected gradient; backtracking halves the
-    step until the functional does not decrease, and accepted steps grow
-    the step length again.  Terminates when the projected gradient norm
-    falls below opts.tol_grad, when the line search finds no ascent, or
-    after opts.max_iters iterations; result.reason says which.
+    Steps follow the H^1-smoothed tangent-projected gradient.  Each line
+    search starts from a Barzilai-Borwein step (_first_trial_step) and
+    halves it until the functional does not decrease.  Terminates when
+    the projected gradient norm falls below opts.tol_grad, when the line
+    search finds no ascent, or after opts.max_iters iterations;
+    result.reason says which.
     """
     if p <= 0:
         raise ParameterDomainError(f"need p > 0, got {p}")
     if init.dim != 2:
         raise ValueError("optimization is restricted to planar curves")
     curve = project(init)
-    # one chord table per curve: the accepted candidate's table also
-    # gives the next gradient
+    # one chord table and one power of it per curve: the accepted
+    # candidate's weights also give the next gradient
     d2, closest = _chord_table(curve)
     _require_regular_gradient(closest, p)
-    value = chord_power_mean(d2, p)
+    w, value = _chord_weights(d2, p)
+    del d2  # past its power only the weights are used
     step = opts.step0
     history = [(0, value, float("nan"))]
     reason = Termination.MAX_ITERS
     iters = 0
+    last = None  # vertices and projected gradient of the previous iterate
     for iters in range(1, opts.max_iters + 1):
-        grad = _table_gradient(curve.vertices, d2, p)
-        pg = _tangent_project(curve, grad)
+        frame = _TangentFrame(curve)
+        pg = frame.project(_weights_gradient(curve.vertices, w, p))
         gnorm = float(np.linalg.norm(pg))
         if gnorm < opts.tol_grad:
             reason = Termination.GRAD_TOL
             history.append((iters, value, gnorm))
             break
-        direction = _tangent_project(
-            curve, _smooth_direction(pg, opts.smooth_sigma))
+        direction = frame.project(_smooth_direction(pg, opts.smooth_sigma))
         dnorm = float(np.linalg.norm(direction))
         if dnorm < 1e-15:
             # no ascent direction left to search along
             reason = Termination.LINE_SEARCH_STALLED
             history.append((iters, value, gnorm))
             break
+        if last is not None:
+            step = _first_trial_step(step, curve.vertices - last[0],
+                                     last[1] - pg, dnorm, opts)
         direction /= dnorm
         accepted = False
         for _ in range(60):
@@ -260,9 +308,11 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
             if closest < MIN_PAIR_DISTANCE ** 2:
                 step *= 0.5
                 continue
-            new_value = chord_power_mean(cand_d2, p)
+            cand_w, new_value = _chord_weights(cand_d2, p)
+            del cand_d2
             if new_value >= value:
-                curve, value, d2 = candidate, new_value, cand_d2
+                last = (curve.vertices, pg)
+                curve, value, w = candidate, new_value, cand_w
                 accepted = True
                 break
             step *= 0.5
@@ -302,6 +352,8 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
                 efit_log10=float(np.log10(max(fit.residual, 1e-300))),
                 eccentricity=fit.eccentricity,
                 converged=result.converged,
+                iterations=result.iterations,
+                reason=result.reason.value,
                 curve=canon,
             ))
         except (DegenerateCurveError, SingularGradientError):

@@ -32,7 +32,9 @@ class ConicFit:
 @dataclass(frozen=True)
 class SweepRecord:
     """One row of a p-sweep: functional value and shape diagnostics,
-    with the canonicalized maximizer when the solve succeeded."""
+    the solve's iteration count and stop reason (the value of an
+    optimizer.Termination; empty for a failed solve), and the
+    canonicalized maximizer when the solve succeeded."""
 
     p: float
     value: float
@@ -40,6 +42,8 @@ class SweepRecord:
     efit_log10: float
     eccentricity: float
     converged: bool
+    iterations: int = 0
+    reason: str = ""
     curve: PolyCurve | None = field(default=None, compare=False, repr=False)
 
 

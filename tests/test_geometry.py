@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from chordenergy import geometry as geo
-from chordenergy.errors import InvalidDiscretizationError
+from chordenergy.errors import DegenerateCurveError, \
+    InvalidDiscretizationError
 
 TWO_PI = 2 * np.pi
 
@@ -198,6 +199,43 @@ class TestResample:
         lengths = again.edge_lengths()
         assert (lengths.max() - lengths.min()) / lengths.mean() < 1e-9
         assert np.abs(again.vertices - e.vertices).max() < 1e-9
+
+    def test_garbage_polyline_raises(self):
+        garbage = geo.PolyCurve(np.random.default_rng(0).normal(size=(64, 2)))
+        with pytest.raises(DegenerateCurveError, match="converge"):
+            geo.resample_arclength(garbage, 64)
+
+    @pytest.mark.parametrize("amplitude", [0.01, 0.05, 0.1, 0.5, 1.0])
+    def test_never_returns_unequal_edges(self, amplitude):
+        # noise up to 20 edge lengths: each resampling either raises or
+        # returns a curve with unit speed
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            noisy = geo.PolyCurve(geo.make_circle(128).vertices
+                                  + amplitude * rng.normal(size=(128, 2)))
+            try:
+                resampled = geo.resample_arclength(noisy, 128)
+            except DegenerateCurveError:
+                continue
+            resampled.validate()
+
+    def test_round_off_stall_returns(self, monkeypatch):
+        # far from the origin the edge lengths carry round-off near 1e-9,
+        # above the pass tolerance and below EDGE_SPREAD_TOL
+        far = geo.PolyCurve(geo.make_circle(256).vertices + 1e5)
+        passes = []
+        real = geo._closed_edge_lengths
+
+        def counting(closed):
+            passes.append(1)
+            return real(closed)
+
+        monkeypatch.setattr(geo, "_closed_edge_lengths", counting)
+        resampled = geo.resample_arclength(far, 256)
+        lengths = resampled.edge_lengths()
+        assert (lengths.max() - lengths.min()) / lengths.mean() \
+            <= geo.EDGE_SPREAD_TOL
+        assert len(passes) < 10
 
 
 class TestMetricQueries:

@@ -56,15 +56,40 @@ class TestSweepCsv:
         records = [
             shp.SweepRecord(p=2.0, value=np.sqrt(2), r=1.0 + 1e-15,
                             efit_log10=-12.345, eccentricity=0.1,
+                            converged=True, iterations=36,
+                            reason="grad_tol"),
+            shp.SweepRecord(p=4.0, value=1.5973, r=9.2,
+                            efit_log10=-2.8, eccentricity=0.99,
+                            converged=False, iterations=68,
+                            reason="line_search_stalled"),
+            shp.SweepRecord(p=4.5, value=np.nan, r=np.nan,
+                            efit_log10=np.nan, eccentricity=np.nan,
+                            converged=False),
+        ]
+        path = tmp_path / "sweep.csv"
+        harness.write_sweep_csv(records, path)
+        assert path.read_text().splitlines()[0] \
+            == ",".join(harness.SWEEP_COLUMNS[2])
+        again = harness.read_sweep_csv(path)
+        assert again[:2] == records[:2]
+        assert (again[2].iterations, again[2].reason) == (0, "")
+
+    def test_reads_version_1(self, tmp_path):
+        path = tmp_path / "sweep_v1.csv"
+        path.write_text("p,value,r,efit_log10,eccentricity,converged\n"
+                        "2,1.4142135623730951,1,-12.5,0.1,1\n"
+                        "4,1.5973,9.2,-2.8,0.99,0\n")
+        records = harness.read_sweep_csv(path)
+        assert records == [
+            shp.SweepRecord(p=2.0, value=np.sqrt(2), r=1.0,
+                            efit_log10=-12.5, eccentricity=0.1,
                             converged=True),
             shp.SweepRecord(p=4.0, value=1.5973, r=9.2,
                             efit_log10=-2.8, eccentricity=0.99,
                             converged=False),
         ]
-        path = tmp_path / "sweep.csv"
-        harness.write_sweep_csv(records, path)
-        again = harness.read_sweep_csv(path)
-        assert again == records
+        assert all((rec.iterations, rec.reason) == (0, "")
+                   for rec in records)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -82,7 +82,7 @@ class TestProjection:
     def test_tangent_projection_kills_constraint_derivative(self):
         curve = geo.random_closed_curve(6, n=128)
         grad = opt.objective_grad(curve, 3.0)
-        pg = opt._tangent_project(curve, grad)
+        pg = opt._TangentFrame(curve).project(grad)
         edges = curve.edges()
         u = edges / np.linalg.norm(edges, axis=1)[:, None]
         jg = np.einsum("id,id->i", u, np.roll(pg, -1, axis=0) - pg)
@@ -96,7 +96,7 @@ class TestProjection:
         else:
             curve = geo.make_ellipse(8, n)
         grad = opt.objective_grad(curve, 3.0)
-        pg = opt._tangent_project(curve, grad)
+        pg = opt._TangentFrame(curve).project(grad)
         ref = _dense_tangent_project(curve, grad)
         assert np.linalg.norm(pg - ref) / np.linalg.norm(ref) < 1e-10
 
@@ -156,6 +156,13 @@ class TestMaximize:
         assert result.converged is False
         assert result.iterations == 3
 
+    def test_p4_from_perturbed_circle_within_budget(self):
+        opts = opt.OptimizeOptions(n=128)
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        result = opt.maximize(4.0, init, opts)
+        assert result.iterations <= 250
+        assert result.value >= 1.5975
+
     def test_p2_value_is_sqrt2(self):
         opts = opt.OptimizeOptions(n=128, max_iters=500)
         result = opt.maximize(2.0, geo.make_ellipse(1.5, 128), opts)
@@ -188,6 +195,33 @@ class TestMaximize:
         trials = counts["projections"] - 1
         assert trials >= result.iterations
         assert counts["tables"] <= trials + 1
+
+    def test_one_frame_and_one_power_per_step(self, monkeypatch):
+        counts = {"frames": 0, "tables": 0, "powers": 0}
+        real_frame = opt._TangentFrame
+        real_table = opt._chord_table
+        real_weights = opt._chord_weights
+
+        def frame(curve):
+            counts["frames"] += 1
+            return real_frame(curve)
+
+        def table(curve):
+            counts["tables"] += 1
+            return real_table(curve)
+
+        def weights(d2, p):
+            counts["powers"] += 1
+            return real_weights(d2, p)
+
+        monkeypatch.setattr(opt, "_TangentFrame", frame)
+        monkeypatch.setattr(opt, "_chord_table", table)
+        monkeypatch.setattr(opt, "_chord_weights", weights)
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(
+            n=128, max_iters=50))
+        assert counts["frames"] == result.iterations
+        assert counts["powers"] == counts["tables"]
 
     def test_close_vertex_pair_never_accepted(self, monkeypatch):
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
@@ -227,6 +261,31 @@ class TestMaximize:
             opt.OptimizeOptions(step0=-1)
 
 
+class TestFirstTrialStep:
+    def test_barzilai_borwein_short_step(self):
+        opts = opt.OptimizeOptions(n=64)
+        rng = np.random.default_rng(5)
+        s = rng.normal(size=(64, 2))
+        y = s + 0.1 * rng.normal(size=(64, 2))
+        smooth_y = opt._smooth_direction(y, opts.smooth_sigma)
+        expected = np.sum(s * y) / np.sum(y * smooth_y) * 0.3
+        assert opt._first_trial_step(7.0, s, y, 0.3, opts) \
+            == pytest.approx(expected, rel=1e-14)
+
+    def test_non_positive_curvature_keeps_doubled_step(self):
+        opts = opt.OptimizeOptions(n=64)
+        s = np.random.default_rng(6).normal(size=(64, 2))
+        assert opt._first_trial_step(7.0, s, -s, 0.3, opts) == 7.0
+        assert opt._first_trial_step(7.0, s, np.zeros_like(s), 0.3,
+                                     opts) == 7.0
+
+    def test_step_is_capped(self):
+        opts = opt.OptimizeOptions(n=64, step0=0.5)
+        s = np.random.default_rng(7).normal(size=(64, 2))
+        step = opt._first_trial_step(7.0, s, 1e-9 * s, 1.0, opts)
+        assert step == opt.MAX_STEP_FACTOR * opts.step0
+
+
 class TestSweep:
     def test_requires_sorted_grid(self):
         with pytest.raises(ValueError):
@@ -242,6 +301,19 @@ class TestSweep:
         for rec in records:
             rec.curve.validate()
             assert shp.width_ratio(rec.curve) == rec.r
+            assert rec.reason == opt.Termination.GRAD_TOL.value
+            assert 0 < rec.iterations <= opts.max_iters
+
+    def test_criterion_9_sweep_iteration_budget(self):
+        # the three legs of the criterion-9 sweep: 21 solves at n=256
+        opts = opt.OptimizeOptions(n=256, max_iters=2000)
+        grids = ([2.0, 2.5, 3.0, 3.2], [3.8, 4.0],
+                 [round(3.0 + 0.05 * i, 2) for i in range(15)])
+        records = [rec for grid in grids for rec in opt.sweep(grid, opts)]
+        assert len(records) == 21
+        assert all(rec.reason != opt.Termination.MAX_ITERS.value
+                   for rec in records)
+        assert sum(rec.iterations for rec in records) <= 2564
 
 
 class TestCrossover:

@@ -32,10 +32,6 @@ def _emit(payload, quiet: bool) -> None:
         sys.stdout.write("\n")
 
 
-def _load(path):
-    return geo.load_curve(path)
-
-
 def cmd_verify(args) -> int:
     report = harness.verify_all(seed=args.seed, n_curves=args.curves,
                                 n=args.n)
@@ -45,7 +41,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    curve = _load(args.curve)
+    curve = geo.load_curve(args.curve)
     params = fn.EnergyParams(args.j, args.p)
     value = fn.energy_Ejp(curve, params)
     _emit({"value": value, "n": curve.n,
@@ -54,14 +50,14 @@ def cmd_energy(args) -> int:
 
 
 def cmd_apnorm(args) -> int:
-    curve = _load(args.curve)
+    curve = geo.load_curve(args.curve)
     value = fn.avg_chord_p(curve, args.p)
     _emit({"value": value, "n": curve.n, "params": {"p": args.p}}, args.quiet)
     return EXIT_OK
 
 
 def cmd_distortion(args) -> int:
-    curve = _load(args.curve)
+    curve = geo.load_curve(args.curve)
     value = fn.distortion(curve)
     _emit({"value": value if np.isfinite(value) else "inf",
            "n": curve.n, "params": {}}, args.quiet)
@@ -76,7 +72,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_deficit(args) -> int:
-    curve = _load(args.curve)
+    curve = geo.load_curve(args.curve)
     if args.direct:
         ks = np.arange(1, curve.n)
         # the shift grid of spec.deficit, so both paths share the s column
@@ -98,7 +94,7 @@ def cmd_deficit(args) -> int:
 
 def cmd_maximize(args) -> int:
     opts = opt.OptimizeOptions(n=args.n, max_iters=args.max_iters,
-                               perturb=args.perturb, seed=args.seed)
+                               perturb=args.perturb)
     init = opt.perturb_mode2(geo.make_circle(args.n), args.perturb)
     result = opt.maximize(args.p, init, opts)
     canon = opt.canonicalize(result.curve)
@@ -115,7 +111,7 @@ def cmd_sweep(args) -> int:
     grid = harness.ExperimentConfig(p_min=args.p_min, p_max=args.p_max,
                                     p_step=args.step).p_grid()
     opts = opt.OptimizeOptions(n=args.n, max_iters=args.max_iters,
-                               perturb=args.perturb, seed=args.seed)
+                               perturb=args.perturb)
     records = opt.sweep(grid, opts)
     harness.write_sweep_csv(records, args.out)
     if not args.quiet:
@@ -132,7 +128,7 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_shape(args) -> int:
-    curve = _load(args.curve)
+    curve = geo.load_curve(args.curve)
     canon = opt.canonicalize(curve)
     fit = shp.fit_conic(canon)
     ratio = shp.width_ratio(canon)
@@ -160,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chordenergy",
         description="Chord functionals on discrete closed curves: "
                     "energies, deficits, and maximizer experiments.")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="random-curve seed; only verify reads it")
     parser.add_argument("--n", type=int, default=512)
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -30,7 +30,6 @@ from .geometry import (
     lambda_chord,
     offset_arcs,
     offset_chord_blocks,
-    offset_squared_chords,
     squared_chord_matrix,
 )
 
@@ -179,12 +178,9 @@ def avg_chord_p(curve: PolyCurve, p: float) -> float:
     ((1/N^2) sum |c_i - c_k|^p)^(1/p); the diagonal contributes zero."""
     if p <= 0:
         raise ParameterDomainError(f"need p > 0, got {p}")
-    return chord_power_mean(squared_chord_matrix(curve.vertices), p)
-
-
-def chord_power_mean(d2: np.ndarray, p: float) -> float:
-    """((1/N^2) sum d2^(p/2))^(1/p) of an (N, N) squared chord table."""
-    return float(np.mean(d2 ** (p / 2.0)) ** (1.0 / p))
+    d2 = squared_chord_matrix(curve.vertices)
+    d2 **= p / 2.0
+    return float(np.mean(d2) ** (1.0 / p))
 
 
 def circle_avg_chord(p: float) -> float:
@@ -205,43 +201,39 @@ def segment_avg_chord(p: float) -> float:
     return float((2.0 * math.pi ** p / ((p + 1) * (p + 2))) ** (1.0 / p))
 
 
-def distortion_at(curve: PolyCurve, k: int) -> float:
+def distortion_at(curve: PolyCurve, k):
     """Worst arc/chord ratio at grid separation k (arclength 2*pi*k/N).
 
-    Returns the infinity sentinel when some chord vanishes at positive
-    arc distance (non-embedded curve)."""
+    k is an int, giving a float, or an int array, giving an array.  The
+    ratio is the infinity sentinel where some chord vanishes at positive
+    arc distance (non-embedded curve), and 0 at k = 0 mod N."""
     n = curve.n
-    k = k % n
-    if k == 0:
-        return 0.0
-    cmin = math.sqrt(offset_squared_chords(curve.vertices, k).min())
-    if cmin < COINCIDENCE_TOL:
-        return INFINITE_DISTORTION
-    return float(arc_distance_scalar(n, k) / cmin)
-
-
-def arc_distance_scalar(n: int, k: int) -> float:
-    return float(offset_arcs(n, k))
+    ks = np.atleast_1d(np.asarray(k)) % n
+    cmin = np.empty(ks.shape)
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        cmin[rows] = np.sqrt(d2.min(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = offset_arcs(n, ks) / cmin
+    ratio[cmin < COINCIDENCE_TOL] = INFINITE_DISTORTION
+    ratio[ks == 0] = 0.0
+    return float(ratio[0]) if np.ndim(k) == 0 else ratio
 
 
 def distortion(curve: PolyCurve) -> float:
     """Gromov distortion over the grid: max over separations k in
     [1, N/2] of the worst arc/chord ratio."""
-    n = curve.n
-    ks, _ = half_offsets(n)
-    arcs = offset_arcs(n, ks)
-    best = 0.0
-    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
-        cmin = np.sqrt(d2.min(axis=1))
-        if cmin.min() < COINCIDENCE_TOL:
-            return INFINITE_DISTORTION
-        best = max(best, float((arcs[rows] / cmin).max()))
-    return best
+    return float(distortion_at(curve, half_offsets(curve.n)[0]).max())
 
 
-def chord_average(curve: PolyCurve, k: int,
-                 f: Callable[[np.ndarray], np.ndarray]) -> float:
+def chord_average(curve: PolyCurve, k,
+                  f: Callable[[np.ndarray], np.ndarray]):
     """Mean of f(squared chord) at grid separation k:
-    (1/N) sum_i f(|c_{i+k} - c_i|^2)."""
-    sq = offset_squared_chords(curve.vertices, k)[0]
-    return float(np.mean(f(sq)))
+    (1/N) sum_i f(|c_{i+k} - c_i|^2).
+
+    k is an int, giving a float, or an int array, giving an array.  f is
+    applied elementwise to a block of offsets at a time."""
+    ks = np.atleast_1d(np.asarray(k))
+    means = np.empty(ks.shape)
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        means[rows] = np.mean(f(d2), axis=1)
+    return float(means[0]) if np.ndim(k) == 0 else means

@@ -29,6 +29,11 @@ PERIMETER_TOL = 1e-9
 #: relative tolerance on edge-length spread (discrete unit speed)
 EDGE_SPREAD_TOL = 1e-6
 
+#: pass caps and target edge spreads of the arclength resampler and of
+#: the equal-chord inscriber
+RESAMPLE_MAX_PASSES, RESAMPLE_TOL = 60, 1e-12
+INSCRIBE_MAX_PASSES, INSCRIBE_TOL = 80, 1e-13
+
 
 @dataclass(frozen=True)
 class PolyCurve:
@@ -197,23 +202,22 @@ def _closed_edge_lengths(closed: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(closed, axis=0), axis=1)
 
 
-def _equalize_and_scale(points: np.ndarray, m: int, max_iter: int = 60,
-                        tol: float = 1e-12) -> np.ndarray:
+def _equalize_and_scale(points: np.ndarray, m: int) -> np.ndarray:
     """Resample a closed polyline to m vertices at equal arclength spacing,
     iterating until the edge spread converges, then scale to perimeter 2*pi.
 
     Equalize first, scale second: scaling preserves edge equality.  The
     edge lengths of each pass are the segment lengths of the next one.
-    The passes stop below tol, at a round-off stall within
+    The passes stop below RESAMPLE_TOL, at a round-off stall within
     EDGE_SPREAD_TOL, or when the spread grows; a spread that grows, or is
-    still above EDGE_SPREAD_TOL after max_iter passes, raises
+    still above EDGE_SPREAD_TOL after RESAMPLE_MAX_PASSES passes, raises
     DegenerateCurveError.
     """
     pts = np.asarray(points, dtype=float)
     closed = np.vstack([pts, pts[:1]])
     seg = _closed_edge_lengths(closed)
     spreads = []
-    for _ in range(max_iter):
+    for _ in range(RESAMPLE_MAX_PASSES):
         total = seg.sum()
         if total < 1e-6:
             raise DegenerateCurveError("curve perimeter collapsed below 1e-6")
@@ -226,7 +230,7 @@ def _equalize_and_scale(points: np.ndarray, m: int, max_iter: int = 60,
         closed = new
         seg = _closed_edge_lengths(closed)
         spreads.append((seg.max() - seg.min()) / seg.mean())
-        if spreads[-1] < tol:
+        if spreads[-1] < RESAMPLE_TOL:
             break
         # two passes that fail to halve the spread: a round-off stall
         # within EDGE_SPREAD_TOL, or above it a failure once the spread
@@ -301,8 +305,7 @@ def make_double_segment(n: int) -> PolyCurve:
     return PolyCurve(np.column_stack([x, np.zeros(n)]))
 
 
-def _inscribe_equal_chords(trace, n: int, max_iter: int = 80,
-                           tol: float = 1e-13) -> np.ndarray:
+def _inscribe_equal_chords(trace, n: int) -> np.ndarray:
     """Place n points exactly on a smooth closed trace t -> R^d so that
     consecutive chords are equal, then scale to perimeter 2*pi.
 
@@ -312,26 +315,24 @@ def _inscribe_equal_chords(trace, n: int, max_iter: int = 80,
     """
     t = TWO_PI * np.arange(n) / n
     previous = np.inf
-    for _ in range(max_iter):
+    for _ in range(INSCRIBE_MAX_PASSES):
         pts = trace(t)
-        closed = np.vstack([pts, pts[:1]])
-        seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
+        seg = _closed_edge_lengths(np.vstack([pts, pts[:1]]))
         total = seg.sum()
         if total < 1e-6:
             raise DegenerateCurveError("curve perimeter collapsed below 1e-6")
         spread = (seg.max() - seg.min()) / (total / n)
         # the spread falls quadratically until it reaches round-off, then
         # wanders there: stop at the first pass that does not halve it
-        if spread < tol or spread > 0.5 * previous:
+        if spread < INSCRIBE_TOL or spread > 0.5 * previous:
             break
         previous = spread
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         t_ext = np.concatenate([t, [t[0] + TWO_PI]])
         targets = np.arange(n) * (total / n)
         t = np.interp(targets, cum, t_ext)
-    perim = np.linalg.norm(
-        np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1).sum()
-    return pts * (TWO_PI / perim)
+    # total is the perimeter of pts: the last pass moved t, not pts
+    return pts * (TWO_PI / total)
 
 
 def random_closed_curve(seed: int, K: int = 6, amplitude_decay: float = 0.4,

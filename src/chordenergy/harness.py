@@ -34,7 +34,6 @@ class ExperimentConfig:
     p_step: float = 0.05
     fine_grid: tuple = ()
     n: int = 256
-    seed: int = 0
     max_iters: int = 2000
     perturb: float = 0.05
     version: int = FORMAT_VERSION
@@ -52,6 +51,10 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("config JSON must be an object")
+        # configs of earlier versions carry a seed that nothing read
+        payload.pop("seed", None)
         known = set(cls.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:
@@ -121,14 +124,14 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     # An inscribed polygon's chords overshoot the smooth chord function
     # by O(1/n^2), so the continuum bounds below get a matching slack.
     disc_tol = 10.0 / n**2
-    concave = {"sqrt": np.sqrt, "log": np.log, "pow0.4": lambda x: x ** 0.4}
+    concave = (np.sqrt, np.log, lambda x: x ** 0.4)
+    ks = np.arange(1, n, max(1, n // 64))
+    lam2 = fn.lambda_chord(geo.offset_arcs(n, ks)) ** 2
     worst_gap = -np.inf
     for c in curves[: min(10, n_curves)]:
-        for k in range(1, n, max(1, n // 64)):
-            lam2 = float(fn.lambda_chord(fn.arc_distance_scalar(n, k)) ** 2)
-            for fname, f in concave.items():
-                gap = fn.chord_average(c, k, f) - float(f(np.asarray(lam2)))
-                worst_gap = max(worst_gap, gap)
+        for f in concave:
+            gaps = fn.chord_average(c, ks, f) - f(lam2)
+            worst_gap = max(worst_gap, float(gaps.max()))
     report.add("chord average <= f(lambda^2)", worst_gap <= disc_tol,
                worst_gap, 0.0, disc_tol)
 
@@ -136,12 +139,13 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     worst = min(fn.distortion(c) for c in curves)
     report.add("distortion >= pi/2", worst >= np.pi / 2 - 1e-9,
                worst, np.pi / 2, 1e-9)
+    ks = np.arange(1, n // 2 + 1, max(1, n // 128))
+    s = geo.offset_arcs(n, ks)
+    bound_at = s / fn.lambda_chord(s)
     worst_at = np.inf
     for c in curves[: min(10, n_curves)]:
-        for k in range(1, n // 2 + 1, max(1, n // 128)):
-            s = fn.arc_distance_scalar(n, k)
-            worst_at = min(worst_at,
-                           fn.distortion_at(c, k) - s / fn.lambda_chord(s))
+        worst_at = min(worst_at,
+                       float((fn.distortion_at(c, ks) - bound_at).min()))
     report.add("distortion_at >= s/lambda(s)", worst_at >= -disc_tol,
                worst_at, 0.0, disc_tol)
 
@@ -186,13 +190,27 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     return report
 
 
+def _svg_path(points, closed: bool) -> str:
+    """The stroked path through the pixel points, closed or open."""
+    d = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in points) \
+        + (" Z" if closed else "")
+    return f'<path d="{d}" fill="none" stroke="black" stroke-width="1.5"/>'
+
+
+def _write_svg(path, size: int, elements) -> None:
+    """Write an SVG document of the given elements to path."""
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             *elements, "</svg>"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
+
+
 def emit_svg(curves, labels, path, size: int = 800) -> None:
     """Write planar curves into one SVG document with a shared scale."""
     curves = list(curves)
     labels = list(labels)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-             f'width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">']
+    elements = []
     if curves:
         allpts = np.vstack([c.vertices for c in curves])
         lo = allpts.min(axis=0)
@@ -208,18 +226,11 @@ def emit_svg(curves, labels, path, size: int = 800) -> None:
 
         for curve, label in zip(curves, labels):
             px = to_px(curve.vertices)
-            d = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in px) + " Z"
-            parts.append(f'<path d="{d}" fill="none" stroke="black" '
-                         'stroke-width="1.5"/>')
+            elements.append(_svg_path(px, closed=True))
             lx, ly = px[0]
-            parts.append(f'<text x="{lx + 4:.2f}" y="{ly - 4:.2f}" '
-                         f'font-size="14">{label}</text>')
-    parts.append("</svg>")
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(parts))
-    except OSError as exc:
-        raise OSError(f"failed to write SVG to {path}: {exc}") from exc
+            elements.append(f'<text x="{lx + 4:.2f}" y="{ly - 4:.2f}" '
+                            f'font-size="14">{label}</text>')
+    _write_svg(path, size, elements)
 
 
 def _polyline_svg(xs, ys, path, xlabel, ylabel, size: int = 800) -> None:
@@ -229,8 +240,7 @@ def _polyline_svg(xs, ys, path, xlabel, ylabel, size: int = 800) -> None:
     keep = np.isfinite(xs) & np.isfinite(ys)
     xs, ys = xs[keep], ys[keep]
     margin = 80
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">']
+    elements = []
     if len(xs) >= 2:
         def scale(v, lo, hi, a, b):
             if hi - lo < 1e-300:
@@ -238,18 +248,15 @@ def _polyline_svg(xs, ys, path, xlabel, ylabel, size: int = 800) -> None:
             return a + (v - lo) / (hi - lo) * (b - a)
         px = scale(xs, xs.min(), xs.max(), margin, size - margin)
         py = scale(ys, ys.min(), ys.max(), size - margin, margin)
-        d = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in zip(px, py))
-        parts.append(f'<path d="{d}" fill="none" stroke="black" '
-                     'stroke-width="1.5"/>')
+        elements.append(_svg_path(zip(px, py), closed=False))
         for x, y in zip(px, py):
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3"/>')
-        parts.append(f'<text x="{size // 2}" y="{size - 20}" '
-                     f'font-size="16">{xlabel}</text>')
-        parts.append(f'<text x="20" y="{size // 2}" font-size="16" '
-                     f'transform="rotate(-90 20 {size // 2})">{ylabel}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+            elements.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3"/>')
+        elements.append(f'<text x="{size // 2}" y="{size - 20}" '
+                        f'font-size="16">{xlabel}</text>')
+        elements.append(f'<text x="20" y="{size // 2}" font-size="16" '
+                        f'transform="rotate(-90 20 {size // 2})">'
+                        f'{ylabel}</text>')
+    _write_svg(path, size, elements)
 
 
 #: sweep CSV header by format version; version 2 added the iteration
@@ -305,7 +312,7 @@ def reproduce_figures(outdir, config: ExperimentConfig | None = None) -> dict:
         fine_grid=tuple(round(3.462 + 0.002 * i, 10) for i in range(12)))
     os.makedirs(outdir, exist_ok=True)
     opts = opt.OptimizeOptions(n=config.n, max_iters=config.max_iters,
-                               perturb=config.perturb, seed=config.seed)
+                               perturb=config.perturb)
     grid = config.p_grid()
     records = opt.sweep(grid, opts)
     curves = {rec.p: rec.curve for rec in records if rec.curve is not None}

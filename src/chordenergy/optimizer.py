@@ -30,28 +30,29 @@ from . import shape as shape_mod
 #: minimum admissible distance between any two vertices during ascent
 MIN_PAIR_DISTANCE = 1e-6
 
-#: cap on a Barzilai-Borwein first trial step, in units of
-#: OptimizeOptions.step0
+#: first trial step of the first line search
+STEP0 = 1.0
+
+#: cap on a Barzilai-Borwein first trial step, in units of STEP0
 MAX_STEP_FACTOR = 1e3
+
+#: strength of the H^1 smoothing applied to ascent directions;
+#: mode k is damped by 1/(1 + SMOOTH_SIGMA k^2).  Stiff high-frequency
+#: curvature otherwise forces steps orders of magnitude below what
+#: the low-frequency stretching modes can absorb.
+SMOOTH_SIGMA = 16.0
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
     n: int = 256
     max_iters: int = 2000
-    step0: float = 1.0
     tol_grad: float = 1e-7
     perturb: float = 0.05
-    seed: int = 0
-    #: strength of the H^1 smoothing applied to ascent directions;
-    #: mode k is damped by 1/(1 + smooth_sigma k^2).  Stiff high-frequency
-    #: curvature otherwise forces steps orders of magnitude below what
-    #: the low-frequency stretching modes can absorb.
-    smooth_sigma: float = 16.0
 
     def __post_init__(self):
-        if self.step0 <= 0 or self.tol_grad <= 0:
-            raise ValueError("step0 and tol_grad must be positive")
+        if not self.tol_grad > 0:
+            raise ValueError(f"need a positive tol_grad, got {self.tol_grad}")
         if self.n < 32:
             raise ValueError(f"need n >= 32, got {self.n}")
 
@@ -195,16 +196,14 @@ def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
 
 
 @lru_cache(maxsize=8)
-def _h1_filter(n: int, sigma: float) -> np.ndarray:
+def _h1_filter(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
-    return 1.0 / (1.0 + sigma * k ** 2)
+    return 1.0 / (1.0 + SMOOTH_SIGMA * k ** 2)
 
 
-def _smooth_direction(pg: np.ndarray, sigma: float) -> np.ndarray:
-    """Damp mode k of a vertex field by 1/(1 + sigma k^2) (H^1 metric)."""
-    if sigma <= 0:
-        return pg
-    filt = _h1_filter(pg.shape[0], sigma)
+def _smooth_direction(pg: np.ndarray) -> np.ndarray:
+    """Damp mode k of a vertex field by 1/(1 + SMOOTH_SIGMA k^2)."""
+    filt = _h1_filter(pg.shape[0])
     return np.real(np.fft.ifft(np.fft.fft(pg, axis=0)
                                * filt[:, None], axis=0))
 
@@ -233,7 +232,7 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
 
 
 def _first_trial_step(step: float, s: np.ndarray, y: np.ndarray,
-                      dnorm: float, opts: OptimizeOptions) -> float:
+                      dnorm: float) -> float:
     """First trial length of a line search along the unit ascent direction.
 
     s is the displacement of the last accepted step and y the change of
@@ -241,14 +240,14 @@ def _first_trial_step(step: float, s: np.ndarray, y: np.ndarray,
     <s, y> > 0, this is the Barzilai-Borwein "short" step in the H^1
     metric, <s, y> / <y, P y> times the direction's norm dnorm before
     normalization (P the smoothing filter), capped at MAX_STEP_FACTOR *
-    opts.step0; otherwise it is step, the last accepted step doubled.
+    STEP0; otherwise it is step, the last accepted step doubled.
     """
     # numpy sums, not BLAS dots, whose round-off depends on the thread count
     sy = float(np.sum(s * y))
     if sy <= 0:
         return step
-    ypy = float(np.sum(y * _smooth_direction(y, opts.smooth_sigma)))
-    return min(sy / ypy * dnorm, MAX_STEP_FACTOR * opts.step0)
+    ypy = float(np.sum(y * _smooth_direction(y)))
+    return min(sy / ypy * dnorm, MAX_STEP_FACTOR * STEP0)
 
 
 def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult:
@@ -272,7 +271,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     _require_regular_gradient(closest, p)
     w, value = _chord_weights(d2, p)
     del d2  # past its power only the weights are used
-    step = opts.step0
+    step = STEP0
     history = [(0, value, float("nan"))]
     reason = Termination.MAX_ITERS
     iters = 0
@@ -285,7 +284,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
             reason = Termination.GRAD_TOL
             history.append((iters, value, gnorm))
             break
-        direction = frame.project(_smooth_direction(pg, opts.smooth_sigma))
+        direction = frame.project(_smooth_direction(pg))
         dnorm = float(np.linalg.norm(direction))
         if dnorm < 1e-15:
             # no ascent direction left to search along
@@ -294,7 +293,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
             break
         if last is not None:
             step = _first_trial_step(step, curve.vertices - last[0],
-                                     last[1] - pg, dnorm, opts)
+                                     last[1] - pg, dnorm)
         direction /= dnorm
         accepted = False
         for _ in range(60):

@@ -181,6 +181,14 @@ class TestChordMeans:
             assert fn.avg_chord_p(double_segment512, p) == pytest.approx(
                 fn.segment_avg_chord(p), abs=1e-3)
 
+    @pytest.mark.parametrize("p", [0.5, 1, 1.5, 2, 3, 4])
+    def test_equals_mean_of_table_power(self, p, random_curves, circle512,
+                                        double_segment512):
+        for curve in (random_curves[2], circle512, double_segment512):
+            d2 = geo.squared_chord_matrix(curve.vertices)
+            assert fn.avg_chord_p(curve, p) \
+                == np.mean(d2 ** (p / 2)) ** (1 / p)
+
     def test_power_mean_monotone(self, random_curves):
         vals = [fn.avg_chord_p(random_curves[0], p)
                 for p in (0.5, 1, 2, 3, 4)]
@@ -207,6 +215,16 @@ class TestDistortion:
 
     def test_at_zero_separation(self, circle512):
         assert fn.distortion_at(circle512, 0) == 0.0
+
+    def test_array_form_equals_scalar_calls(self, random_curves,
+                                            double_segment512):
+        for curve in (random_curves[3], double_segment512):
+            ks = np.array([0, 1, 2, 5, 100, 256, 300, 511, 512, 700])
+            values = fn.distortion_at(curve, ks)
+            assert isinstance(values, np.ndarray)
+            assert values.tolist() == [fn.distortion_at(curve, int(k))
+                                       for k in ks]
+        assert isinstance(fn.distortion_at(curve, 3), float)
 
     def test_self_touching_is_infinite(self, double_segment512):
         assert fn.distortion(double_segment512) == fn.INFINITE_DISTORTION
@@ -243,7 +261,7 @@ class TestDistortion:
         curve = random_curves[0]
         n = curve.n
         for k in (1, 17, 128, 255):
-            s = fn.arc_distance_scalar(n, k)
+            s = geo.offset_arcs(n, k)
             assert fn.distortion_at(curve, k) \
                 >= s / geo.lambda_chord(s) - 1e-4
 
@@ -252,10 +270,24 @@ class TestChordAverage:
     def test_concave_bound_on_circle(self, circle512):
         n = circle512.n
         for k in (3, 64, 256):
-            s = fn.arc_distance_scalar(n, k)
+            s = geo.offset_arcs(n, k)
             lam2 = geo.lambda_chord(s) ** 2
             avg = fn.chord_average(circle512, k, np.sqrt)
             assert avg <= math.sqrt(lam2) + 1e-4
+
+    def test_array_form_equals_scalar_calls(self, random_curves):
+        curve = random_curves[4]
+        v = curve.vertices
+        ks = np.arange(1, curve.n, 7)
+        for f in (np.sqrt, np.log, lambda x: x ** 0.4):
+            values = fn.chord_average(curve, ks, f)
+            assert isinstance(values, np.ndarray)
+            assert values.tolist() == [fn.chord_average(curve, int(k), f)
+                                       for k in ks]
+            # bit for bit the np.roll form too
+            assert values.tolist() == [float(np.mean(f(np.sum(
+                (np.roll(v, -k, axis=0) - v) ** 2, axis=1)))) for k in ks]
+        assert isinstance(fn.chord_average(curve, 3, np.sqrt), float)
 
     def test_identity_function_gives_mean_square(self, random_curves):
         curve = random_curves[0]

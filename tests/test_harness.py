@@ -18,6 +18,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown"):
             harness.ExperimentConfig.from_json('{"p_min": 1.0, "bogus": 2}')
 
+    def test_loads_config_with_legacy_seed(self):
+        # the config.json of earlier versions, which carried a seed
+        legacy = ('{"p_min": 1.0, "p_max": 4.0, "p_step": 0.05, '
+                  '"fine_grid": [3.462, 3.464], "n": 256, "seed": 0, '
+                  '"max_iters": 2000, "perturb": 0.05, "version": 2}')
+        config = harness.ExperimentConfig.from_json(legacy)
+        assert config == harness.ExperimentConfig(fine_grid=(3.462, 3.464))
+        assert "seed" not in config.to_json()
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ValueError, match="object"):
+            harness.ExperimentConfig.from_json('["p_min"]')
+
     def test_grid_merges_fine_points(self):
         config = harness.ExperimentConfig(p_min=1.0, p_max=2.0, p_step=0.5,
                                           fine_grid=(1.25, 1.5))
@@ -112,6 +125,22 @@ class TestSvg:
         path = tmp_path / "empty.svg"
         harness.emit_svg([], [], path)
         assert "</svg>" in path.read_text()
+
+    def test_write_error_names_the_file(self, tmp_path, circle256):
+        path = tmp_path / "missing" / "gallery.svg"
+        with pytest.raises(FileNotFoundError) as info:
+            harness.emit_svg([circle256], ["circle"], path)
+        assert info.value.filename == str(path)
+
+    def test_plot_is_an_open_path_with_markers(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        harness._polyline_svg([1.0, 2.0, float("nan"), 3.0],
+                              [0.0, 1.0, 5.0, 4.0], path, "p", "r")
+        text = path.read_text()
+        assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg" '
+                               'width="800" height="800"')
+        assert text.count("<path") == 1 and " Z" not in text
+        assert text.count("<circle") == 3
 
 
 class TestReproduceFigures:

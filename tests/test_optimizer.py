@@ -257,33 +257,36 @@ class TestMaximize:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             opt.OptimizeOptions(n=16)
-        with pytest.raises(ValueError):
-            opt.OptimizeOptions(step0=-1)
+        for bad in (0.0, -1e-7, float("nan")):
+            with pytest.raises(ValueError):
+                opt.OptimizeOptions(tol_grad=bad)
+
+    def test_options_are_the_four_settings(self):
+        assert list(opt.OptimizeOptions.__dataclass_fields__) == [
+            "n", "max_iters", "tol_grad", "perturb"]
 
 
 class TestFirstTrialStep:
     def test_barzilai_borwein_short_step(self):
-        opts = opt.OptimizeOptions(n=64)
         rng = np.random.default_rng(5)
         s = rng.normal(size=(64, 2))
         y = s + 0.1 * rng.normal(size=(64, 2))
-        smooth_y = opt._smooth_direction(y, opts.smooth_sigma)
+        k = np.fft.fftfreq(64, d=1.0 / 64)
+        smooth_y = np.real(np.fft.ifft(np.fft.fft(y, axis=0) / (
+            1.0 + opt.SMOOTH_SIGMA * k ** 2)[:, None], axis=0))
         expected = np.sum(s * y) / np.sum(y * smooth_y) * 0.3
-        assert opt._first_trial_step(7.0, s, y, 0.3, opts) \
+        assert opt._first_trial_step(7.0, s, y, 0.3) \
             == pytest.approx(expected, rel=1e-14)
 
     def test_non_positive_curvature_keeps_doubled_step(self):
-        opts = opt.OptimizeOptions(n=64)
         s = np.random.default_rng(6).normal(size=(64, 2))
-        assert opt._first_trial_step(7.0, s, -s, 0.3, opts) == 7.0
-        assert opt._first_trial_step(7.0, s, np.zeros_like(s), 0.3,
-                                     opts) == 7.0
+        assert opt._first_trial_step(7.0, s, -s, 0.3) == 7.0
+        assert opt._first_trial_step(7.0, s, np.zeros_like(s), 0.3) == 7.0
 
     def test_step_is_capped(self):
-        opts = opt.OptimizeOptions(n=64, step0=0.5)
         s = np.random.default_rng(7).normal(size=(64, 2))
-        step = opt._first_trial_step(7.0, s, 1e-9 * s, 1.0, opts)
-        assert step == opt.MAX_STEP_FACTOR * opts.step0
+        step = opt._first_trial_step(7.0, s, 1e-9 * s, 1.0)
+        assert step == opt.MAX_STEP_FACTOR * opt.STEP0 == 1e3
 
 
 class TestSweep:

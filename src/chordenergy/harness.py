@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,15 +78,32 @@ class CheckResult:
     measured: float
     bound: float
     tolerance: float
+    #: wall time of the check, as VerificationReport.add measures it
+    seconds: float = 0.0
 
 
 @dataclass
 class VerificationReport:
+    """The checks of a verification run, each with its wall time.
+
+    add() credits a check with the time since the previous add(), or
+    since the report was made: the work done between two checks belongs
+    to the second.  verify_all walks each curve's chord table once for
+    all four energies, before its first energy check, so that check
+    carries the whole energy walk, the curve set-up and, in a fresh
+    process, the scipy.integrate import; the other three energy checks
+    carry only their circle bounds."""
+
     checks: list = field(default_factory=list)
+    _mark: float = field(default_factory=time.perf_counter, init=False,
+                         repr=False, compare=False)
 
     def add(self, name, passed, measured, bound, tolerance):
+        now = time.perf_counter()
         self.checks.append(CheckResult(name, bool(passed), float(measured),
-                                       float(bound), float(tolerance)))
+                                       float(bound), float(tolerance),
+                                       now - self._mark))
+        self._mark = now
 
     @property
     def passed(self) -> bool:
@@ -96,7 +114,8 @@ class VerificationReport:
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
             lines.append(f"{status}  {c.name}: measured={c.measured:.6g} "
-                         f"bound={c.bound:.6g} tol={c.tolerance:.2g}")
+                         f"bound={c.bound:.6g} tol={c.tolerance:.2g} "
+                         f"time={c.seconds:.4f}s")
         n_fail = sum(not c.passed for c in self.checks)
         lines.append(f"{len(self.checks) - n_fail}/{len(self.checks)} "
                      "checks passed")
@@ -112,13 +131,16 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     curves3 = [geo.random_closed_curve(seed + 1000 + i, n=n, dim=3)
                for i in range(max(1, n_curves // 10))]
 
-    # circle minimality of the chord/arc energies
-    for (j, p) in [(2, 1), (1, 1), (1, 2), (2, 1.5)]:
-        params = fn.EnergyParams(j, p)
+    # circle minimality of the chord/arc energies: one chord-table walk
+    # per curve for all four, then the worst curve of each
+    params_seq = [fn.EnergyParams(j, p)
+                  for (j, p) in [(2, 1), (1, 1), (1, 2), (2, 1.5)]]
+    energies = np.array([fn._energies_Ejp(c, params_seq)
+                         for c in curves + curves3])
+    for params, worst in zip(params_seq, energies.min(axis=0)):
         bound = fn.circle_bound(params)
-        worst = min(fn.energy_Ejp(c, params) for c in curves + curves3)
-        report.add(f"energy({j},{p}) >= circle bound", worst >= 0.95 * bound,
-                   worst, bound, 0.05 * bound)
+        report.add(f"energy({params.j},{params.p}) >= circle bound",
+                   worst >= 0.95 * bound, worst, bound, 0.05 * bound)
 
     # chord-average inequality for concave increasing test functions.
     # An inscribed polygon's chords overshoot the smooth chord function
@@ -176,9 +198,8 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     worst_tetra = np.inf
     for dim in (2, 3):
         pts = rng.normal(size=(10000, 4, dim))
-        for row in pts[:2000]:
-            _, _, gap = spec.tetra_check(*row)
-            worst_tetra = min(worst_tetra, gap)
+        _, _, gaps = spec.tetra_check(*pts[:2000].transpose(1, 0, 2))
+        worst_tetra = min(worst_tetra, float(gaps.min()))
     report.add("tetrahedron inequality gap >= 0", worst_tetra >= -1e-12,
                worst_tetra, 0.0, 1e-12)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg.lapack import dpttrf as pttrf, dpttrs as pttrs
 
 from .errors import DegenerateCurveError, ParameterDomainError, \
@@ -51,6 +50,8 @@ class OptimizeOptions:
     perturb: float = 0.05
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"need max_iters >= 1, got {self.max_iters}")
         if not self.tol_grad > 0:
             raise ValueError(f"need a positive tol_grad, got {self.tol_grad}")
         if self.n < 32:
@@ -366,6 +367,10 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
 def crossover_segment_circle() -> float:
     """Exponent where the doubly covered segment overtakes the circle in
     average chord power, found by bisection on the closed forms."""
+    # imported here, not at module level: scipy.optimize takes about
+    # 0.3 s to import, and only this function uses it
+    from scipy import optimize
+
     def gap(p):
         return segment_avg_chord(p) - circle_avg_chord(p)
     return float(optimize.brentq(gap, 2.5, 3.9, xtol=1e-8))

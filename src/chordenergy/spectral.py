@@ -125,18 +125,25 @@ def trig_lemma_check(k: int, theta: float) -> tuple[float, float]:
     return float(np.sin(k * theta) ** 2), float(k ** 2 * np.sin(theta) ** 2)
 
 
-def tetra_check(A, B, C, D) -> tuple[float, float, float]:
+def tetra_check(A, B, C, D):
     """Both sides and the gap of the tetrahedron inequality
     |AC|^2 + |BD|^2 <= |BC|^2 + |AD|^2 + 2 |AB| |CD|.
 
-    The gap vanishes exactly when AB and DC are parallel as vectors
-    (same direction)."""
+    The points are arrays of shape (..., dim): single points give floats,
+    stacked points give arrays of the stack shape.  The gap vanishes
+    exactly when AB and DC are parallel as vectors (same direction)."""
     A, B, C, D = (np.asarray(P, dtype=float) for P in (A, B, C, D))
     def d(P, Q):
-        return float(np.linalg.norm(P - Q))
+        # a stacked dot product runs the BLAS dot of np.linalg.norm on
+        # one vector, so each distance is the per-point norm bit for bit
+        diff = P - Q
+        return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
     lhs = d(A, C) ** 2 + d(B, D) ** 2
     rhs = d(B, C) ** 2 + d(A, D) ** 2 + 2 * d(A, B) * d(C, D)
-    return lhs, rhs, rhs - lhs
+    gap = rhs - lhs
+    if np.ndim(gap) == 0:
+        return float(lhs), float(rhs), float(gap)
+    return lhs, rhs, gap
 
 
 def ellipse_uniform_parameter(a0, a, b, n: int) -> PolyCurve:

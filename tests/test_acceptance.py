@@ -2,7 +2,7 @@
 
 Each test covers one numbered criterion, prints a single PASS/FAIL line
 with the measured values, and asserts the stated tolerance.  The sweep
-criterion is the long one (minutes); everything else is seconds.
+criteria are the long ones (about 3 s per 21-solve sweep).
 """
 
 import math

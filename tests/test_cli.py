@@ -165,6 +165,13 @@ class TestErrorPaths:
         assert code == cli.EXIT_PRECONDITION
         assert "error" in err
 
+    def test_maximize_rejects_nonpositive_iteration_cap(self, capsys):
+        code, out, err = run(capsys, "--n", "64", "maximize", "--p", "2",
+                             "--max-iters", "-5")
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert "max_iters" in err
+
     def test_sweep_rejects_zero_step(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--p-min", "2", "--p-max", "3",
                            "--step", "0", "--out", str(tmp_path / "s.csv"))

@@ -123,6 +123,35 @@ class TestEnergy:
             float(reference), rel=1e-13)
 
 
+class TestSharedEnergyWalk:
+    """One walk of the chord table serves several (j, p) pairs."""
+
+    PAIRS = [(2, 1), (1, 1), (1, 2), (2, 1.5)]
+
+    @pytest.mark.parametrize("which", ["random2d", "random3d", "circle"])
+    def test_equals_one_call_per_pair(self, which):
+        curve = {"random2d": geo.random_closed_curve(4, n=300),
+                 "random3d": geo.random_closed_curve(5, n=301, dim=3),
+                 "circle": geo.make_circle(300)}[which]
+        params = [fn.EnergyParams(j, p) for j, p in self.PAIRS]
+        assert fn._energies_Ejp(curve, params) \
+            == [fn.energy_Ejp(curve, q) for q in params]
+
+    def test_degenerate_curve_rejected(self, double_segment512):
+        params = [fn.EnergyParams(j, p) for j, p in self.PAIRS]
+        with pytest.raises(DegenerateCurveError):
+            fn._energies_Ejp(double_segment512, params)
+
+    def test_divergent_pair_rejected_before_the_walk(self, circle256,
+                                                     monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked the chord table")
+        monkeypatch.setattr(fn, "offset_chord_blocks", no_walk)
+        params = [fn.EnergyParams(2, 1), fn.EnergyParams(3, 1)]
+        with pytest.raises(ParameterDomainError):
+            fn._energies_Ejp(circle256, params)
+
+
 class TestRenormEnergy:
     def test_matches_energy_for_standard_integrand(self, circle256):
         params = fn.EnergyParams(2, 1)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ class TestVerifyAll:
         lines = report.summary().splitlines()
         assert len(lines) == len(report.checks) + 1
         assert all(line.startswith(("PASS", "FAIL")) for line in lines[:-1])
+
+    def test_checks_are_timed(self):
+        start = time.perf_counter()
+        report = harness.verify_all(seed=1, n_curves=2, n=128)
+        wall = time.perf_counter() - start
+        seconds = [c.seconds for c in report.checks]
+        assert all(s >= 0 for s in seconds)
+        assert sum(seconds) <= wall
+        assert all(f"time={c.seconds:.4f}s" in line for c, line
+                   in zip(report.checks, report.summary().splitlines()))
+
+    def test_check_result_positional_fields(self):
+        check = harness.CheckResult("x", True, 1.0, 0.0, 1e-9)
+        assert check.seconds == 0.0
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):

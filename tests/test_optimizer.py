@@ -260,6 +260,9 @@ class TestMaximize:
         for bad in (0.0, -1e-7, float("nan")):
             with pytest.raises(ValueError):
                 opt.OptimizeOptions(tol_grad=bad)
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="max_iters"):
+                opt.OptimizeOptions(max_iters=bad)
 
     def test_options_are_the_four_settings(self):
         assert list(opt.OptimizeOptions.__dataclass_fields__) == [

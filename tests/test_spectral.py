@@ -153,6 +153,15 @@ class TestPointwiseLemmas:
                 _, _, gap = spec.tetra_check(*pts)
                 assert gap >= -1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tetra_stacked_equals_scalar_calls(self, dim):
+        pts = np.random.default_rng(3).normal(size=(500, 4, dim))
+        stacked = spec.tetra_check(*pts.transpose(1, 0, 2))
+        rows = [spec.tetra_check(*row) for row in pts]
+        assert all(part.shape == (500,) for part in stacked)
+        assert np.array_equal(np.array(stacked).T, np.array(rows))
+        assert all(type(x) is float for x in rows[0])
+
     def test_tetra_equality_for_parallel_sides(self):
         # equality holds exactly when B - A and C - D point the same way
         rng = np.random.default_rng(2)

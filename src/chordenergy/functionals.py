@@ -208,6 +208,23 @@ def avg_chord_p(curve: PolyCurve, p: float) -> float:
     return float(np.mean(d2) ** (1.0 / p))
 
 
+def _closed_form_mean(p: float, mean_power) -> float:
+    """mean_power() ** (1/p), where mean_power() is the mean of |chord|^p
+    of a closed form.  p must be positive and finite; where the doubles
+    overflow (the circle's Gamma values from p = 342 on, the segment's
+    pi^p from p = 620 on) ParameterDomainError is raised."""
+    if not 0 < p < math.inf:
+        raise ParameterDomainError(f"need a finite p > 0, got {p}")
+    try:
+        value = mean_power() ** (1.0 / p)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterDomainError(
+            f"the closed form overflows double precision at p = {p}")
+    return float(value)
+
+
 def circle_avg_chord(p: float) -> float:
     """Closed form A_p of the unit circle:
     ((2^p/pi) * int_0^pi sin^p u du)^(1/p), via the Beta integral.
@@ -217,19 +234,15 @@ def circle_avg_chord(p: float) -> float:
     differ in the last bits, and the 1/p-th power amplifies that: on
     the grid p = 1, 1.01, ..., 10 the values differ in 42% of the points,
     by at most 4 ulps."""
-    if p <= 0:
-        raise ParameterDomainError(f"need p > 0, got {p}")
-    integral = math.sqrt(math.pi) * math.gamma((p + 1) / 2) \
-        / math.gamma(p / 2 + 1)
-    return float(((2.0 ** p / math.pi) * integral) ** (1.0 / p))
+    return _closed_form_mean(p, lambda: (2.0 ** p / math.pi) * (
+        math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)))
 
 
 def segment_avg_chord(p: float) -> float:
     """Closed form A_p of the doubly covered segment of length pi:
     (2 pi^p / ((p+1)(p+2)))^(1/p), the mean of |x-y|^p on [0, pi]^2."""
-    if p <= 0:
-        raise ParameterDomainError(f"need p > 0, got {p}")
-    return float((2.0 * math.pi ** p / ((p + 1) * (p + 2))) ** (1.0 / p))
+    return _closed_form_mean(
+        p, lambda: 2.0 * math.pi ** p / ((p + 1) * (p + 2)))
 
 
 def distortion_at(curve: PolyCurve, k):

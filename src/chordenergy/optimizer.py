@@ -3,11 +3,14 @@
 The feasible set is the discrete unit-speed manifold: closed planar
 polygons with N equal edges and perimeter 2*pi.  Ascent steps follow
 the gradient of the p-th power mean of the chord lengths, projected
-onto the tangent space of the edge-length constraints; the retraction
-back to the manifold is arclength resampling.  Past the critical
-exponent the circle loses its maximality and the iterates stretch into
-ovals, so initial curves carry an explicit mode-2 perturbation to break
-the rotational symmetry.
+onto the tangent space of the edge-length constraints.  Line-search
+trials return to the manifold by Newton projection onto the edge
+constraints, starting from the iteration's tangent frame (a
+projection-like retraction, Absil & Malick, SIAM J. Optim. 2012);
+start curves are placed on it by arclength resampling.  Past the
+critical exponent the circle loses its maximality and the iterates
+stretch into ovals, so initial curves carry an explicit mode-2
+perturbation to break the rotational symmetry.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from scipy.linalg.lapack import dpttrf as pttrf, dpttrs as pttrs
 
 from .errors import DegenerateCurveError, ParameterDomainError, \
     SingularGradientError
-from .geometry import PolyCurve, make_circle, resample_arclength, \
-    squared_chord_matrix
+from .geometry import EDGE_SPREAD_TOL, TWO_PI, PolyCurve, make_circle, \
+    resample_arclength, squared_chord_matrix
 from .functionals import circle_avg_chord, segment_avg_chord
 from . import shape as shape_mod
 
@@ -40,6 +43,13 @@ MAX_STEP_FACTOR = 1e3
 #: curvature otherwise forces steps orders of magnitude below what
 #: the low-frequency stretching modes can absorb.
 SMOOTH_SIGMA = 16.0
+
+#: target of the line-search retraction: largest edge-length error
+#: relative to 2*pi/N
+RETRACT_TOL = 1e-14
+
+#: cap on the Newton steps of one line-search retraction
+RETRACT_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,10 @@ class OptimizeResult:
         return self.reason is Termination.GRAD_TOL
 
 
-def _chord_table(curve: PolyCurve) -> tuple[np.ndarray, float]:
-    """Squared chord table of a curve and its smallest off-diagonal
-    entry, the squared distance of the closest vertex pair."""
-    d2 = squared_chord_matrix(curve.vertices)
+def _chord_table(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared chord table of the vertices v and its smallest
+    off-diagonal entry, the squared distance of the closest vertex pair."""
+    d2 = squared_chord_matrix(v)
     np.fill_diagonal(d2, np.inf)
     closest = float(d2.min())
     np.fill_diagonal(d2, 0.0)
@@ -125,38 +135,51 @@ def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
     (2p/N^2) sum_{k != m} |v_m - v_k|^(p-2) (v_m - v_k)."""
     if p <= 0:
         raise ParameterDomainError(f"need p > 0, got {p}")
-    d2, closest = _chord_table(curve)
+    d2, closest = _chord_table(curve.vertices)
     _require_regular_gradient(closest, p)
     return _weights_gradient(curve.vertices, _chord_weights(d2, p)[0], p)
 
 
 def project(curve: PolyCurve) -> PolyCurve:
-    """Retract onto the feasible manifold: equal-arclength resampling,
-    perimeter 2*pi, centroid at the origin.  A collapsed curve, or one
-    the resampling cannot equalize, raises DegenerateCurveError."""
+    """Place a curve on the feasible manifold: equal-arclength
+    resampling, perimeter 2*pi, centroid at the origin.  maximize uses it
+    for its start curve only; line-search trials go through _retract.  A
+    collapsed curve, or one the resampling cannot equalize, raises
+    DegenerateCurveError."""
     resampled = resample_arclength(curve, curve.n)
     return PolyCurve(resampled.vertices - resampled.centroid())
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Rows shifted cyclically up by one: row i holds a[i + 1]."""
+    return np.concatenate((a[1:], a[:1]))
+
+
+def _edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors v_{i+1} - v_i of a closed polygon and their lengths."""
+    edges = _next(v) - v
+    # the arithmetic of np.linalg.norm(edges, axis=1), without its
+    # per-call overhead
+    return edges, np.sqrt(np.einsum("id,id->i", edges, edges))
+
+
 class _TangentFrame:
-    """Projection onto the tangent space of the equal-edge-length
-    constraints of one curve (one length constraint per edge), factored
-    once for every vertex field projected at that curve."""
+    """The Jacobian J of the equal-edge-length constraints of one curve
+    (one length constraint per edge), with J J^T factored once for every
+    vertex field projected or corrected at that curve."""
 
     __slots__ = ("u", "corner", "diag", "sub", "z", "denom")
 
-    def __init__(self, curve: PolyCurve):
-        v = curve.vertices
-        n = curve.n
-        edges = np.roll(v, -1, axis=0) - v
-        self.u = edges / np.linalg.norm(edges, axis=1)[:, None]
+    def __init__(self, edges: np.ndarray, lengths: np.ndarray):
+        n = lengths.shape[0]
+        self.u = edges / lengths[:, None]
         # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices
         # i, i+1.  J J^T is cyclic tridiagonal: 2 on the diagonal,
         # coupling[i] at (i, i+1) and coupling[n-1] in the corners.  It
         # equals B - w w^T with w = e_0 - coupling[n-1] e_{n-1} and B
         # tridiagonal, positive definite since J J^T is; Sherman-Morrison
         # turns the cyclic solve into tridiagonal ones with B.
-        coupling = -np.einsum("id,id->i", self.u, np.roll(self.u, -1, axis=0))
+        coupling = -np.einsum("id,id->i", self.u, _next(self.u))
         self.corner = coupling[-1]
         diag = np.full(n, 2.0)
         diag[0] += 1.0
@@ -174,13 +197,63 @@ class _TangentFrame:
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         return pttrs(self.diag, self.sub, rhs)[0]
 
-    def project(self, field: np.ndarray) -> np.ndarray:
-        """The tangent component of a vertex field."""
-        jg = np.einsum("id,id->i", self.u, np.roll(field, -1, axis=0) - field)
-        y = self._solve(jg)
+    def normal(self, c: np.ndarray) -> np.ndarray:
+        """J^T (J J^T)^-1 c: the normal vertex field whose change of the
+        edge lengths, to first order, is c."""
+        y = self._solve(c)
         mult = y + self.z * ((y[0] - self.corner * y[-1]) / self.denom)
         t = mult[:, None] * self.u
-        return field - (np.roll(t, 1, axis=0) - t)
+        # J^T mult: vertex m gets t[m-1] - t[m]
+        return np.concatenate((t[-1:], t[:-1])) - t
+
+    def project(self, field: np.ndarray) -> np.ndarray:
+        """The tangent component of a vertex field."""
+        return field - self.normal(
+            np.einsum("id,id->i", self.u, _next(field) - field))
+
+
+def _retract(v: np.ndarray, h: float, frame: _TangentFrame):
+    """Newton projection of the vertices v onto the edge constraints
+    |v_{i+1} - v_i| = h, then centroid to the origin.
+
+    Each step is v <- v - J^T (J J^T)^-1 c(v) with c_i = |v_{i+1} - v_i| - h.
+    The first uses frame, the current iterate's, already factored; each
+    later one factors J at the new point.  The steps stop once the
+    largest |c_i| / h is below RETRACT_TOL, or at round-off: when a step
+    fails to halve it while it is within EDGE_SPREAD_TOL, the better of
+    the two points is kept.  An error that grows, dependent constraints
+    or RETRACT_MAX_STEPS steps raise DegenerateCurveError.  Returns the
+    vertices with the edge vectors and lengths of their last check.
+    """
+    edges, lengths = _edges(v)
+    resid = lengths - h
+    err = np.abs(resid).max() / h
+    for steps in range(RETRACT_MAX_STEPS + 1):
+        if err < RETRACT_TOL:
+            break
+        if steps == RETRACT_MAX_STEPS:
+            raise DegenerateCurveError(
+                f"edge constraints not met after {steps} Newton steps: "
+                f"relative error {err:.3e}")
+        if frame is None:
+            frame = _TangentFrame(edges, lengths)
+        new_v = v - frame.normal(resid)
+        frame = None
+        new_edges, new_lengths = _edges(new_v)
+        new_resid = new_lengths - h
+        new_err = np.abs(new_resid).max() / h
+        if not new_err <= 0.5 * err:
+            if new_err <= EDGE_SPREAD_TOL:
+                if new_err < err:
+                    v, edges, lengths = new_v, new_edges, new_lengths
+                break
+            if not new_err <= err:
+                raise DegenerateCurveError(
+                    f"Newton steps on the edge constraints diverged: "
+                    f"relative error {err:.3e} -> {new_err:.3e}")
+        v, edges, lengths, resid, err = \
+            new_v, new_edges, new_lengths, new_resid, new_err
+    return v - v.mean(axis=0), edges, lengths
 
 
 def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
@@ -254,21 +327,26 @@ def _first_trial_step(step: float, s: np.ndarray, y: np.ndarray,
 def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult:
     """Monotone projected gradient ascent on the p-th chord-power mean.
 
-    Steps follow the H^1-smoothed tangent-projected gradient.  Each line
-    search starts from a Barzilai-Borwein step (_first_trial_step) and
-    halves it until the functional does not decrease.  Terminates when
-    the projected gradient norm falls below opts.tol_grad, when the line
-    search finds no ascent, or after opts.max_iters iterations;
+    The start is init placed on the manifold by project.  Steps follow
+    the H^1-smoothed tangent-projected gradient.  Each line search
+    starts from a Barzilai-Borwein step (_first_trial_step), retracts
+    each trial by Newton projection onto the edge constraints
+    (_retract), and halves the step until the functional does not
+    decrease; a trial the retraction rejects is halved too.  Terminates
+    when the projected gradient norm falls below opts.tol_grad, when the
+    line search finds no ascent, or after opts.max_iters iterations;
     result.reason says which.
     """
     if p <= 0:
         raise ParameterDomainError(f"need p > 0, got {p}")
     if init.dim != 2:
         raise ValueError("optimization is restricted to planar curves")
-    curve = project(init)
+    v = project(init).vertices
+    h = TWO_PI / v.shape[0]
+    edges, lengths = _edges(v)
     # one chord table and one power of it per curve: the accepted
     # candidate's weights also give the next gradient
-    d2, closest = _chord_table(curve)
+    d2, closest = _chord_table(v)
     _require_regular_gradient(closest, p)
     w, value = _chord_weights(d2, p)
     del d2  # past its power only the weights are used
@@ -278,8 +356,8 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     iters = 0
     last = None  # vertices and projected gradient of the previous iterate
     for iters in range(1, opts.max_iters + 1):
-        frame = _TangentFrame(curve)
-        pg = frame.project(_weights_gradient(curve.vertices, w, p))
+        frame = _TangentFrame(edges, lengths)
+        pg = frame.project(_weights_gradient(v, w, p))
         gnorm = float(np.linalg.norm(pg))
         if gnorm < opts.tol_grad:
             reason = Termination.GRAD_TOL
@@ -293,26 +371,26 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
             history.append((iters, value, gnorm))
             break
         if last is not None:
-            step = _first_trial_step(step, curve.vertices - last[0],
-                                     last[1] - pg, dnorm)
+            step = _first_trial_step(step, v - last[0], last[1] - pg, dnorm)
         direction /= dnorm
         accepted = False
         for _ in range(60):
             try:
-                candidate = project(
-                    PolyCurve(curve.vertices + step * direction))
+                cand, cand_edges, cand_lengths = _retract(
+                    v + step * direction, h, frame)
             except DegenerateCurveError:
                 step *= 0.5
                 continue
-            cand_d2, closest = _chord_table(candidate)
+            cand_d2, closest = _chord_table(cand)
             if closest < MIN_PAIR_DISTANCE ** 2:
                 step *= 0.5
                 continue
             cand_w, new_value = _chord_weights(cand_d2, p)
             del cand_d2
             if new_value >= value:
-                last = (curve.vertices, pg)
-                curve, value, w = candidate, new_value, cand_w
+                last = (v, pg)
+                v, edges, lengths = cand, cand_edges, cand_lengths
+                value, w = new_value, cand_w
                 accepted = True
                 break
             step *= 0.5
@@ -322,7 +400,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
             reason = Termination.LINE_SEARCH_STALLED
             break
         step *= 2.0
-    return OptimizeResult(curve=curve, value=value, iterations=iters,
+    return OptimizeResult(curve=PolyCurve(v), value=value, iterations=iters,
                           reason=reason, history=history)
 
 

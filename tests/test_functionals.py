@@ -218,6 +218,27 @@ class TestChordMeans:
             assert fn.avg_chord_p(curve, p) \
                 == np.mean(d2 ** (p / 2)) ** (1 / p)
 
+    @pytest.mark.parametrize("p", [300, 344, 620, 621, 2000])
+    def test_closed_forms_raise_where_doubles_overflow(self, p):
+        # the circle's Gamma values overflow from p = 342 on, the
+        # segment's pi^p from p = 620 on
+        for closed_form, first_overflow in ((fn.circle_avg_chord, 342),
+                                            (fn.segment_avg_chord, 620)):
+            if p < first_overflow:
+                assert math.isfinite(closed_form(p))
+            else:
+                with pytest.raises(ParameterDomainError, match="overflow"):
+                    closed_form(p)
+
+    def test_closed_forms_at_p300_are_the_formulas(self):
+        p = 300
+        integral = math.sqrt(math.pi) * math.gamma((p + 1) / 2) \
+            / math.gamma(p / 2 + 1)
+        assert fn.circle_avg_chord(p) \
+            == ((2.0 ** p / math.pi) * integral) ** (1.0 / p)
+        assert fn.segment_avg_chord(p) \
+            == (2.0 * math.pi ** p / ((p + 1) * (p + 2))) ** (1.0 / p)
+
     def test_power_mean_monotone(self, random_curves):
         vals = [fn.avg_chord_p(random_curves[0], p)
                 for p in (0.5, 1, 2, 3, 4)]
@@ -231,6 +252,13 @@ class TestChordMeans:
                 fn.circle_avg_chord(bad)
             with pytest.raises(ParameterDomainError):
                 fn.segment_avg_chord(bad)
+
+    def test_closed_forms_reject_nonfinite_exponent(self):
+        # at p = inf both used to return 1.0, at p = nan NaN
+        for bad in (math.inf, math.nan):
+            for closed_form in (fn.circle_avg_chord, fn.segment_avg_chord):
+                with pytest.raises(ParameterDomainError):
+                    closed_form(bad)
 
 
 class TestDistortion:

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -6,7 +11,7 @@ from chordenergy import functionals as fn
 from chordenergy import geometry as geo
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
-from chordenergy.errors import ParameterDomainError
+from chordenergy.errors import DegenerateCurveError, ParameterDomainError
 
 
 def _fd_gradient(curve, p, h=1e-6):
@@ -39,6 +44,16 @@ def _dense_tangent_project(curve, grad):
     jjt[(idx + 1) % n, idx] = coupling
     mult = linalg.solve(jjt, jg, assume_a="pos")
     return grad + mult[:, None] * u - np.roll(mult[:, None] * u, 1, axis=0)
+
+
+def _frame(curve):
+    return opt._TangentFrame(*opt._edges(curve.vertices))
+
+
+def _relative_edge_error(v):
+    lengths = geo.PolyCurve(v).edge_lengths()
+    h = 2 * np.pi / len(lengths)
+    return np.abs(lengths - h).max() / h
 
 
 def _min_pair_distance(curve):
@@ -82,7 +97,7 @@ class TestProjection:
     def test_tangent_projection_kills_constraint_derivative(self):
         curve = geo.random_closed_curve(6, n=128)
         grad = opt.objective_grad(curve, 3.0)
-        pg = opt._TangentFrame(curve).project(grad)
+        pg = _frame(curve).project(grad)
         edges = curve.edges()
         u = edges / np.linalg.norm(edges, axis=1)[:, None]
         jg = np.einsum("id,id->i", u, np.roll(pg, -1, axis=0) - pg)
@@ -96,14 +111,118 @@ class TestProjection:
         else:
             curve = geo.make_ellipse(8, n)
         grad = opt.objective_grad(curve, 3.0)
-        pg = opt._TangentFrame(curve).project(grad)
+        pg = _frame(curve).project(grad)
         ref = _dense_tangent_project(curve, grad)
         assert np.linalg.norm(pg - ref) / np.linalg.norm(ref) < 1e-10
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_normal_field_has_the_given_edge_derivative(self, n):
+        # J normal(c) = J J^T (J J^T)^-1 c = c
+        curve = opt.perturb_mode2(geo.make_circle(n), 0.05)
+        frame = _frame(curve)
+        c = np.random.default_rng(4).normal(size=n)
+        field = frame.normal(c)
+        jf = np.einsum("id,id->i", frame.u, np.roll(field, -1, axis=0) - field)
+        assert np.abs(jf - c).max() < 1e-12 * np.abs(c).max()
+
+    def test_project_is_field_minus_normal_of_its_edge_derivative(self):
+        curve = geo.random_closed_curve(6, n=128)
+        frame = _frame(curve)
+        grad = opt.objective_grad(curve, 3.0)
+        jg = np.einsum("id,id->i", frame.u, np.roll(grad, -1, axis=0) - grad)
+        assert np.array_equal(frame.project(grad), grad - frame.normal(jg))
 
     def test_perturb_mode2_breaks_roundness(self, circle256):
         bumped = opt.perturb_mode2(circle256, 0.05)
         bumped.validate()
         assert shp.width_ratio(bumped) > 1.05
+
+
+def _bumped_trial(n, step, direction="gradient"):
+    """A bumped n-gon, its tangent frame and a trial v + step * d along a
+    tangent direction d: the projected A_4 gradient scaled to unit norm,
+    or a projected random field whose largest vertex move is 1."""
+    curve = opt.perturb_mode2(geo.make_circle(n), 0.05)
+    frame = _frame(curve)
+    if direction == "gradient":
+        d = frame.project(opt.objective_grad(curve, 4.0))
+        d /= np.linalg.norm(d)
+    else:
+        d = frame.project(np.random.default_rng(n).normal(size=(n, 2)))
+        d /= np.linalg.norm(d, axis=1).max()
+    return curve, frame, curve.vertices + step * d
+
+
+class TestRetraction:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_equal_edges_and_centroid_at_origin(self, n):
+        _, frame, trial = _bumped_trial(n, 0.1)
+        assert _relative_edge_error(trial) > 1e-6
+        v, edges, lengths = opt._retract(trial + [0.5, -0.25],
+                                         2 * np.pi / n, frame)
+        assert _relative_edge_error(v) < 1e-13
+        assert np.abs(v.mean(axis=0)).max() < 1e-15
+        # the edges it hands on are those of the returned vertices
+        ref_edges = np.roll(v, -1, axis=0) - v
+        assert np.abs(edges - ref_edges).max() < 1e-15
+        assert np.abs(lengths - np.linalg.norm(ref_edges, axis=1)).max() \
+            < 1e-15
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_feasible_curve_comes_back_unchanged(self, n):
+        _, frame, trial = _bumped_trial(n, 0.1)
+        h = 2 * np.pi / n
+        for v in (geo.make_circle(n).vertices,
+                  opt._retract(trial, h, frame)[0]):
+            again = opt._retract(v, h, _frame(geo.PolyCurve(v)))[0]
+            assert np.abs(again - v).max() < 1e-15
+
+    @pytest.mark.parametrize("direction", ["gradient", "random"])
+    @pytest.mark.parametrize("edges_moved", [2, 5, 20])
+    def test_long_step_raises_or_returns_equal_edges(self, direction,
+                                                      edges_moved):
+        n = 256
+        h = 2 * np.pi / n
+        # the largest vertex move is edges_moved edge lengths
+        step = edges_moved * h
+        if direction == "gradient":
+            step *= np.sqrt(n)
+        _, frame, trial = _bumped_trial(n, step, direction)
+        try:
+            v = opt._retract(trial, h, frame)[0]
+        except DegenerateCurveError:
+            return
+        assert _relative_edge_error(v) < 1e-13
+        assert np.abs(v.mean(axis=0)).max() < 1e-15
+
+    def test_growing_error_raises_at_once(self, monkeypatch):
+        n = 256
+        steps = []
+        real_normal = opt._TangentFrame.normal
+
+        def normal(self, c):
+            steps.append(c)
+            return real_normal(self, c)
+
+        monkeypatch.setattr(opt._TangentFrame, "normal", normal)
+        # two edge lengths per vertex along the gradient: the first
+        # Newton step moves the edges further from 2*pi/n
+        _, frame, trial = _bumped_trial(n, 2 * 2 * np.pi / np.sqrt(n))
+        steps.clear()  # the projection of the direction
+        with pytest.raises(DegenerateCurveError, match="diverged"):
+            opt._retract(trial, 2 * np.pi / n, frame)
+        assert len(steps) == 1
+
+    def test_iteration_budget_at_n1024(self):
+        # a fixed 1e-14 target is below round-off at n=1024: every trial
+        # raised and the line search stalled on its first iteration
+        n = 1024
+        init = opt.perturb_mode2(geo.make_circle(n), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(
+            n=n, max_iters=5))
+        assert result.reason is opt.Termination.MAX_ITERS
+        assert result.iterations == 5
+        assert result.value > fn.avg_chord_p(init, 4.0)
 
 
 class TestCanonicalize:
@@ -175,8 +294,9 @@ class TestMaximize:
         values = [v for _, v, _ in result.history]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_one_chord_table_per_trial(self, monkeypatch):
-        counts = {"tables": 0, "projections": 0}
+    def test_one_chord_table_per_retracted_trial(self, monkeypatch):
+        counts = {"tables": 0, "projections": 0, "trials": 0, "retracted": 0}
+        real_retract = opt._retract
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -184,46 +304,73 @@ class TestMaximize:
                 return func(*args, **kwargs)
             return wrapper
 
+        def retract(*args):
+            counts["trials"] += 1
+            out = real_retract(*args)
+            counts["retracted"] += 1
+            return out
+
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         monkeypatch.setattr(opt, "squared_chord_matrix",
                             counting("tables", geo.squared_chord_matrix))
         monkeypatch.setattr(opt, "project",
                             counting("projections", opt.project))
+        monkeypatch.setattr(opt, "_retract", retract)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
             n=128, max_iters=50))
-        # project runs once on the initial curve, then once per trial
-        trials = counts["projections"] - 1
-        assert trials >= result.iterations
-        assert counts["tables"] <= trials + 1
+        # the resampler places the start curve only; every trial goes
+        # through the Newton retraction, and each one it returns gets
+        # one chord table
+        assert counts["projections"] == 1
+        assert counts["trials"] >= result.iterations
+        assert counts["tables"] == counts["retracted"] + 1
 
-    def test_one_frame_and_one_power_per_step(self, monkeypatch):
-        counts = {"frames": 0, "tables": 0, "powers": 0}
+    def test_one_frame_per_iteration_and_one_power_per_trial(
+            self, monkeypatch):
+        counts = {"frames": 0, "tables": 0, "powers": 0, "retractions": 0}
+        built = []  # frames maximize builds, outside the retraction
+        inside = []
         real_frame = opt._TangentFrame
+        real_retract = opt._retract
         real_table = opt._chord_table
         real_weights = opt._chord_weights
 
-        def frame(curve):
-            counts["frames"] += 1
-            return real_frame(curve)
+        def frame(edges, lengths):
+            made = real_frame(edges, lengths)
+            if not inside:
+                built.append(made)
+            return made
 
-        def table(curve):
+        def retract(v, h, iteration_frame):
+            # the first Newton step uses the iteration's factored frame
+            assert iteration_frame is built[-1]
+            counts["retractions"] += 1
+            inside.append(True)
+            try:
+                return real_retract(v, h, iteration_frame)
+            finally:
+                inside.pop()
+
+        def table(v):
             counts["tables"] += 1
-            return real_table(curve)
+            return real_table(v)
 
         def weights(d2, p):
             counts["powers"] += 1
             return real_weights(d2, p)
 
         monkeypatch.setattr(opt, "_TangentFrame", frame)
+        monkeypatch.setattr(opt, "_retract", retract)
         monkeypatch.setattr(opt, "_chord_table", table)
         monkeypatch.setattr(opt, "_chord_weights", weights)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
             n=128, max_iters=50))
-        assert counts["frames"] == result.iterations
+        assert len(built) == result.iterations
+        assert counts["retractions"] >= result.iterations
         assert counts["powers"] == counts["tables"]
 
-    def test_close_vertex_pair_never_accepted(self, monkeypatch):
+    def test_crowded_retraction_never_accepted(self, monkeypatch):
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         start = opt.project(init)
         start_value = fn.avg_chord_p(start, 4.0)
@@ -231,19 +378,17 @@ class TestMaximize:
         # within MIN_PAIR_DISTANCE / 10 of vertex 0
         crowded = 1.1 * start.vertices
         crowded[1] = crowded[0] + 0.1 * opt.MIN_PAIR_DISTANCE
-        crowded = geo.PolyCurve(crowded)
-        assert fn.avg_chord_p(crowded, 4.0) > start_value
+        assert fn.avg_chord_p(geo.PolyCurve(crowded), 4.0) > start_value
         calls = []
-        real_project = opt.project
 
-        def project(curve):
-            calls.append(curve)
-            return real_project(curve) if len(calls) == 1 else crowded
+        def retract(v, h, frame):
+            calls.append(v)
+            return (crowded,) + opt._edges(crowded)
 
-        monkeypatch.setattr(opt, "project", project)
+        monkeypatch.setattr(opt, "_retract", retract)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
             n=128, max_iters=20))
-        assert len(calls) > 2
+        assert len(calls) > 1
         assert result.value == start_value
         assert _min_pair_distance(result.curve) >= opt.MIN_PAIR_DISTANCE
 
@@ -309,6 +454,26 @@ class TestSweep:
             assert shp.width_ratio(rec.curve) == rec.r
             assert rec.reason == opt.Termination.GRAD_TOL.value
             assert 0 < rec.iterations <= opts.max_iters
+
+    def test_high_leg_is_the_same_at_one_and_two_blas_threads(self):
+        # a verdict must not depend on the BLAS thread count; the sweep
+        # runs in fresh processes, since OpenBLAS reads it at load time
+        src = os.path.dirname(os.path.dirname(os.path.abspath(opt.__file__)))
+        probe = ("import json; from chordenergy import optimizer as opt; "
+                 "recs = opt.sweep([3.8, 4.0], opt.OptimizeOptions(n=256)); "
+                 "print(json.dumps([[r.iterations, r.reason, r.value] "
+                 "for r in recs]))")
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=600)
+            assert done.returncode == 0, done.stderr
+            tables.append(json.loads(done.stdout))
+        assert len(tables[0]) == 2
+        assert tables[0] == tables[1]
 
     def test_criterion_9_sweep_iteration_budget(self):
         # the three legs of the criterion-9 sweep: 21 solves at n=256

@@ -6,13 +6,15 @@ integrand is singular.  The arc of a vertex pair depends on its grid
 offset k = j - i alone, and offsets k and N - k hold the same chords, so
 the sums over pairs walk the offsets k = 1..N/2 of one exact-difference
 chord table, a block of offsets at a time.  The circle reference values
-come from adaptive quadrature of the corresponding closed-form integrals.
+come from a fixed Gauss-Legendre rule on geometrically graded panels of
+the corresponding closed-form integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,6 +39,15 @@ INFINITE_DISTORTION = math.inf
 
 #: two distinct parameters mapping within this distance are "coincident"
 COINCIDENCE_TOL = 1e-12
+
+#: Gauss-Legendre nodes per panel of circle_bound's tail rule
+BOUND_NODES = 24
+
+
+def require_finite_exponent(p: float) -> None:
+    """Raise ParameterDomainError unless 0 < p < inf; NaN is refused too."""
+    if not 0 < p < math.inf:
+        raise ParameterDomainError(f"need a finite p > 0, got {p}")
 
 
 @dataclass(frozen=True)
@@ -175,34 +186,50 @@ def _bound_integrand(s: np.ndarray, j: float, p: float) -> np.ndarray:
     return (np.sin(s) ** -j - s ** -j) ** p
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The BOUND_NODES-point Gauss-Legendre nodes and weights on [-1, 1],
+    computed on first use: leggauss takes about 6 ms."""
+    return np.polynomial.legendre.leggauss(BOUND_NODES)
+
+
 def circle_bound(params: EnergyParams, series_cut: float = 1e-4) -> float:
     """Sharp circle value 2^(3-jp) pi * int_0^(pi/2) (csc^j s - s^-j)^p ds.
 
     Below series_cut the integrand is replaced by its leading behavior
-    (j/6)^p * s^((2-j)p), integrated in closed form; adaptive quadrature
-    covers the rest.  Absolute tolerance 1e-9.
+    (j/6)^p * s^((2-j)p), integrated in closed form.  The rest is a
+    BOUND_NODES-point Gauss-Legendre rule on the panels [c, 2c], [2c, 4c],
+    ... up to pi/2, with c = series_cut: 14 panels at the default.  Each
+    panel lies at least its own width from the integrand's singularity at
+    0, so the rule converges there as on a smooth function.  At (j, p) =
+    (2, 1), where the value is 4 exactly, the error is -1.4e-12, against
+    -9.1e-13 for adaptive quadrature (scipy.integrate.quad at tolerance
+    1e-12); both come from the cancellation in csc^j s - s^-j at small s.
+    series_cut must lie in (0, pi/2).
     """
-    # imported here, not at module level: scipy.integrate (with the
-    # scipy.special it loads) takes about 0.35 s to import, and only
-    # this function uses it
-    from scipy import integrate
-
+    if not 0 < series_cut < math.pi / 2:
+        raise ParameterDomainError(
+            f"need 0 < series_cut < pi/2, got {series_cut}")
     params.require_convergent()
     j, p = params.j, params.p
     expo = (2.0 - j) * p
     # leading term of (csc^j - s^-j)^p as s -> 0
     head = (j / 6.0) ** p * series_cut ** (expo + 1) / (expo + 1)
-    tail, _ = integrate.quad(
-        _bound_integrand, series_cut, np.pi / 2, args=(j, p),
-        epsabs=1e-12, epsrel=1e-12, limit=200)
+    ends = series_cut * 2.0 ** np.arange(
+        math.ceil(math.log2(math.pi / 2 / series_cut)))
+    ends = np.append(ends[ends < math.pi / 2], math.pi / 2)
+    mids = 0.5 * (ends[1:] + ends[:-1])
+    halves = 0.5 * (ends[1:] - ends[:-1])
+    nodes, weights = _gauss_legendre()
+    s = mids[:, None] + halves[:, None] * nodes
+    tail = halves @ (_bound_integrand(s, j, p) @ weights)
     return float(2.0 ** (3.0 - j * p) * np.pi * (head + tail))
 
 
 def avg_chord_p(curve: PolyCurve, p: float) -> float:
     """L^p mean of the chord length over all parameter pairs,
     ((1/N^2) sum |c_i - c_k|^p)^(1/p); the diagonal contributes zero."""
-    if p <= 0:
-        raise ParameterDomainError(f"need p > 0, got {p}")
+    require_finite_exponent(p)
     d2 = squared_chord_matrix(curve.vertices)
     d2 **= p / 2.0
     return float(np.mean(d2) ** (1.0 / p))
@@ -213,8 +240,7 @@ def _closed_form_mean(p: float, mean_power) -> float:
     of a closed form.  p must be positive and finite; where the doubles
     overflow (the circle's Gamma values from p = 342 on, the segment's
     pi^p from p = 620 on) ParameterDomainError is raised."""
-    if not 0 < p < math.inf:
-        raise ParameterDomainError(f"need a finite p > 0, got {p}")
+    require_finite_exponent(p)
     try:
         value = mean_power() ** (1.0 / p)
     except OverflowError:

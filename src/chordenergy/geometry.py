@@ -120,13 +120,20 @@ def lambda_chord(s):
 def squared_chord_matrix(vertices: np.ndarray) -> np.ndarray:
     """Pairwise squared distances of a vertex array via the Gram matrix;
     the diagonal is exactly zero."""
+    n, dim = vertices.shape
     sq = np.einsum("id,id->i", vertices, vertices)
-    # (-2 v) @ v.T, not v @ v.T: numpy computes the product of an array
-    # with its own transpose by syrk and a strided copy of the triangle,
-    # several times slower than the general product at these sizes
-    d2 = (-2.0 * vertices) @ vertices.T
-    d2 += sq[:, None]
-    d2 += sq[None, :]
+    # |v_i|^2 - 2 v_i.v_k + |v_k|^2 as one product of two (n, dim + 2)
+    # factors, [-2v, |v|^2, 1] and [v, 1, |v|^2], with no n x n pass
+    # for the two squared-norm terms
+    left = np.empty((n, dim + 2))
+    left[:, :dim] = -2.0 * vertices
+    left[:, dim] = sq
+    left[:, dim + 1] = 1.0
+    right = np.empty((n, dim + 2))
+    right[:, :dim] = vertices
+    right[:, dim] = 1.0
+    right[:, dim + 1] = sq
+    d2 = left @ right.T
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2

@@ -91,8 +91,8 @@ class VerificationReport:
     to the second.  verify_all walks each curve's chord table once for
     all four energies, before its first energy check, so that check
     carries the whole energy walk, the curve set-up and, in a fresh
-    process, the scipy.integrate import; the other three energy checks
-    carry only their circle bounds."""
+    process, circle_bound's Gauss-Legendre nodes (about 6 ms); the other
+    three energy checks carry only their circle bounds."""
 
     checks: list = field(default_factory=list)
     _mark: float = field(default_factory=time.perf_counter, init=False,

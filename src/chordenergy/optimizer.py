@@ -16,17 +16,17 @@ perturbation to break the rotational symmetry.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf as pttrf, dpttrs as pttrs
 
-from .errors import DegenerateCurveError, ParameterDomainError, \
-    SingularGradientError
+from .errors import DegenerateCurveError, SingularGradientError
 from .geometry import EDGE_SPREAD_TOL, TWO_PI, PolyCurve, make_circle, \
     resample_arclength, squared_chord_matrix
-from .functionals import circle_avg_chord, segment_avg_chord
+from .functionals import circle_avg_chord, require_finite_exponent, \
+    segment_avg_chord
 from . import shape as shape_mod
 
 #: minimum admissible distance between any two vertices during ascent
@@ -66,6 +66,8 @@ class OptimizeOptions:
             raise ValueError(f"need a positive tol_grad, got {self.tol_grad}")
         if self.n < 32:
             raise ValueError(f"need n >= 32, got {self.n}")
+        if not math.isfinite(self.perturb):
+            raise ValueError(f"need a finite perturb, got {self.perturb}")
 
 
 class Termination(enum.Enum):
@@ -96,11 +98,12 @@ class OptimizeResult:
 def _chord_table(v: np.ndarray) -> tuple[np.ndarray, float]:
     """Squared chord table of the vertices v and its smallest
     off-diagonal entry, the squared distance of the closest vertex pair."""
+    n = v.shape[0]
     d2 = squared_chord_matrix(v)
-    np.fill_diagonal(d2, np.inf)
-    closest = float(d2.min())
-    np.fill_diagonal(d2, 0.0)
-    return d2, closest
+    # the off-diagonal entries as an (n-1, n) view: row r runs from
+    # d2[r, r+1] to d2[r+1, r], and the dropped last column is d2[r+1, r+1]
+    off_diagonal = d2.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    return d2, float(off_diagonal.min())
 
 
 def _require_regular_gradient(closest: float, p: float) -> None:
@@ -133,8 +136,7 @@ def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
     """Gradient of the power sum (1/N^2) sum_{i,k} |v_i - v_k|^p with
     respect to the vertices: row m is
     (2p/N^2) sum_{k != m} |v_m - v_k|^(p-2) (v_m - v_k)."""
-    if p <= 0:
-        raise ParameterDomainError(f"need p > 0, got {p}")
+    require_finite_exponent(p)
     d2, closest = _chord_table(curve.vertices)
     _require_regular_gradient(closest, p)
     return _weights_gradient(curve.vertices, _chord_weights(d2, p)[0], p)
@@ -163,6 +165,18 @@ def _edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, np.sqrt(np.einsum("id,id->i", edges, edges))
 
 
+#: LAPACK's factorization and solve of symmetric positive definite
+#: tridiagonal systems, bound by the first _TangentFrame: scipy.linalg
+#: takes about 0.35 s to import, and nothing but the frame uses it
+_pttrf = _pttrs = None
+
+
+def _bind_lapack() -> None:
+    global _pttrf, _pttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    _pttrf, _pttrs = dpttrf, dpttrs
+
+
 class _TangentFrame:
     """The Jacobian J of the equal-edge-length constraints of one curve
     (one length constraint per edge), with J J^T factored once for every
@@ -171,6 +185,8 @@ class _TangentFrame:
     __slots__ = ("u", "corner", "diag", "sub", "z", "denom")
 
     def __init__(self, edges: np.ndarray, lengths: np.ndarray):
+        if _pttrs is None:
+            _bind_lapack()
         n = lengths.shape[0]
         self.u = edges / lengths[:, None]
         # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices
@@ -184,7 +200,7 @@ class _TangentFrame:
         diag = np.full(n, 2.0)
         diag[0] += 1.0
         diag[-1] += self.corner ** 2
-        self.diag, self.sub, info = pttrf(diag, coupling[:-1])
+        self.diag, self.sub, info = _pttrf(diag, coupling[:-1])
         if info != 0:
             raise DegenerateCurveError(
                 "edge constraints of the curve are not independent")
@@ -195,7 +211,7 @@ class _TangentFrame:
         self.denom = 1.0 - (self.z[0] - self.corner * self.z[-1])
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return pttrs(self.diag, self.sub, rhs)[0]
+        return _pttrs(self.diag, self.sub, rhs)[0]
 
     def normal(self, c: np.ndarray) -> np.ndarray:
         """J^T (J J^T)^-1 c: the normal vertex field whose change of the
@@ -253,7 +269,8 @@ def _retract(v: np.ndarray, h: float, frame: _TangentFrame):
                     f"relative error {err:.3e} -> {new_err:.3e}")
         v, edges, lengths, resid, err = \
             new_v, new_edges, new_lengths, new_resid, new_err
-    return v - v.mean(axis=0), edges, lengths
+    # the arithmetic of v.mean(axis=0), without its per-call overhead
+    return v - v.sum(axis=0) / v.shape[0], edges, lengths
 
 
 def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
@@ -337,8 +354,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     line search finds no ascent, or after opts.max_iters iterations;
     result.reason says which.
     """
-    if p <= 0:
-        raise ParameterDomainError(f"need p > 0, got {p}")
+    require_finite_exponent(p)
     if init.dim != 2:
         raise ValueError("optimization is restricted to planar curves")
     v = project(init).vertices

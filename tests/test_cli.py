@@ -172,6 +172,15 @@ class TestErrorPaths:
         assert out == ""
         assert "max_iters" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--p", "nan"], ["--p", "inf"], ["--p", "2", "--perturb", "nan"]])
+    def test_maximize_rejects_nonfinite_input(self, capsys, args):
+        # --p nan used to exit 0 and print "value": NaN, invalid JSON
+        code, out, err = run(capsys, "--n", "64", "maximize", *args)
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert "error" in err
+
     def test_sweep_rejects_zero_step(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--p-min", "2", "--p-max", "3",
                            "--step", "0", "--out", str(tmp_path / "s.csv"))

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,40 @@ class TestCircleBound:
     def test_divergent_rejected(self):
         with pytest.raises(ParameterDomainError):
             fn.circle_bound(fn.EnergyParams(3, 2))
+
+    def test_series_cut_outside_quarter_turn_rejected(self):
+        # series_cut = 2.0 used to return 2.1717 for the value 4
+        for bad in (2.0, math.pi / 2, 0.0, -1e-4, math.nan, math.inf):
+            with pytest.raises(ParameterDomainError, match="series_cut"):
+                fn.circle_bound(fn.EnergyParams(2, 1), series_cut=bad)
+
+    @staticmethod
+    def _quad_bound(j, p, series_cut=1e-4):
+        """The series head plus scipy's adaptive quadrature of the tail."""
+        from scipy import integrate
+        expo = (2.0 - j) * p
+        head = (j / 6.0) ** p * series_cut ** (expo + 1) / (expo + 1)
+        with warnings.catch_warnings():
+            # near the edge of the convergence region quad warns of
+            # round-off in the cancelling integrand
+            warnings.simplefilter("ignore")
+            tail, _ = integrate.quad(
+                fn._bound_integrand, series_cut, math.pi / 2, args=(j, p),
+                epsabs=1e-12, epsrel=1e-12, limit=200)
+        return 2.0 ** (3.0 - j * p) * math.pi * (head + tail)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1, 1.5, 2, 3, 4, 6, 8])
+    def test_matches_adaptive_quadrature(self, p):
+        # j from near 0 to near the convergence edge 2 + 1/p
+        for t in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98):
+            j = t * (2.0 + 1.0 / p)
+            assert fn.circle_bound(fn.EnergyParams(j, p)) == pytest.approx(
+                self._quad_bound(j, p), rel=1e-9, abs=0), (j, p)
+
+    @pytest.mark.parametrize("jp", [(2, 1), (1, 1), (1, 2), (2, 1.5)])
+    def test_verify_pairs_match_adaptive_quadrature(self, jp):
+        assert fn.circle_bound(fn.EnergyParams(*jp)) == pytest.approx(
+            self._quad_bound(*jp), rel=5e-12, abs=0)
 
 
 class TestEnergy:
@@ -245,7 +280,8 @@ class TestChordMeans:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_nonpositive_exponent_rejected(self, circle256):
-        for bad in (0.0, -1.0):
+        # at p = inf avg_chord_p used to return 1.0, at p = nan NaN
+        for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ParameterDomainError):
                 fn.avg_chord_p(circle256, bad)
             with pytest.raises(ParameterDomainError):

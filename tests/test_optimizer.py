@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,8 +81,10 @@ class TestObjectiveGradient:
                       - expected).max() < 1e-14
 
     def test_invalid_exponent(self, circle256):
-        with pytest.raises(ParameterDomainError):
-            opt.objective_grad(circle256, 0.0)
+        # at p = nan the gradient used to be all NaN
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterDomainError):
+                opt.objective_grad(circle256, bad)
 
 
 class TestProjection:
@@ -394,8 +397,10 @@ class TestMaximize:
 
     def test_invalid_inputs(self):
         opts = opt.OptimizeOptions(n=128)
-        with pytest.raises(ParameterDomainError):
-            opt.maximize(-1.0, geo.make_circle(128), opts)
+        # at p = nan maximize used to return a NaN value, at p = inf 1.0
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterDomainError, match="finite p > 0"):
+                opt.maximize(bad, geo.make_circle(128), opts)
         with pytest.raises(ValueError):
             opt.maximize(2.0, geo.random_closed_curve(1, n=128, dim=3), opts)
 
@@ -408,6 +413,9 @@ class TestMaximize:
         for bad in (0, -5):
             with pytest.raises(ValueError, match="max_iters"):
                 opt.OptimizeOptions(max_iters=bad)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="perturb"):
+                opt.OptimizeOptions(perturb=bad)
 
     def test_options_are_the_four_settings(self):
         assert list(opt.OptimizeOptions.__dataclass_fields__) == [

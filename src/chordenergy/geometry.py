@@ -117,25 +117,33 @@ def lambda_chord(s):
     return 2.0 * np.sin(np.asarray(s) / 2.0)
 
 
-def squared_chord_matrix(vertices: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances of a vertex array via the Gram matrix;
-    the diagonal is exactly zero."""
+def squared_chord_matrix(vertices: np.ndarray, others=None,
+                         out=None) -> np.ndarray:
+    """Squared distances |v_i - o_k|^2 from each vertex v_i to each point
+    o_k of others, via the Gram matrix, as an (n, len(others)) table
+    written into out when it is given.  others defaults to the vertices
+    themselves, and then the diagonal is exactly zero."""
     n, dim = vertices.shape
     sq = np.einsum("id,id->i", vertices, vertices)
-    # |v_i|^2 - 2 v_i.v_k + |v_k|^2 as one product of two (n, dim + 2)
-    # factors, [-2v, |v|^2, 1] and [v, 1, |v|^2], with no n x n pass
+    if others is None:
+        others, others_sq = vertices, sq
+    else:
+        others_sq = np.einsum("id,id->i", others, others)
+    # |v_i|^2 - 2 v_i.o_k + |o_k|^2 as one product of two (., dim + 2)
+    # factors, [-2v, |v|^2, 1] and [o, 1, |o|^2], with no n x n pass
     # for the two squared-norm terms
     left = np.empty((n, dim + 2))
     left[:, :dim] = -2.0 * vertices
     left[:, dim] = sq
     left[:, dim + 1] = 1.0
-    right = np.empty((n, dim + 2))
-    right[:, :dim] = vertices
+    right = np.empty((others.shape[0], dim + 2))
+    right[:, :dim] = others
     right[:, dim] = 1.0
-    right[:, dim + 1] = sq
-    d2 = left @ right.T
+    right[:, dim + 1] = others_sq
+    d2 = np.matmul(left, right.T, out=out)
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
+    if others is vertices:
+        np.fill_diagonal(d2, 0.0)
     return d2
 
 

@@ -20,7 +20,7 @@ from .errors import ParameterDomainError
 
 #: version of the sweep CSV and of the config JSON that reproduce_figures
 #: writes
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: floats are written with 17 significant digits so CSV/JSON round-trip
 FLOAT_FMT = "%.17g"
@@ -281,11 +281,13 @@ def _polyline_svg(xs, ys, path, xlabel, ylabel, size: int = 800) -> None:
 
 
 #: sweep CSV header by format version; version 2 added the iteration
-#: count and the stop reason of each solve
+#: count and the stop reason of each solve, version 3 its seconds
 SWEEP_COLUMNS = {
     1: ["p", "value", "r", "efit_log10", "eccentricity", "converged"],
     2: ["p", "value", "r", "efit_log10", "eccentricity", "converged",
         "iterations", "reason"],
+    3: ["p", "value", "r", "efit_log10", "eccentricity", "converged",
+        "iterations", "reason", "seconds"],
 }
 
 
@@ -298,12 +300,14 @@ def write_sweep_csv(records, path) -> None:
             writer.writerow([
                 FLOAT_FMT % rec.p, FLOAT_FMT % rec.value, FLOAT_FMT % rec.r,
                 FLOAT_FMT % rec.efit_log10, FLOAT_FMT % rec.eccentricity,
-                int(rec.converged), rec.iterations, rec.reason])
+                int(rec.converged), rec.iterations, rec.reason,
+                FLOAT_FMT % rec.seconds])
 
 
 def read_sweep_csv(path) -> list[shp.SweepRecord]:
-    """Read a sweep CSV of any format version; version 1 rows get the
-    default iteration count and stop reason."""
+    """Read a sweep CSV of any format version; the fields a version
+    lacks (iterations and reason before 2, seconds before 3) get their
+    SweepRecord defaults."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -314,6 +318,8 @@ def read_sweep_csv(path) -> list[shp.SweepRecord]:
             if "iterations" in row:
                 extra = {"iterations": int(row["iterations"]),
                          "reason": row["reason"]}
+            if "seconds" in row:
+                extra["seconds"] = float(row["seconds"])
             out.append(shp.SweepRecord(
                 p=float(row["p"]), value=float(row["value"]),
                 r=float(row["r"]), efit_log10=float(row["efit_log10"]),

@@ -7,20 +7,24 @@ onto the tangent space of the edge-length constraints.  Line-search
 trials return to the manifold by Newton projection onto the edge
 constraints, starting from the iteration's tangent frame (a
 projection-like retraction, Absil & Malick, SIAM J. Optim. 2012);
-start curves are placed on it by arclength resampling.  Past the
-critical exponent the circle loses its maximality and the iterates
-stretch into ovals, so initial curves carry an explicit mode-2
-perturbation to break the rotational symmetry.
+start curves are placed on it by arclength resampling.  The pairwise
+work, the chord powers behind the value and the gradient, visits each
+unordered vertex pair once, through a band of the Gram chord table
+(_ChordBand).  Past the critical exponent the circle loses its
+maximality and the iterates stretch into ovals, so initial curves carry
+an explicit mode-2 perturbation to break the rotational symmetry.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateCurveError, SingularGradientError
 from .geometry import EDGE_SPREAD_TOL, TWO_PI, PolyCurve, make_circle, \
@@ -95,17 +99,6 @@ class OptimizeResult:
         return self.reason is Termination.GRAD_TOL
 
 
-def _chord_table(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Squared chord table of the vertices v and its smallest
-    off-diagonal entry, the squared distance of the closest vertex pair."""
-    n = v.shape[0]
-    d2 = squared_chord_matrix(v)
-    # the off-diagonal entries as an (n-1, n) view: row r runs from
-    # d2[r, r+1] to d2[r+1, r], and the dropped last column is d2[r+1, r+1]
-    off_diagonal = d2.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
-    return d2, float(off_diagonal.min())
-
-
 def _require_regular_gradient(closest: float, p: float) -> None:
     if p < 2 and closest < MIN_PAIR_DISTANCE ** 2:
         raise SingularGradientError(
@@ -113,23 +106,76 @@ def _require_regular_gradient(closest: float, p: float) -> None:
             f"for p = {p} < 2")
 
 
-def _chord_weights(d2: np.ndarray, p: float) -> tuple[np.ndarray, float]:
-    """The weights w = d2^((p-2)/2) of a squared chord table, with a zero
-    diagonal, and the power mean ((1/N^2) sum w d2)^(1/p) they give."""
-    with np.errstate(divide="ignore"):
-        w = d2 ** ((p - 2.0) / 2.0)
-    np.fill_diagonal(w, 0.0)
-    # row sums, then their sum: no n x n temporary, and unlike a BLAS dot
-    # the same round-off at every BLAS thread count
-    total = np.einsum("ij,ij->i", w, d2).sum()
-    return w, float((total / d2.size) ** (1.0 / p))
+def _band_view(table: np.ndarray, half: int) -> np.ndarray:
+    """(n, half) view of an (n, n + half) table: its row i holds the
+    table's entries i+1 .. i+half of row i."""
+    row, item = table.strides
+    return as_strided(table[:, 1:], (table.shape[0], half),
+                      (row + item, item))
 
 
-def _weights_gradient(v: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """objective_grad from the chord weights w of the vertices v."""
-    n = v.shape[0]
-    # sum_k w_mk (v_m - v_k) = (row sums) v_m - w @ v
-    return (2.0 * p / n ** 2) * (w.sum(axis=1)[:, None] * v - w @ v)
+class _ChordBand:
+    """The chord-power kernel of one solve: every unordered vertex pair
+    once, in buffers reused by every curve of the solve.
+
+    The table holds the squared distances of the n vertices to the
+    vertices extended by their first n // 2 rows, so its row i, columns
+    i+1 .. i+n//2, holds the chords of vertex i at the offsets
+    1 .. n//2.  That band, an (n, n//2) view, holds each unordered pair
+    once, except that at even n it holds each pair at offset n/2 twice;
+    their weights are halved.  The weights w = d2^((p-2)/2) go into the
+    same band of a zeroed buffer whose other entries stay zero, so the
+    gradient is two products of that buffer with the vertices.
+    """
+
+    __slots__ = ("table", "weights", "band", "band_weights")
+
+    def __init__(self, n: int):
+        half = n // 2
+        self.table = np.empty((n, n + half))
+        self.weights = np.zeros((n, n + half))
+        self.band = _band_view(self.table, half)
+        self.band_weights = _band_view(self.weights, half)
+
+    def tabulate(self, v: np.ndarray) -> float:
+        """Fill the chord table of the vertices v; return the squared
+        distance of their closest pair."""
+        half = self.band.shape[1]
+        squared_chord_matrix(v, np.concatenate((v, v[:half])),
+                             out=self.table)
+        return float(self.band.min())
+
+    def power_mean(self, p: float) -> float:
+        """Weigh the tabulated chords by w = d2^((p-2)/2) and return the
+        power mean ((1/N^2) sum_{i,k} |v_i - v_k|^p)^(1/p) they give."""
+        n, half = self.band.shape
+        np.power(self.band, (p - 2.0) / 2.0, out=self.band_weights)
+        if n % 2 == 0:
+            self.band_weights[:, -1] *= 0.5
+        # row sums, then their sum: unlike a BLAS dot the same round-off
+        # at every BLAS thread count
+        total = np.einsum("ij,ij->i", self.band_weights, self.band).sum()
+        return float((2.0 * total / n ** 2) ** (1.0 / p))
+
+    def gradient(self, v: np.ndarray, p: float) -> np.ndarray:
+        """objective_grad at the vertices v from the weights of the last
+        power_mean, which must be those of v."""
+        n, dim = v.shape
+        half = self.band.shape[1]
+        ext = np.empty((n + half, dim + 1))
+        ext[:n, :dim] = v
+        ext[n:, :dim] = v[:half]
+        ext[:, dim] = 1.0
+        # row m of the symmetric weight matrix W is row m of the buffer
+        # plus its column m, with column n + m folded onto m, so W v and
+        # the row sums of W come from one product with the buffer and
+        # one with its transpose
+        rows = self.weights @ ext
+        cols = self.weights.T @ ext[:n]
+        cols[:half] += cols[n:]
+        sums = rows + cols[:n]
+        # sum_k w_mk (v_m - v_k) = (row sums) v_m - (W v)_m
+        return (2.0 * p / n ** 2) * (sums[:, dim:] * v - sums[:, :dim])
 
 
 def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
@@ -137,9 +183,10 @@ def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
     respect to the vertices: row m is
     (2p/N^2) sum_{k != m} |v_m - v_k|^(p-2) (v_m - v_k)."""
     require_finite_exponent(p)
-    d2, closest = _chord_table(curve.vertices)
-    _require_regular_gradient(closest, p)
-    return _weights_gradient(curve.vertices, _chord_weights(d2, p)[0], p)
+    band = _ChordBand(curve.n)
+    _require_regular_gradient(band.tabulate(curve.vertices), p)
+    band.power_mean(p)
+    return band.gradient(curve.vertices, p)
 
 
 def project(curve: PolyCurve) -> PolyCurve:
@@ -349,10 +396,13 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     starts from a Barzilai-Borwein step (_first_trial_step), retracts
     each trial by Newton projection onto the edge constraints
     (_retract), and halves the step until the functional does not
-    decrease; a trial the retraction rejects is halved too.  Terminates
-    when the projected gradient norm falls below opts.tol_grad, when the
-    line search finds no ascent, or after opts.max_iters iterations;
-    result.reason says which.
+    decrease; a trial the retraction rejects, or one with two vertices
+    closer than MIN_PAIR_DISTANCE, is halved too.  Each trial writes its
+    chord table and its weights into the solve's _ChordBand, over n^2/2
+    pairs; the accepted trial's weights give the next gradient.
+    Terminates when the projected gradient norm falls below
+    opts.tol_grad, when the line search finds no ascent, or after
+    opts.max_iters iterations; result.reason says which.
     """
     require_finite_exponent(p)
     if init.dim != 2:
@@ -360,12 +410,12 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     v = project(init).vertices
     h = TWO_PI / v.shape[0]
     edges, lengths = _edges(v)
-    # one chord table and one power of it per curve: the accepted
-    # candidate's weights also give the next gradient
-    d2, closest = _chord_table(v)
-    _require_regular_gradient(closest, p)
-    w, value = _chord_weights(d2, p)
-    del d2  # past its power only the weights are used
+    # one chord table and one power of it per curve, in buffers of the
+    # solve: the accepted candidate's weights give the next gradient,
+    # which is read before the next line search overwrites them
+    band = _ChordBand(v.shape[0])
+    _require_regular_gradient(band.tabulate(v), p)
+    value = band.power_mean(p)
     step = STEP0
     history = [(0, value, float("nan"))]
     reason = Termination.MAX_ITERS
@@ -373,7 +423,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     last = None  # vertices and projected gradient of the previous iterate
     for iters in range(1, opts.max_iters + 1):
         frame = _TangentFrame(edges, lengths)
-        pg = frame.project(_weights_gradient(v, w, p))
+        pg = frame.project(band.gradient(v, p))
         gnorm = float(np.linalg.norm(pg))
         if gnorm < opts.tol_grad:
             reason = Termination.GRAD_TOL
@@ -397,16 +447,14 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
             except DegenerateCurveError:
                 step *= 0.5
                 continue
-            cand_d2, closest = _chord_table(cand)
-            if closest < MIN_PAIR_DISTANCE ** 2:
+            if band.tabulate(cand) < MIN_PAIR_DISTANCE ** 2:
                 step *= 0.5
                 continue
-            cand_w, new_value = _chord_weights(cand_d2, p)
-            del cand_d2
+            new_value = band.power_mean(p)
             if new_value >= value:
                 last = (v, pg)
                 v, edges, lengths = cand, cand_edges, cand_lengths
-                value, w = new_value, cand_w
+                value = new_value
                 accepted = True
                 break
             step *= 0.5
@@ -426,6 +474,8 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     Each p warm-starts from the previous maximizer, with a fresh mode-2
     perturbation of amplitude opts.perturb so the circle branch can
     destabilize.  Failures become flagged rows; the sweep continues.
+    Each record's seconds is the wall time of its perturbation and
+    solve.
     """
     p_grid = list(p_grid)
     if sorted(p_grid) != p_grid:
@@ -433,9 +483,11 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     records = []
     current = make_circle(opts.n)
     for p in p_grid:
+        start = time.perf_counter()
         try:
             init = perturb_mode2(current, opts.perturb)
             result = maximize(p, init, opts)
+            seconds = time.perf_counter() - start
             current = result.curve
             canon = canonicalize(result.curve)
             fit = shape_mod.fit_conic(canon)
@@ -448,13 +500,14 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
                 converged=result.converged,
                 iterations=result.iterations,
                 reason=result.reason.value,
+                seconds=seconds,
                 curve=canon,
             ))
         except (DegenerateCurveError, SingularGradientError):
             records.append(shape_mod.SweepRecord(
                 p=p, value=float("nan"), r=float("nan"),
                 efit_log10=float("nan"), eccentricity=float("nan"),
-                converged=False))
+                converged=False, seconds=time.perf_counter() - start))
     return records
 
 

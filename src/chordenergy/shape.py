@@ -33,8 +33,8 @@ class ConicFit:
 class SweepRecord:
     """One row of a p-sweep: functional value and shape diagnostics,
     the solve's iteration count and stop reason (the value of an
-    optimizer.Termination; empty for a failed solve), and the
-    canonicalized maximizer when the solve succeeded."""
+    optimizer.Termination; empty for a failed solve), its wall time in
+    seconds, and the canonicalized maximizer when the solve succeeded."""
 
     p: float
     value: float
@@ -44,6 +44,7 @@ class SweepRecord:
     converged: bool
     iterations: int = 0
     reason: str = ""
+    seconds: float = field(default=0.0, compare=False)
     curve: PolyCurve | None = field(default=None, compare=False, repr=False)
 
 

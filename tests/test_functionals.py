@@ -103,6 +103,45 @@ class TestCircleBound:
                 epsabs=1e-12, epsrel=1e-12, limit=200)
         return 2.0 ** (3.0 - j * p) * math.pi * (head + tail)
 
+    def test_j2_p1_is_four_to_the_series_head(self):
+        # the subtracted integrand left it 1.4e-12 below 4; what is left
+        # is the series head's dropped s^2 term, 2 pi series_cut^3 / 45
+        assert abs(fn.circle_bound(fn.EnergyParams(2, 1)) - 4.0) < 2e-13
+
+    @staticmethod
+    def _longdouble_bound(j, p, series_cut=1e-4):
+        """circle_bound's head and panels with the subtracted integrand
+        csc^j s - s^-j evaluated in extended precision at its nodes."""
+        expo = (2.0 - j) * p
+        head = (j / 6.0) ** p * series_cut ** (expo + 1) / (expo + 1)
+        ends = series_cut * 2.0 ** np.arange(
+            math.ceil(math.log2(math.pi / 2 / series_cut)))
+        ends = np.append(ends[ends < math.pi / 2], math.pi / 2)
+        mids = 0.5 * (ends[1:] + ends[:-1])
+        halves = 0.5 * (ends[1:] - ends[:-1])
+        nodes, weights = np.polynomial.legendre.leggauss(fn.BOUND_NODES)
+        ld = np.longdouble
+        s = (mids[:, None] + halves[:, None] * nodes).astype(ld)
+        integrand = (np.sin(s) ** -ld(j) - s ** -ld(j)) ** ld(p)
+        tail = halves.astype(ld) @ (integrand @ weights.astype(ld))
+        return float(ld(2.0) ** (3.0 - ld(j) * ld(p)) * ld(math.pi)
+                     * (ld(head) + tail))
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1, 1.5, 2, 3, 4, 6, 8])
+    def test_matches_long_double_nodes(self, p):
+        # the subtracted integrand in doubles was up to 1.7e-10 off
+        for t in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98):
+            j = t * (2.0 + 1.0 / p)
+            assert fn.circle_bound(fn.EnergyParams(j, p)) == pytest.approx(
+                self._longdouble_bound(j, p), rel=1e-12, abs=0), (j, p)
+
+    def test_integrand_series_meets_logarithm(self):
+        # at the switch the series and the logarithm of s / sin s agree
+        below = np.nextafter(fn._LOG_SINC_CUT, 0.0)
+        for j, p in ((2, 1), (1, 2), (2.9, 0.5)):
+            assert fn._bound_integrand(below, j, p) == pytest.approx(
+                fn._bound_integrand(fn._LOG_SINC_CUT, j, p), rel=1e-14)
+
     @pytest.mark.parametrize("p", [0.25, 0.5, 1, 1.5, 2, 3, 4, 6, 8])
     def test_matches_adaptive_quadrature(self, p):
         # j from near 0 to near the convergence edge 2 + 1/p

@@ -135,6 +135,47 @@ def _brute_squared_chords(v, ks):
     return out
 
 
+def _gram_table_before_others(vertices):
+    """squared_chord_matrix as it was before it took others= and out=."""
+    n, dim = vertices.shape
+    sq = np.einsum("id,id->i", vertices, vertices)
+    left = np.empty((n, dim + 2))
+    left[:, :dim] = -2.0 * vertices
+    left[:, dim] = sq
+    left[:, dim + 1] = 1.0
+    right = np.empty((n, dim + 2))
+    right[:, :dim] = vertices
+    right[:, dim] = 1.0
+    right[:, dim + 1] = sq
+    d2 = left @ right.T
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+class TestGramTable:
+    @pytest.mark.parametrize("n", [8, 33, 256, 1024])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_default_call_is_unchanged(self, n, dim):
+        v = np.random.default_rng(n + dim).normal(size=(n, dim))
+        assert np.array_equal(geo.squared_chord_matrix(v),
+                              _gram_table_before_others(v))
+
+    @pytest.mark.parametrize("n, m", [(8, 5), (33, 49), (256, 384)])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_others_into_out_match_exact_differences(self, n, m, dim):
+        rng = np.random.default_rng(n + m + dim)
+        v = rng.normal(size=(n, dim))
+        others = rng.normal(size=(m, dim))
+        out = np.full((n, m), np.nan)
+        d2 = geo.squared_chord_matrix(v, others, out=out)
+        assert d2 is out
+        diff = v[:, None, :] - others[None, :, :]
+        exact = np.einsum("ikd,ikd->ik", diff, diff)
+        scale = np.abs(v).max() ** 2 + np.abs(others).max() ** 2
+        assert np.abs(d2 - exact).max() < 1e-14 * scale
+
+
 class TestOffsetKernel:
     @pytest.mark.parametrize("n", [8, 9, 64, 257, 512])
     @pytest.mark.parametrize("dim", [2, 3])

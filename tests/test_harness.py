@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from chordenergy import geometry as geo
 from chordenergy import harness
+from chordenergy import optimizer as opt
 from chordenergy import shape as shp
 from chordenergy.errors import ParameterDomainError
 
@@ -26,7 +28,8 @@ class TestExperimentConfig:
                   '"fine_grid": [3.462, 3.464], "n": 256, "seed": 0, '
                   '"max_iters": 2000, "perturb": 0.05, "version": 2}')
         config = harness.ExperimentConfig.from_json(legacy)
-        assert config == harness.ExperimentConfig(fine_grid=(3.462, 3.464))
+        assert config == harness.ExperimentConfig(fine_grid=(3.462, 3.464),
+                                                  version=2)
         assert "seed" not in config.to_json()
 
     def test_non_object_config_rejected(self):
@@ -80,28 +83,62 @@ class TestVerifyAll:
             harness.verify_all(n_curves=0)
 
 
+def _sweep_records():
+    return [
+        shp.SweepRecord(p=2.0, value=np.sqrt(2), r=1.0 + 1e-15,
+                        efit_log10=-12.345, eccentricity=0.1,
+                        converged=True, iterations=36,
+                        reason="grad_tol", seconds=0.1 + 1e-17),
+        shp.SweepRecord(p=4.0, value=1.5973, r=9.2,
+                        efit_log10=-2.8, eccentricity=0.99,
+                        converged=False, iterations=68,
+                        reason="line_search_stalled", seconds=1.2345),
+        shp.SweepRecord(p=4.5, value=np.nan, r=np.nan,
+                        efit_log10=np.nan, eccentricity=np.nan,
+                        converged=False, seconds=0.004),
+    ]
+
+
 class TestSweepCsv:
     def test_round_trip_preserves_floats(self, tmp_path):
-        records = [
-            shp.SweepRecord(p=2.0, value=np.sqrt(2), r=1.0 + 1e-15,
-                            efit_log10=-12.345, eccentricity=0.1,
-                            converged=True, iterations=36,
-                            reason="grad_tol"),
-            shp.SweepRecord(p=4.0, value=1.5973, r=9.2,
-                            efit_log10=-2.8, eccentricity=0.99,
-                            converged=False, iterations=68,
-                            reason="line_search_stalled"),
-            shp.SweepRecord(p=4.5, value=np.nan, r=np.nan,
-                            efit_log10=np.nan, eccentricity=np.nan,
-                            converged=False),
-        ]
+        records = _sweep_records()
         path = tmp_path / "sweep.csv"
         harness.write_sweep_csv(records, path)
         assert path.read_text().splitlines()[0] \
-            == ",".join(harness.SWEEP_COLUMNS[2])
+            == ",".join(harness.SWEEP_COLUMNS[3])
         again = harness.read_sweep_csv(path)
         assert again[:2] == records[:2]
+        assert [rec.seconds for rec in again] \
+            == [rec.seconds for rec in records]
         assert (again[2].iterations, again[2].reason) == (0, "")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_round_trip_of_earlier_formats(self, tmp_path, version):
+        # a file in an earlier format: the current one without the
+        # columns that format lacks
+        records = _sweep_records()[:2]
+        path = tmp_path / "sweep.csv"
+        harness.write_sweep_csv(records, path)
+        kept = len(harness.SWEEP_COLUMNS[version])
+        path.write_text("".join(
+            ",".join(line.split(",")[:kept]) + "\n"
+            for line in path.read_text().splitlines()))
+        again = harness.read_sweep_csv(path)
+        lacking = {"seconds": 0.0}
+        if version == 1:
+            lacking.update(iterations=0, reason="")
+        assert again == [dataclasses.replace(rec, **lacking)
+                         for rec in records]
+        assert all(rec.seconds == 0.0 for rec in again)
+
+    def test_sweep_times_each_solve(self):
+        start = time.perf_counter()
+        records = opt.sweep([2.0, 3.0], opt.OptimizeOptions(
+            n=64, max_iters=50))
+        wall = time.perf_counter() - start
+        seconds = [rec.seconds for rec in records]
+        assert all(s > 0 for s in seconds)
+        assert sum(seconds) <= wall
 
     def test_reads_version_1(self, tmp_path):
         path = tmp_path / "sweep_v1.csv"

@@ -12,7 +12,8 @@ from chordenergy import functionals as fn
 from chordenergy import geometry as geo
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
-from chordenergy.errors import DegenerateCurveError, ParameterDomainError
+from chordenergy.errors import DegenerateCurveError, ParameterDomainError, \
+    SingularGradientError
 
 
 def _fd_gradient(curve, p, h=1e-6):
@@ -85,6 +86,59 @@ class TestObjectiveGradient:
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ParameterDomainError):
                 opt.objective_grad(circle256, bad)
+
+
+def _dense_power_sum(v, p):
+    """Dense n x n reference from exact vertex differences: the power
+    mean, the gradient of the power sum and the closest squared chord."""
+    n = len(v)
+    diff = v[:, None, :] - v[None, :, :]
+    d2 = np.einsum("ikd,ikd->ik", diff, diff)
+    off = ~np.eye(n, dtype=bool)
+    w = np.zeros_like(d2)
+    w[off] = d2[off] ** ((p - 2) / 2)
+    value = (np.sum(w * d2) / n ** 2) ** (1 / p)
+    grad = (2 * p / n ** 2) * np.einsum("ik,ikd->id", w, diff)
+    return value, grad, d2[off].min()
+
+
+class TestChordBand:
+    @pytest.mark.parametrize("n", [32, 33, 64, 255, 256])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.46, 4.0])
+    def test_matches_dense_reference(self, n, p):
+        # odd n holds each pair once in the band; even n holds the
+        # offset n/2 twice, at half weight
+        curve = opt.perturb_mode2(geo.make_ellipse(1.5, n), 0.05)
+        v = curve.vertices
+        band = opt._ChordBand(n)
+        closest = band.tabulate(v)
+        value = band.power_mean(p)
+        grad = band.gradient(v, p)
+        ref_value, ref_grad, ref_closest = _dense_power_sum(v, p)
+        assert value == pytest.approx(ref_value, rel=1e-14, abs=0)
+        scale = max(1.0, np.abs(ref_grad).max())
+        assert np.abs(grad - ref_grad).max() / scale < 1e-12
+        assert np.array_equal(opt.objective_grad(curve, p), grad)
+        # the Gram form costs short chords their relative precision
+        assert abs(closest - ref_closest) < 1e-14
+
+    def test_space_curve(self):
+        curve = geo.random_closed_curve(2, n=33, dim=3)
+        ref_grad = _dense_power_sum(curve.vertices, 3.0)[1]
+        grad = opt.objective_grad(curve, 3.0)
+        assert grad.shape == (33, 3)
+        assert np.abs(grad - ref_grad).max() < 1e-12 * np.abs(ref_grad).max()
+        fd = _fd_gradient(curve, 3.0)
+        assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-6
+
+    @pytest.mark.parametrize("offset", [1, 64, 65])
+    def test_coincident_pair_is_singular_below_p2(self, offset):
+        v = opt.perturb_mode2(geo.make_circle(128), 0.05).vertices.copy()
+        v[offset] = v[0] + 0.1 * opt.MIN_PAIR_DISTANCE
+        curve = geo.PolyCurve(v)
+        with pytest.raises(SingularGradientError):
+            opt.objective_grad(curve, 1.5)
+        assert np.all(np.isfinite(opt.objective_grad(curve, 2.5)))
 
 
 class TestProjection:
@@ -335,8 +389,8 @@ class TestMaximize:
         inside = []
         real_frame = opt._TangentFrame
         real_retract = opt._retract
-        real_table = opt._chord_table
-        real_weights = opt._chord_weights
+        real_tabulate = opt._ChordBand.tabulate
+        real_power_mean = opt._ChordBand.power_mean
 
         def frame(edges, lengths):
             made = real_frame(edges, lengths)
@@ -354,33 +408,36 @@ class TestMaximize:
             finally:
                 inside.pop()
 
-        def table(v):
+        def tabulate(band, v):
             counts["tables"] += 1
-            return real_table(v)
+            return real_tabulate(band, v)
 
-        def weights(d2, p):
+        def power_mean(band, p):
             counts["powers"] += 1
-            return real_weights(d2, p)
+            return real_power_mean(band, p)
 
         monkeypatch.setattr(opt, "_TangentFrame", frame)
         monkeypatch.setattr(opt, "_retract", retract)
-        monkeypatch.setattr(opt, "_chord_table", table)
-        monkeypatch.setattr(opt, "_chord_weights", weights)
+        monkeypatch.setattr(opt._ChordBand, "tabulate", tabulate)
+        monkeypatch.setattr(opt._ChordBand, "power_mean", power_mean)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
             n=128, max_iters=50))
         assert len(built) == result.iterations
         assert counts["retractions"] >= result.iterations
+        # the start curve's table and one per accepted trial at least
+        assert counts["tables"] > result.iterations
         assert counts["powers"] == counts["tables"]
 
-    def test_crowded_retraction_never_accepted(self, monkeypatch):
+    @staticmethod
+    def _crowded_retractions_rejected(monkeypatch, offset):
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         start = opt.project(init)
         start_value = fn.avg_chord_p(start, 4.0)
-        # scaled up, the curve beats the start by far; its vertex 1 sits
-        # within MIN_PAIR_DISTANCE / 10 of vertex 0
+        # scaled up, the curve beats the start by far; its vertex at the
+        # given offset sits within MIN_PAIR_DISTANCE / 10 of vertex 0
         crowded = 1.1 * start.vertices
-        crowded[1] = crowded[0] + 0.1 * opt.MIN_PAIR_DISTANCE
+        crowded[offset] = crowded[0] + 0.1 * opt.MIN_PAIR_DISTANCE
         assert fn.avg_chord_p(geo.PolyCurve(crowded), 4.0) > start_value
         calls = []
 
@@ -394,6 +451,14 @@ class TestMaximize:
         assert len(calls) > 1
         assert result.value == start_value
         assert _min_pair_distance(result.curve) >= opt.MIN_PAIR_DISTANCE
+
+    def test_crowded_retraction_never_accepted(self, monkeypatch):
+        self._crowded_retractions_rejected(monkeypatch, 1)
+
+    def test_crowded_pair_at_half_turn_never_accepted(self, monkeypatch):
+        # offset n/2, the band's last column, which holds each of its
+        # pairs twice
+        self._crowded_retractions_rejected(monkeypatch, 64)
 
     def test_invalid_inputs(self):
         opts = opt.OptimizeOptions(n=128)

@@ -113,30 +113,46 @@ class ChordKernel:
                     f"but is concave at y={y:.3f}")
 
 
-def _check_embedded(d2: np.ndarray, ks: np.ndarray) -> None:
+def _check_embedded(d2: np.ndarray, ks: np.ndarray,
+                    row_min: np.ndarray) -> None:
     """Raise on a chord below COINCIDENCE_TOL in the offset table block d2
-    of the offsets ks, naming the vertex pair."""
-    r, i = np.unravel_index(np.argmin(d2), d2.shape)
-    if math.sqrt(d2[r, i]) < COINCIDENCE_TOL:
+    of the offsets ks, with row minima row_min, naming the vertex pair."""
+    if math.sqrt(row_min.min()) < COINCIDENCE_TOL:
+        r, i = np.unravel_index(np.argmin(d2), d2.shape)
         raise DegenerateCurveError(
             "coincident vertices at distinct parameters "
             f"({i}, {(i + ks[r]) % d2.shape[1]})")
 
 
+def _distortion_ratios(arcs: np.ndarray, min_d2: np.ndarray,
+                       ks: np.ndarray) -> np.ndarray:
+    """Worst arc/chord ratio of each offset ks[r] from its arc arcs[r] and
+    its smallest squared chord min_d2[r]: the infinity sentinel where that
+    chord is below COINCIDENCE_TOL, 0 at k = 0 mod N."""
+    cmin = np.sqrt(min_d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = arcs / cmin
+    ratio[cmin < COINCIDENCE_TOL] = INFINITE_DISTORTION
+    ratio[ks == 0] = 0.0
+    return ratio
+
+
 def energy_Ejp(curve: PolyCurve, params: EnergyParams) -> float:
     """Discrete chord/arc energy sum (2pi/N)^2 sum_{i!=k}
     (chord^-j - arc^-j)^p."""
-    return _energies_Ejp(curve, [params])[0]
+    return _energy_walk(curve, [params])[0][0]
 
 
-def _energies_Ejp(curve: PolyCurve, params_seq) -> list[float]:
-    """energy_Ejp of one curve for each EnergyParams of params_seq, from
-    one walk of its offset chord table.
+def _energy_walk(curve: PolyCurve, params_seq) -> tuple[list[float], float]:
+    """energy_Ejp of one curve for each EnergyParams of params_seq, and
+    the curve's distortion, from one walk of its offset chord table.
 
     Per block, the clipped chord/arc difference is built once for each
     distinct j and raised to each p of that j.  A pair's value does not
     depend on the other pairs: it is energy_Ejp(curve, params) bit for
-    bit.  Every pair is checked for convergence before the walk."""
+    bit.  Each block's row minima serve both the embedding check and the
+    distortion, which equals distortion(curve) bit for bit.  Every pair
+    is checked for convergence before the walk."""
     for params in params_seq:
         params.require_convergent()
     n = curve.n
@@ -148,8 +164,10 @@ def _energies_Ejp(curve: PolyCurve, params_seq) -> list[float]:
         by_j.setdefault(params.j, []).append(pos)
     arc_terms = {j: arcs ** -j for j in by_j}
     totals = [0.0] * len(params_seq)
+    min_d2 = np.empty(ks.shape)
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
-        _check_embedded(d2, ks[rows])
+        min_d2[rows] = d2.min(axis=1)
+        _check_embedded(d2, ks[rows], min_d2[rows])
         for j, positions in by_j.items():
             integrand = d2 ** (-j / 2.0)
             integrand -= arc_terms[j][rows, None]
@@ -160,7 +178,9 @@ def _energies_Ejp(curve: PolyCurve, params_seq) -> list[float]:
             for pos in positions:
                 totals[pos] += weights[rows] @ np.sum(
                     integrand ** params_seq[pos].p, axis=1)
-    return [float((TWO_PI / n) ** 2 * total) for total in totals]
+    worst_ratio = float(_distortion_ratios(arcs, min_d2, ks).max())
+    return ([float((TWO_PI / n) ** 2 * total) for total in totals],
+            worst_ratio)
 
 
 def renorm_energy(curve: PolyCurve, kernel: ChordKernel) -> float:
@@ -302,13 +322,10 @@ def distortion_at(curve: PolyCurve, k):
     arc distance (non-embedded curve), and 0 at k = 0 mod N."""
     n = curve.n
     ks = np.atleast_1d(np.asarray(k)) % n
-    cmin = np.empty(ks.shape)
+    min_d2 = np.empty(ks.shape)
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
-        cmin[rows] = np.sqrt(d2.min(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = offset_arcs(n, ks) / cmin
-    ratio[cmin < COINCIDENCE_TOL] = INFINITE_DISTORTION
-    ratio[ks == 0] = 0.0
+        min_d2[rows] = d2.min(axis=1)
+    ratio = _distortion_ratios(offset_arcs(n, ks), min_d2, ks)
     return float(ratio[0]) if np.ndim(k) == 0 else ratio
 
 

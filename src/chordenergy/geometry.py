@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -320,18 +321,19 @@ def make_double_segment(n: int) -> PolyCurve:
     return PolyCurve(np.column_stack([x, np.zeros(n)]))
 
 
-def _inscribe_equal_chords(trace, n: int) -> np.ndarray:
+def _inscribe_equal_chords(trace, n: int, start=None) -> np.ndarray:
     """Place n points exactly on a smooth closed trace t -> R^d so that
     consecutive chords are equal, then scale to perimeter 2*pi.
 
     Keeping the vertices on the analytic trace (rather than on its
     chords) preserves the exponential decay of the DFT spectrum, which
-    the Fourier-side checks rely on.
+    the Fourier-side checks rely on.  start, when given, is the trace on
+    the uniform grid t_i = 2*pi*i/n: the points of the first pass.
     """
     t = TWO_PI * np.arange(n) / n
     previous = np.inf
-    for _ in range(INSCRIBE_MAX_PASSES):
-        pts = trace(t)
+    for count in range(INSCRIBE_MAX_PASSES):
+        pts = start if count == 0 and start is not None else trace(t)
         seg = _closed_edge_lengths(np.vstack([pts, pts[:1]]))
         total = seg.sum()
         if total < 1e-6:
@@ -350,6 +352,23 @@ def _inscribe_equal_chords(trace, n: int) -> np.ndarray:
     return pts * (TWO_PI / total)
 
 
+#: points of the speed grid on which random_closed_curve rejects draws
+SPEED_GRID = 4096
+
+
+@lru_cache(maxsize=8)
+def _harmonic_table(m: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k t_i) and sin(k t_i) on the uniform grid t_i = 2*pi*i/m for
+    k = 1..K, as read-only (m, K) arrays.  They depend on no curve, so
+    random_closed_curve reads them from here on every draw."""
+    t = TWO_PI * np.arange(m) / m
+    phase = np.outer(t, np.arange(1, K + 1))
+    table = np.cos(phase), np.sin(phase)
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
 def random_closed_curve(seed: int, K: int = 6, amplitude_decay: float = 0.4,
                         n: int = 512, dim: int = 2) -> PolyCurve:
     """Random smooth closed curve from Fourier modes up to harmonic K.
@@ -358,13 +377,18 @@ def random_closed_curve(seed: int, K: int = 6, amplitude_decay: float = 0.4,
     amplitude_decay**|k|; vertices are placed on the smooth trace with
     equal chord lengths and perimeter 2*pi.  Deterministic per seed;
     degenerate draws (perimeter below 1e-6 before normalization) fall
-    through to the next substream.
+    through to the next substream.  The cos and sin of the SPEED_GRID
+    speed grid and of the inscriber's first, uniform pass come from a
+    small read-only cache keyed by grid size and K (_harmonic_table);
+    they are the values the trace would compute, so the vertices are
+    the same bit for bit.
     """
     if K < 1:
         raise InvalidDiscretizationError(f"need K >= 1, got {K}")
+    ks = np.arange(1, K + 1)
+    cos_dense, sin_dense = _harmonic_table(SPEED_GRID, K)
     for attempt in range(32):
         rng = np.random.default_rng((seed, attempt))
-        ks = np.arange(1, K + 1)
         scale = 0.25 * amplitude_decay ** ks[:, None]
         a = rng.normal(size=(K, dim)) * scale
         b = rng.normal(size=(K, dim)) * scale
@@ -377,16 +401,16 @@ def random_closed_curve(seed: int, K: int = 6, amplitude_decay: float = 0.4,
             return (np.cos(np.outer(t, ks)) @ a
                     + np.sin(np.outer(t, ks)) @ b)
 
-        dense = TWO_PI * np.arange(4096) / 4096
-        da = -np.sin(np.outer(dense, ks)) * ks @ a \
-            + np.cos(np.outer(dense, ks)) * ks @ b
+        da = -sin_dense * ks @ a + cos_dense * ks @ b
         speed = np.linalg.norm(da, axis=1)
         perim = float(np.trapezoid(
-            np.append(speed, speed[0]), dx=TWO_PI / 4096))
+            np.append(speed, speed[0]), dx=TWO_PI / SPEED_GRID))
         if perim < 1e-6 or speed.min() < 0.35 * speed.mean():
             continue
+        cos_n, sin_n = _harmonic_table(n, K)
         try:
-            return PolyCurve(_inscribe_equal_chords(trace, n))
+            return PolyCurve(_inscribe_equal_chords(
+                trace, n, start=cos_n @ a + sin_n @ b))
         except DegenerateCurveError:
             continue
     raise DegenerateCurveError(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterDomainError
 from .geometry import TWO_PI, PolyCurve, lambda_chord, offset_chord_blocks
 
 
@@ -72,29 +73,42 @@ class DeficitProfile:
 
 def analyze(curve: PolyCurve, K: int | None = None) -> FourierCurve:
     """DFT of the vertex samples in the normalization
-    c(t) = sum a_k e^{ikt}, truncated at |k| <= K (default floor(n/2)-1)."""
+    c(t) = sum a_k e^{ikt}, truncated at |k| <= K (default floor(n/2)-1).
+
+    K must lie in [0, (n-1)//2]: beyond it harmonics k and k - n read the
+    same DFT bin, so the truncated series would count them twice."""
     n = curve.n
     if K is None:
         K = n // 2 - 1
+    if not 0 <= K <= (n - 1) // 2:
+        raise ParameterDomainError(
+            f"need 0 <= K <= {(n - 1) // 2} at n = {n}, got {K}")
     spec = np.fft.fft(curve.vertices, axis=0) / n
     return FourierCurve(coeffs=spec[np.arange(-K, K + 1) % n], n=n)
 
 
 def deficit(fc: FourierCurve, n: int | None = None) -> DeficitProfile:
     """Deficit series 8 pi sum_{k>=2} (k^2 sin^2(s/2) - sin^2(ks/2))
-    (|a_-k|^2 + |a_k|^2) on the grid s = 2 pi m / n, m = 1..n-1."""
+    (|a_-k|^2 + |a_k|^2) on the grid s = 2 pi m / n, m = 1..n-1.
+
+    With w_k the harmonic weights, sum_k w_k sin^2(k s/2) is
+    (sum_k w_k - sum_k w_k cos(k s)) / 2, and on this grid the cosine
+    sum is the real part of the length-n DFT of w folded modulo n: one
+    FFT, O(n log n), with no (K-1) x (n-1) table.  The fold keeps an n
+    below 2K + 1 correct.  n must be a positive integer."""
     n = n or fc.n
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterDomainError(
+            f"need a positive integer shift grid size, got {n}")
     s = TWO_PI * np.arange(1, n) / n
     K = fc.K
     k = np.arange(2, K + 1)
     weight = np.sum(np.abs(fc.coeffs[K + k]) ** 2
                     + np.abs(fc.coeffs[K - k]) ** 2, axis=1)
-    # sum_k w_k k^2 sin^2(s/2) is one scalar times sin^2(s/2); only the
-    # sin^2(k s/2) part needs the (K-1) x (n-1) table, built in place
-    sin2 = np.outer(k, s / 2)
-    np.sin(sin2, out=sin2)
-    sin2 *= sin2
-    rho = (weight @ k ** 2) * np.sin(s / 2) ** 2 - weight @ sin2
+    folded = np.bincount(k % n, weights=weight, minlength=n)
+    cos_sums = np.fft.fft(folded).real[1:]
+    rho = (weight @ k ** 2) * np.sin(s / 2) ** 2 \
+        - (weight.sum() - cos_sums) / 2
     return DeficitProfile(s=s, rho=8 * np.pi * rho)
 
 

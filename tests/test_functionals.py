@@ -208,13 +208,13 @@ class TestSharedEnergyWalk:
                  "random3d": geo.random_closed_curve(5, n=301, dim=3),
                  "circle": geo.make_circle(300)}[which]
         params = [fn.EnergyParams(j, p) for j, p in self.PAIRS]
-        assert fn._energies_Ejp(curve, params) \
+        assert fn._energy_walk(curve, params)[0] \
             == [fn.energy_Ejp(curve, q) for q in params]
 
     def test_degenerate_curve_rejected(self, double_segment512):
         params = [fn.EnergyParams(j, p) for j, p in self.PAIRS]
         with pytest.raises(DegenerateCurveError):
-            fn._energies_Ejp(double_segment512, params)
+            fn._energy_walk(double_segment512, params)
 
     def test_divergent_pair_rejected_before_the_walk(self, circle256,
                                                      monkeypatch):
@@ -223,7 +223,69 @@ class TestSharedEnergyWalk:
         monkeypatch.setattr(fn, "offset_chord_blocks", no_walk)
         params = [fn.EnergyParams(2, 1), fn.EnergyParams(3, 1)]
         with pytest.raises(ParameterDomainError):
-            fn._energies_Ejp(circle256, params)
+            fn._energy_walk(circle256, params)
+
+
+def _parent_coincident_pair(v):
+    """The pair the walk names on a non-embedded curve: the first block
+    whose smallest chord is below COINCIDENCE_TOL, and the first entry of
+    that block, in row-major order, holding its minimum."""
+    n = len(v)
+    ks = geo.half_offsets(n)[0]
+    for rows, d2 in geo.offset_chord_blocks(v, ks):
+        r, i = np.unravel_index(np.argmin(d2), d2.shape)
+        if math.sqrt(d2[r, i]) < fn.COINCIDENCE_TOL:
+            return int(i), int((i + ks[rows][r]) % n)
+    return None
+
+
+class TestWalkDistortion:
+    """The energy walk's row minima give the distortion and the
+    embedding check."""
+
+    PAIRS = [(2, 1), (1, 1), (1, 2), (2, 1.5)]
+
+    @pytest.mark.parametrize("n,dim", [(64, 2), (257, 2), (512, 2),
+                                       (301, 3), (1024, 2)])
+    def test_equals_distortion(self, n, dim):
+        curve = geo.random_closed_curve(n, n=n, dim=dim)
+        params = [fn.EnergyParams(j, p) for j, p in self.PAIRS]
+        _, distortion = fn._energy_walk(curve, params)
+        assert distortion == fn.distortion(curve)
+
+    def test_circle(self, circle256):
+        _, distortion = fn._energy_walk(circle256, [fn.EnergyParams(2, 1)])
+        assert distortion == fn.distortion(circle256)
+
+    @pytest.mark.parametrize("n,i,k", [(257, 17, 200), (256, 3, 131),
+                                       (512, 0, 256), (300, 290, 5)])
+    def test_coincident_pair_named_as_before(self, n, i, k):
+        v = geo.random_closed_curve(2, n=n).vertices.copy()
+        v[k] = v[i]
+        # a second coincidence at offset 2: the walk names the first one
+        # in its order, as it did with a full argmin per block
+        v[(i + 7) % n] = v[(i + 9) % n]
+        curve = geo.PolyCurve(v)
+        expected = _parent_coincident_pair(curve.vertices)
+        assert expected is not None
+        with pytest.raises(DegenerateCurveError) as err:
+            fn._energy_walk(curve, [fn.EnergyParams(2, 1)])
+        named = tuple(map(int, re.search(r"\((\d+), (\d+)\)",
+                                         str(err.value)).groups()))
+        assert named == expected
+        assert np.array_equal(v[named[0]], v[named[1]])
+
+    def test_double_segment_pair_named_as_before(self, double_segment512):
+        expected = _parent_coincident_pair(double_segment512.vertices)
+        with pytest.raises(DegenerateCurveError,
+                           match=re.escape(f"({expected[0]}, {expected[1]})")):
+            fn.energy_Ejp(double_segment512, fn.EnergyParams(2, 1))
+
+    def test_argmin_only_when_raising(self, random_curves, monkeypatch):
+        def no_argmin(*args, **kwargs):
+            raise AssertionError("argmin on an embedded curve")
+        monkeypatch.setattr(fn.np, "argmin", no_argmin)
+        fn._energy_walk(random_curves[0], [fn.EnergyParams(2, 1)])
 
 
 class TestRenormEnergy:

@@ -123,6 +123,68 @@ class TestRandomClosedCurve:
             assert len(calls) <= 12
 
 
+def _uncached_random_closed_curve(seed, K=6, amplitude_decay=0.4, n=512,
+                                  dim=2):
+    """random_closed_curve with every cos and sin evaluated on the spot,
+    the reference for the harmonic-table cache."""
+    for attempt in range(32):
+        rng = np.random.default_rng((seed, attempt))
+        ks = np.arange(1, K + 1)
+        scale = 0.25 * amplitude_decay ** ks[:, None]
+        a = rng.normal(size=(K, dim)) * scale
+        b = rng.normal(size=(K, dim)) * scale
+        a[0, 0] += 1.0
+        b[0, 1] += 1.0
+
+        def trace(t, a=a, b=b):
+            return (np.cos(np.outer(t, ks)) @ a
+                    + np.sin(np.outer(t, ks)) @ b)
+
+        dense = TWO_PI * np.arange(4096) / 4096
+        da = -np.sin(np.outer(dense, ks)) * ks @ a \
+            + np.cos(np.outer(dense, ks)) * ks @ b
+        speed = np.linalg.norm(da, axis=1)
+        perim = float(np.trapezoid(
+            np.append(speed, speed[0]), dx=TWO_PI / 4096))
+        if perim < 1e-6 or speed.min() < 0.35 * speed.mean():
+            continue
+        try:
+            return geo._inscribe_equal_chords(trace, n)
+        except DegenerateCurveError:
+            continue
+    raise DegenerateCurveError(seed)
+
+
+class TestHarmonicTableCache:
+    CASES = [(seed, n, dim, K) for seed in (0, 3, 11) for n in (64, 257, 512)
+             for dim in (2, 3) for K in (1, 6)]
+
+    def test_equal_to_uncached_on_cold_and_warm_cache(self):
+        expected = [_uncached_random_closed_curve(seed, K=K, n=n, dim=dim)
+                    for seed, n, dim, K in self.CASES]
+        for warmth in ("cold", "warm"):
+            if warmth == "cold":
+                geo._harmonic_table.cache_clear()
+            for (seed, n, dim, K), vertices in zip(self.CASES, expected):
+                curve = geo.random_closed_curve(seed, K=K, n=n, dim=dim)
+                assert np.array_equal(curve.vertices, vertices), \
+                    (warmth, seed, n, dim, K)
+        assert geo._harmonic_table.cache_info().hits > 0
+
+    def test_cache_is_bounded(self):
+        assert geo._harmonic_table.cache_info().maxsize is not None
+
+    def test_cached_tables_are_read_only(self):
+        geo.random_closed_curve(1, n=64)
+        for table in (geo._harmonic_table(geo.SPEED_GRID, 6),
+                      geo._harmonic_table(64, 6)):
+            for part in table:
+                with pytest.raises(ValueError):
+                    part[0, 0] = 1.0
+                with pytest.raises(ValueError):
+                    part *= 2.0
+
+
 def _brute_squared_chords(v, ks):
     n = len(v)
     out = np.empty((len(ks), n))

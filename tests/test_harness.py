@@ -78,6 +78,50 @@ class TestVerifyAll:
         check = harness.CheckResult("x", True, 1.0, 0.0, 1e-9)
         assert check.seconds == 0.0
 
+    def test_distortion_read_off_the_energy_walk(self, monkeypatch):
+        from chordenergy import functionals as fn
+        n, n_curves = 64, 3
+        full = fn.half_offsets(n)[0]
+        counts = {"distortion": 0}
+        full_walks = {}  # id of the vertices -> full half-offset walks
+        state = {"per_offset": False}
+        real_blocks = fn.offset_chord_blocks
+        real_distortion = fn.distortion
+        real_distortion_at = fn.distortion_at
+
+        def distortion(curve):
+            counts["distortion"] += 1
+            return real_distortion(curve)
+
+        def distortion_at(curve, k):
+            # the per-offset check walks its own offsets; at n = 64 they
+            # happen to be all of them
+            state["per_offset"] = True
+            try:
+                return real_distortion_at(curve, k)
+            finally:
+                state["per_offset"] = False
+
+        def blocks(vertices, ks):
+            if not state["per_offset"] and np.array_equal(
+                    np.asarray(ks) % len(vertices), full):
+                key = id(vertices)
+                full_walks[key] = full_walks.get(key, 0) + 1
+            return real_blocks(vertices, ks)
+
+        monkeypatch.setattr(fn, "distortion", distortion)
+        monkeypatch.setattr(fn, "distortion_at", distortion_at)
+        monkeypatch.setattr(fn, "offset_chord_blocks", blocks)
+        report = harness.verify_all(seed=1, n_curves=n_curves, n=n)
+        assert report.passed, report.summary()
+        assert counts["distortion"] == 0
+        # the planar curves and the one space curve, one walk each
+        assert sorted(full_walks.values()) == [1] * (n_curves + 1)
+        check = {c.name: c for c in report.checks}["distortion >= pi/2"]
+        curves = [geo.random_closed_curve(1 + i, n=n)
+                  for i in range(n_curves)]
+        assert check.measured == min(real_distortion(c) for c in curves)
+
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
             harness.verify_all(n_curves=0)

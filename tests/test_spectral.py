@@ -1,8 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chordenergy import geometry as geo
 from chordenergy import spectral as spec
+from chordenergy.errors import ParameterDomainError
+
+
+def _longdouble_series(fc, n):
+    """The deficit series on the n-point shift grid, summed harmonic by
+    harmonic in extended precision."""
+    s = (2 * np.pi * np.arange(1, n) / n).astype(np.longdouble)
+    rho = np.zeros(n - 1, dtype=np.longdouble)
+    for k in range(2, fc.K + 1):
+        weight = np.sum(np.abs(fc.coeff(k).astype(np.clongdouble)) ** 2
+                        + np.abs(fc.coeff(-k).astype(np.clongdouble)) ** 2)
+        rho += weight * (k ** 2 * np.sin(s / 2) ** 2 - np.sin(k * s / 2) ** 2)
+    return 8 * np.pi * rho
 
 
 class TestAnalyze:
@@ -46,6 +61,20 @@ class TestAnalyze:
         assert fc.K == 3
         assert fc.coeffs.shape == (7, 2)
         assert np.abs(fc.coeff(10)).max() == 0.0
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_truncation_beyond_nyquist_rejected(self, n):
+        # K = 100 at n = 64 used to alias the DFT: derivative_energy()
+        # read 50,618 instead of about 2 pi
+        curve = geo.random_closed_curve(1, n=n)
+        for K in (-1, (n - 1) // 2 + 1, 100):
+            with pytest.raises(ParameterDomainError):
+                spec.analyze(curve, K=K)
+        top = spec.analyze(curve, K=(n - 1) // 2)
+        assert top.K == (n - 1) // 2
+        assert spec.analyze(curve, K=0).K == 0
+        assert spec.analyze(curve).K == n // 2 - 1
+        assert top.derivative_energy() == pytest.approx(2 * np.pi, rel=1e-3)
 
 
 class TestDeficitSeries:
@@ -92,9 +121,46 @@ class TestDeficitSeries:
         assert np.array_equal(prof.s, s)
         assert np.abs(prof.rho - expected).max() < 1e-14
 
+    @pytest.mark.parametrize("n,explicit", [(64, None), (257, None),
+                                            (512, None), (257, 100),
+                                            (512, 300), (64, 7)])
+    def test_fft_matches_longdouble_loop(self, n, explicit):
+        # an explicit grid below 2K + 1 folds the harmonics modulo it
+        for seed in (2, 5):
+            fc = spec.analyze(geo.random_closed_curve(seed, n=n,
+                                                      dim=2 + seed % 2))
+            grid = explicit or n
+            assert explicit is None or grid < 2 * fc.K + 1
+            rho = spec.deficit(fc, explicit).rho
+            scale = max(1.0, 4.0 * fc.derivative_energy())
+            error = np.abs(rho - _longdouble_series(fc, grid)).max()
+            assert rho.shape == (grid - 1,)
+            assert float(error) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("grid", [-5, 2.5, 64.0])
+    def test_grid_must_be_a_positive_integer(self, circle256, grid):
+        # the table form returned an empty or truncated profile here
+        with pytest.raises(ParameterDomainError):
+            spec.deficit(spec.analyze(circle256), grid)
+
+    def test_no_shift_table(self):
+        # the (K - 1) x (n - 1) sin^2 table took about 64 MB here
+        fc = spec.analyze(geo.make_circle(4096))
+        tracemalloc.start()
+        try:
+            spec.deficit(fc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_no_harmonics_above_one(self, circle512):
         prof = spec.deficit(spec.analyze(circle512, K=1))
         assert np.array_equal(prof.rho, np.zeros(511))
+        curve = geo.random_closed_curve(4, n=128)
+        for grid in (None, 2, 50):
+            prof = spec.deficit(spec.analyze(curve, K=1), grid)
+            assert np.array_equal(prof.rho, np.zeros((grid or 128) - 1))
 
     @pytest.mark.parametrize("n,dim", [(64, 3), (257, 2), (512, 2)])
     def test_direct_vectorized_matches_scalar(self, n, dim):

@@ -6,6 +6,14 @@ constructors return curves whose edges are equal in length (relative
 spread below EDGE_SPREAD_TOL) and whose perimeter is exactly renormalized
 to 2*pi, so integrals over the curve become uniform Riemann sums with
 weight 2*pi/N.
+
+Two routines make the edges equal, each for one kind of input.  An
+analytic trace (make_ellipse, random_closed_curve) gets its vertices
+placed on the trace with equal chords (_inscribe_equal_chords).  A
+polygon (resample_arclength, and the optimizer's start curves and
+line-search trials) goes through Newton projection onto the edge
+constraints (_retract), whose tangent frame (_TangentFrame) binds
+LAPACK from scipy.linalg when the first one is built.
 """
 
 from __future__ import annotations
@@ -30,10 +38,15 @@ PERIMETER_TOL = 1e-9
 #: relative tolerance on edge-length spread (discrete unit speed)
 EDGE_SPREAD_TOL = 1e-6
 
-#: pass caps and target edge spreads of the arclength resampler and of
-#: the equal-chord inscriber
-RESAMPLE_MAX_PASSES, RESAMPLE_TOL = 60, 1e-12
+#: pass cap and target edge spread of the equal-chord inscriber
 INSCRIBE_MAX_PASSES, INSCRIBE_TOL = 80, 1e-13
+
+#: target of the Newton projection onto the edge constraints (_retract):
+#: largest edge-length error relative to 2*pi/N
+RETRACT_TOL = 1e-14
+
+#: cap on the Newton steps of one projection
+RETRACT_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -218,60 +231,158 @@ def _closed_edge_lengths(closed: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(closed, axis=0), axis=1)
 
 
-def _equalize_and_scale(points: np.ndarray, m: int) -> np.ndarray:
-    """Resample a closed polyline to m vertices at equal arclength spacing,
-    iterating until the edge spread converges, then scale to perimeter 2*pi.
+def _next(a: np.ndarray) -> np.ndarray:
+    """Rows shifted cyclically up by one: row i holds a[i + 1]."""
+    return np.concatenate((a[1:], a[:1]))
 
-    Equalize first, scale second: scaling preserves edge equality.  The
-    edge lengths of each pass are the segment lengths of the next one.
-    The passes stop below RESAMPLE_TOL, at a round-off stall within
-    EDGE_SPREAD_TOL, or when the spread grows; a spread that grows, or is
-    still above EDGE_SPREAD_TOL after RESAMPLE_MAX_PASSES passes, raises
-    DegenerateCurveError.
+
+def _edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors v_{i+1} - v_i of a closed polygon and their lengths."""
+    edges = _next(v) - v
+    # the arithmetic of np.linalg.norm(edges, axis=1), without its
+    # per-call overhead
+    return edges, np.sqrt(np.einsum("id,id->i", edges, edges))
+
+
+#: LAPACK's factorization and solve of symmetric positive definite
+#: tridiagonal systems, bound by the first _TangentFrame: scipy.linalg
+#: takes about 0.35 s to import, and nothing but the frame uses it
+_pttrf = _pttrs = None
+
+
+def _bind_lapack() -> None:
+    global _pttrf, _pttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    _pttrf, _pttrs = dpttrf, dpttrs
+
+
+class _TangentFrame:
+    """The Jacobian J of the equal-edge-length constraints of one curve
+    (one length constraint per edge), with J J^T factored once for every
+    vertex field projected or corrected at that curve."""
+
+    __slots__ = ("u", "corner", "diag", "sub", "z", "denom")
+
+    def __init__(self, edges: np.ndarray, lengths: np.ndarray):
+        if _pttrs is None:
+            _bind_lapack()
+        n = lengths.shape[0]
+        self.u = edges / lengths[:, None]
+        # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices
+        # i, i+1.  J J^T is cyclic tridiagonal: 2 on the diagonal,
+        # coupling[i] at (i, i+1) and coupling[n-1] in the corners.  It
+        # equals B - w w^T with w = e_0 - coupling[n-1] e_{n-1} and B
+        # tridiagonal, positive definite since J J^T is; Sherman-Morrison
+        # turns the cyclic solve into tridiagonal ones with B.
+        coupling = -np.einsum("id,id->i", self.u, _next(self.u))
+        self.corner = coupling[-1]
+        diag = np.full(n, 2.0)
+        diag[0] += 1.0
+        diag[-1] += self.corner ** 2
+        self.diag, self.sub, info = _pttrf(diag, coupling[:-1])
+        if info != 0:
+            raise DegenerateCurveError(
+                "edge constraints of the curve are not independent")
+        w = np.zeros(n)
+        w[0] = 1.0
+        w[-1] = -self.corner
+        self.z = self._solve(w)
+        self.denom = 1.0 - (self.z[0] - self.corner * self.z[-1])
+        # zero for a doubly covered segment, whose cyclic J J^T is
+        # singular although its tridiagonal part B factors; NaN fails
+        # the comparison too
+        if not 0.0 < abs(self.denom) < np.inf:
+            raise DegenerateCurveError(
+                "edge constraints of the curve are not independent")
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return _pttrs(self.diag, self.sub, rhs)[0]
+
+    def normal(self, c: np.ndarray) -> np.ndarray:
+        """J^T (J J^T)^-1 c: the normal vertex field whose change of the
+        edge lengths, to first order, is c."""
+        y = self._solve(c)
+        mult = y + self.z * ((y[0] - self.corner * y[-1]) / self.denom)
+        t = mult[:, None] * self.u
+        # J^T mult: vertex m gets t[m-1] - t[m]
+        return np.concatenate((t[-1:], t[:-1])) - t
+
+    def project(self, field: np.ndarray) -> np.ndarray:
+        """The tangent component of a vertex field."""
+        return field - self.normal(
+            np.einsum("id,id->i", self.u, _next(field) - field))
+
+
+def _retract(v: np.ndarray, h: float, frame: _TangentFrame | None):
+    """Newton projection of the vertices v onto the edge constraints
+    |v_{i+1} - v_i| = h, then centroid to the origin.
+
+    Each step is v <- v - J^T (J J^T)^-1 c(v) with c_i = |v_{i+1} - v_i| - h.
+    The first uses frame, the frame of v already factored, when one is
+    given; each later one factors J at the new point.  The steps stop
+    once the largest |c_i| / h is below RETRACT_TOL, or at round-off:
+    when a step fails to halve it while it is within EDGE_SPREAD_TOL,
+    the better of the two points is kept.  An error that grows,
+    dependent constraints or RETRACT_MAX_STEPS steps raise
+    DegenerateCurveError.  Returns the vertices with the edge vectors
+    and lengths of their last check.
     """
-    pts = np.asarray(points, dtype=float)
-    closed = np.vstack([pts, pts[:1]])
-    seg = _closed_edge_lengths(closed)
-    spreads = []
-    for _ in range(RESAMPLE_MAX_PASSES):
-        total = seg.sum()
-        if total < 1e-6:
-            raise DegenerateCurveError("curve perimeter collapsed below 1e-6")
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        targets = np.arange(m) * (total / m)
-        new = np.empty((m + 1, pts.shape[1]))
-        for d in range(pts.shape[1]):
-            new[:m, d] = np.interp(targets, cum, closed[:, d])
-        new[m] = new[0]
-        closed = new
-        seg = _closed_edge_lengths(closed)
-        spreads.append((seg.max() - seg.min()) / seg.mean())
-        if spreads[-1] < RESAMPLE_TOL:
+    edges, lengths = _edges(v)
+    resid = lengths - h
+    err = np.abs(resid).max() / h
+    for steps in range(RETRACT_MAX_STEPS + 1):
+        if err < RETRACT_TOL:
             break
-        # two passes that fail to halve the spread: a round-off stall
-        # within EDGE_SPREAD_TOL, or above it a failure once the spread
-        # grows.  A noisy polyline can shrink its spread slowly and
-        # unevenly for a few passes before it falls fast.
-        if len(spreads) > 2 and spreads[-1] > 0.5 * spreads[-3] and (
-                spreads[-1] <= EDGE_SPREAD_TOL or spreads[-1] > spreads[-3]):
-            break
-    if spreads[-1] > EDGE_SPREAD_TOL:
-        raise DegenerateCurveError(
-            f"arclength resampling did not converge: edge spread "
-            f"{spreads[-1]:.3e} after {len(spreads)} passes")
-    return closed[:m] * (TWO_PI / seg.sum())
+        if steps == RETRACT_MAX_STEPS:
+            raise DegenerateCurveError(
+                f"edge constraints not met after {steps} Newton steps: "
+                f"relative error {err:.3e}")
+        if frame is None:
+            frame = _TangentFrame(edges, lengths)
+        new_v = v - frame.normal(resid)
+        frame = None
+        new_edges, new_lengths = _edges(new_v)
+        new_resid = new_lengths - h
+        new_err = np.abs(new_resid).max() / h
+        if not new_err <= 0.5 * err:
+            if new_err <= EDGE_SPREAD_TOL:
+                if new_err < err:
+                    v, edges, lengths = new_v, new_edges, new_lengths
+                break
+            if not new_err <= err:
+                raise DegenerateCurveError(
+                    f"Newton steps on the edge constraints diverged: "
+                    f"relative error {err:.3e} -> {new_err:.3e}")
+        v, edges, lengths, resid, err = \
+            new_v, new_edges, new_lengths, new_resid, new_err
+    # the arithmetic of v.mean(axis=0), without its per-call overhead
+    return v - v.sum(axis=0) / v.shape[0], edges, lengths
 
 
 def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
-    """Redistribute m vertices at equal arclength along the polygonal trace.
+    """Place m vertices with equal edges and perimeter 2*pi along the
+    polygonal trace, centroid at the origin.
 
-    Idempotent at fixed m: an already equal-edge curve maps to itself.
-    Raises DegenerateCurveError when the edge spread does not converge
-    below EDGE_SPREAD_TOL, so the result always has unit speed.
+    One pass spaces m points at equal arclength along the closed
+    polyline and scales them to perimeter 2*pi; Newton projection onto
+    the edge constraints (_retract) then makes the edges equal.  So an
+    already equal-edge curve at fixed m maps to itself, up to its
+    centroid.  The first call binds scipy.linalg (_TangentFrame).  A
+    collapsed curve, dependent edge constraints or a projection that
+    does not converge raise DegenerateCurveError, so the result always
+    has unit speed.
     """
     if m < MIN_VERTICES:
         raise InvalidDiscretizationError(f"need m >= {MIN_VERTICES}, got {m}")
-    return PolyCurve(_equalize_and_scale(curve.vertices, m))
+    closed = np.vstack([curve.vertices, curve.vertices[:1]])
+    cum = np.concatenate([[0.0], np.cumsum(_closed_edge_lengths(closed))])
+    if cum[-1] < 1e-6:
+        raise DegenerateCurveError("curve perimeter collapsed below 1e-6")
+    targets = np.arange(m) * (cum[-1] / m)
+    pts = np.column_stack([np.interp(targets, cum, col)
+                           for col in closed.T])
+    pts *= TWO_PI / _edges(pts)[1].sum()
+    return PolyCurve(_retract(pts, TWO_PI / m, None)[0])
 
 
 def make_circle(n: int) -> PolyCurve:
@@ -288,20 +399,26 @@ def make_circle(n: int) -> PolyCurve:
 
 
 def make_ellipse(axis_ratio: float, n: int) -> PolyCurve:
-    """Ellipse with semi-axis ratio axis_ratio, resampled to equal edges.
+    """Ellipse with semi-axis ratio axis_ratio, with equal edges.
 
-    The result is the unit-speed (equal-edge) reparameterization of the
-    elliptical trace, which for axis_ratio > 1 is not the same mapping as
-    the uniform-parameter ellipse.  Like resample_arclength, it raises
-    DegenerateCurveError when the resampling does not converge.
+    The vertices lie on the trace (axis_ratio cos t, sin t), scaled to
+    perimeter 2*pi, with equal chords between them (the equal-chord
+    inscriber, as for random_closed_curve); vertex 0 is on the major
+    axis.  For axis_ratio > 1 this is the unit-speed reparameterization
+    of the elliptical trace, not the uniform-parameter ellipse.  Raises
+    InvalidDiscretizationError when the inscribed edges are not equal
+    within EDGE_SPREAD_TOL, as for a stretched ellipse at a small odd n.
     """
     if axis_ratio < 1:
         raise InvalidDiscretizationError(
             f"axis_ratio must be >= 1, got {axis_ratio}")
-    dense = max(64 * n, 4096)
-    t = TWO_PI * np.arange(dense) / dense
-    pts = np.column_stack([axis_ratio * np.cos(t), np.sin(t)])
-    return PolyCurve(_equalize_and_scale(pts, n))
+
+    def trace(t):
+        return np.column_stack([axis_ratio * np.cos(t), np.sin(t)])
+
+    curve = PolyCurve(_inscribe_equal_chords(trace, n))
+    curve.validate()
+    return curve
 
 
 def make_double_segment(n: int) -> PolyCurve:

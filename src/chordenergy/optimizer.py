@@ -7,7 +7,9 @@ onto the tangent space of the edge-length constraints.  Line-search
 trials return to the manifold by Newton projection onto the edge
 constraints, starting from the iteration's tangent frame (a
 projection-like retraction, Absil & Malick, SIAM J. Optim. 2012);
-start curves are placed on it by arclength resampling.  The pairwise
+start curves reach it by the same projection after one
+equal-arclength pass (geometry.resample_arclength).  The projection
+and the tangent frame live in geometry.  The pairwise
 work, the chord powers behind the value and the gradient, visits each
 unordered vertex pair once, through a band of the Gram chord table
 (_ChordBand).  Past the critical exponent the circle loses its
@@ -27,8 +29,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateCurveError, SingularGradientError
-from .geometry import EDGE_SPREAD_TOL, TWO_PI, PolyCurve, make_circle, \
-    resample_arclength, squared_chord_matrix
+from .geometry import TWO_PI, PolyCurve, _edges, _retract, _TangentFrame, \
+    make_circle, resample_arclength, squared_chord_matrix
 from .functionals import circle_avg_chord, require_finite_exponent, \
     segment_avg_chord
 from . import shape as shape_mod
@@ -47,13 +49,6 @@ MAX_STEP_FACTOR = 1e3
 #: curvature otherwise forces steps orders of magnitude below what
 #: the low-frequency stretching modes can absorb.
 SMOOTH_SIGMA = 16.0
-
-#: target of the line-search retraction: largest edge-length error
-#: relative to 2*pi/N
-RETRACT_TOL = 1e-14
-
-#: cap on the Newton steps of one line-search retraction
-RETRACT_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -190,134 +185,13 @@ def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
 
 
 def project(curve: PolyCurve) -> PolyCurve:
-    """Place a curve on the feasible manifold: equal-arclength
-    resampling, perimeter 2*pi, centroid at the origin.  maximize uses it
-    for its start curve only; line-search trials go through _retract.  A
-    collapsed curve, or one the resampling cannot equalize, raises
+    """Place a curve on the feasible manifold: equal edges, perimeter
+    2*pi, centroid at the origin, by resample_arclength at the curve's
+    own vertex count.  maximize uses it for its start curve only;
+    line-search trials go through _retract directly.  A collapsed curve,
+    or one whose edges the projection cannot equalize, raises
     DegenerateCurveError."""
-    resampled = resample_arclength(curve, curve.n)
-    return PolyCurve(resampled.vertices - resampled.centroid())
-
-
-def _next(a: np.ndarray) -> np.ndarray:
-    """Rows shifted cyclically up by one: row i holds a[i + 1]."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def _edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge vectors v_{i+1} - v_i of a closed polygon and their lengths."""
-    edges = _next(v) - v
-    # the arithmetic of np.linalg.norm(edges, axis=1), without its
-    # per-call overhead
-    return edges, np.sqrt(np.einsum("id,id->i", edges, edges))
-
-
-#: LAPACK's factorization and solve of symmetric positive definite
-#: tridiagonal systems, bound by the first _TangentFrame: scipy.linalg
-#: takes about 0.35 s to import, and nothing but the frame uses it
-_pttrf = _pttrs = None
-
-
-def _bind_lapack() -> None:
-    global _pttrf, _pttrs
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    _pttrf, _pttrs = dpttrf, dpttrs
-
-
-class _TangentFrame:
-    """The Jacobian J of the equal-edge-length constraints of one curve
-    (one length constraint per edge), with J J^T factored once for every
-    vertex field projected or corrected at that curve."""
-
-    __slots__ = ("u", "corner", "diag", "sub", "z", "denom")
-
-    def __init__(self, edges: np.ndarray, lengths: np.ndarray):
-        if _pttrs is None:
-            _bind_lapack()
-        n = lengths.shape[0]
-        self.u = edges / lengths[:, None]
-        # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices
-        # i, i+1.  J J^T is cyclic tridiagonal: 2 on the diagonal,
-        # coupling[i] at (i, i+1) and coupling[n-1] in the corners.  It
-        # equals B - w w^T with w = e_0 - coupling[n-1] e_{n-1} and B
-        # tridiagonal, positive definite since J J^T is; Sherman-Morrison
-        # turns the cyclic solve into tridiagonal ones with B.
-        coupling = -np.einsum("id,id->i", self.u, _next(self.u))
-        self.corner = coupling[-1]
-        diag = np.full(n, 2.0)
-        diag[0] += 1.0
-        diag[-1] += self.corner ** 2
-        self.diag, self.sub, info = _pttrf(diag, coupling[:-1])
-        if info != 0:
-            raise DegenerateCurveError(
-                "edge constraints of the curve are not independent")
-        w = np.zeros(n)
-        w[0] = 1.0
-        w[-1] = -self.corner
-        self.z = self._solve(w)
-        self.denom = 1.0 - (self.z[0] - self.corner * self.z[-1])
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _pttrs(self.diag, self.sub, rhs)[0]
-
-    def normal(self, c: np.ndarray) -> np.ndarray:
-        """J^T (J J^T)^-1 c: the normal vertex field whose change of the
-        edge lengths, to first order, is c."""
-        y = self._solve(c)
-        mult = y + self.z * ((y[0] - self.corner * y[-1]) / self.denom)
-        t = mult[:, None] * self.u
-        # J^T mult: vertex m gets t[m-1] - t[m]
-        return np.concatenate((t[-1:], t[:-1])) - t
-
-    def project(self, field: np.ndarray) -> np.ndarray:
-        """The tangent component of a vertex field."""
-        return field - self.normal(
-            np.einsum("id,id->i", self.u, _next(field) - field))
-
-
-def _retract(v: np.ndarray, h: float, frame: _TangentFrame):
-    """Newton projection of the vertices v onto the edge constraints
-    |v_{i+1} - v_i| = h, then centroid to the origin.
-
-    Each step is v <- v - J^T (J J^T)^-1 c(v) with c_i = |v_{i+1} - v_i| - h.
-    The first uses frame, the current iterate's, already factored; each
-    later one factors J at the new point.  The steps stop once the
-    largest |c_i| / h is below RETRACT_TOL, or at round-off: when a step
-    fails to halve it while it is within EDGE_SPREAD_TOL, the better of
-    the two points is kept.  An error that grows, dependent constraints
-    or RETRACT_MAX_STEPS steps raise DegenerateCurveError.  Returns the
-    vertices with the edge vectors and lengths of their last check.
-    """
-    edges, lengths = _edges(v)
-    resid = lengths - h
-    err = np.abs(resid).max() / h
-    for steps in range(RETRACT_MAX_STEPS + 1):
-        if err < RETRACT_TOL:
-            break
-        if steps == RETRACT_MAX_STEPS:
-            raise DegenerateCurveError(
-                f"edge constraints not met after {steps} Newton steps: "
-                f"relative error {err:.3e}")
-        if frame is None:
-            frame = _TangentFrame(edges, lengths)
-        new_v = v - frame.normal(resid)
-        frame = None
-        new_edges, new_lengths = _edges(new_v)
-        new_resid = new_lengths - h
-        new_err = np.abs(new_resid).max() / h
-        if not new_err <= 0.5 * err:
-            if new_err <= EDGE_SPREAD_TOL:
-                if new_err < err:
-                    v, edges, lengths = new_v, new_edges, new_lengths
-                break
-            if not new_err <= err:
-                raise DegenerateCurveError(
-                    f"Newton steps on the edge constraints diverged: "
-                    f"relative error {err:.3e} -> {new_err:.3e}")
-        v, edges, lengths, resid, err = \
-            new_v, new_edges, new_lengths, new_resid, new_err
-    # the arithmetic of v.mean(axis=0), without its per-call overhead
-    return v - v.sum(axis=0) / v.shape[0], edges, lengths
+    return resample_arclength(curve, curve.n)
 
 
 def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
@@ -348,24 +222,30 @@ def _smooth_direction(pg: np.ndarray) -> np.ndarray:
 
 def canonicalize(curve: PolyCurve) -> PolyCurve:
     """Quotient out rigid motions: centroid at the origin, principal
-    axis along x, first vertex at the maximal x coordinate."""
+    axis along x, counterclockwise orientation, first vertex at the
+    maximal x coordinate.
+
+    The principal axis points along the sign of its third moment where
+    that is decisive; the minor axis follows by a proper rotation, and
+    is reflected only to make the signed area positive.  Of the vertices
+    whose x lies within 1e-9 of the largest, the one with the largest y
+    comes first.
+    """
     v = curve.vertices - curve.vertices.mean(axis=0)
     if curve.dim != 2:
         raise ValueError("canonicalize handles planar curves only")
-    cov = v.T @ v
-    _, vecs = np.linalg.eigh(cov)
+    _, vecs = np.linalg.eigh(v.T @ v)
     axis = vecs[:, -1]
-    rot = np.column_stack([axis, [-axis[1], axis[0]]])
-    w = v @ rot
-    # fix the two reflection ambiguities with third moments where they
-    # are decisive, extreme coordinates otherwise
-    for col in (0, 1):
-        m3 = np.sum(w[:, col] ** 3)
-        sign = np.sign(m3) if abs(m3) > 1e-9 else \
-            np.sign(w[np.argmax(np.abs(w[:, col])), col])
-        if sign < 0:
-            w[:, col] = -w[:, col]
-    start = int(np.argmax(w[:, 0]))
+    if np.sum((v @ axis) ** 3) < -1e-9:
+        axis = -axis
+    w = v @ np.column_stack([axis, [-axis[1], axis[0]]])
+    # twice the signed (shoelace) area
+    if np.sum(w[:, 0] * np.roll(w[:, 1], -1)
+              - np.roll(w[:, 0], -1) * w[:, 1]) < 0:
+        w[:, 1] = -w[:, 1]
+    x = w[:, 0]
+    ties = np.flatnonzero(x >= x.max() - 1e-9)
+    start = int(ties[np.argmax(w[ties, 1])])
     return PolyCurve(np.roll(w, -start, axis=0))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chordenergy import geometry as geo
+from chordenergy import shape as shp
 from chordenergy.errors import DegenerateCurveError, \
     InvalidDiscretizationError
 
@@ -55,6 +56,25 @@ class TestMakeEllipse:
     def test_ratio_below_one_rejected(self):
         with pytest.raises(InvalidDiscretizationError):
             geo.make_ellipse(0.5, 256)
+
+    def test_unequal_inscribed_edges_raise(self):
+        # at odd n the inscriber's passes shrink the spread of a
+        # stretched ellipse by about a quarter each, and it stops at
+        # the first pass that does not halve it
+        with pytest.raises(InvalidDiscretizationError, match="spread"):
+            geo.make_ellipse(8, 9)
+
+    @pytest.mark.parametrize("n", [8, 256, 1024])
+    @pytest.mark.parametrize("ratio", [1, 2, 8, 100])
+    def test_vertices_on_the_ellipse(self, ratio, n):
+        # inscribed on the analytic trace: (x / ratio)^2 + y^2 is the
+        # same squared scale at every vertex
+        e = geo.make_ellipse(ratio, n)
+        e.validate()
+        x, y = e.vertices.T
+        scale = np.sqrt((x / ratio) ** 2 + y ** 2)
+        assert np.abs(scale / scale[0] - 1).max() < 1e-12
+        assert e.vertices[0, 1] == 0.0
 
 
 class TestDoubleSegment:
@@ -303,10 +323,28 @@ class TestResample:
         assert (lengths.max() - lengths.min()) / lengths.mean() < 1e-9
         assert np.abs(again.vertices - e.vertices).max() < 1e-9
 
-    def test_garbage_polyline_raises(self):
+    def test_garbage_polyline_gets_equal_edges(self):
+        # one interpolation pass and the Newton projection place 64
+        # random points on an equal-edge curve about half an edge from
+        # the input, scaled to perimeter 2*pi and centred
         garbage = geo.PolyCurve(np.random.default_rng(0).normal(size=(64, 2)))
-        with pytest.raises(DegenerateCurveError, match="converge"):
-            geo.resample_arclength(garbage, 64)
+        resampled = geo.resample_arclength(garbage, 64)
+        resampled.validate()
+        scaled = (garbage.vertices - garbage.centroid()) \
+            * (TWO_PI / garbage.perimeter())
+        assert shp.hausdorff(resampled, geo.PolyCurve(scaled)) \
+            < 0.6 * TWO_PI / 64
+
+    def test_collapsed_curve_raises(self):
+        tiny = geo.PolyCurve(1e-9 * geo.make_circle(64).vertices)
+        with pytest.raises(DegenerateCurveError, match="collapsed"):
+            geo.resample_arclength(tiny, 64)
+
+    def test_double_segment_raises(self):
+        # its edge constraints are dependent: the cyclic J J^T is
+        # singular, and the Sherman-Morrison denominator exactly zero
+        with pytest.raises(DegenerateCurveError, match="not independent"):
+            geo.resample_arclength(geo.make_double_segment(64), 64)
 
     @pytest.mark.parametrize("amplitude", [0.01, 0.05, 0.1, 0.5, 1.0])
     def test_never_returns_unequal_edges(self, amplitude):
@@ -322,23 +360,37 @@ class TestResample:
                 continue
             resampled.validate()
 
+    @pytest.mark.parametrize("n", [64, 128, 512])
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2, 1.0])
+    def test_noisy_polygon_gets_equal_edges(self, n, sigma):
+        # noise of sigma edge lengths on every vertex of the n-gon
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            noisy = geo.PolyCurve(geo.make_circle(n).vertices
+                                  + sigma * (TWO_PI / n)
+                                  * rng.normal(size=(n, 2)))
+            resampled = geo.resample_arclength(noisy, n)
+            resampled.validate()
+            assert np.abs(resampled.centroid()).max() < 1e-15
+
     def test_round_off_stall_returns(self, monkeypatch):
         # far from the origin the edge lengths carry round-off near 1e-9,
-        # above the pass tolerance and below EDGE_SPREAD_TOL
+        # above RETRACT_TOL and below EDGE_SPREAD_TOL: the projection
+        # stops at the first Newton step that fails to halve the error
         far = geo.PolyCurve(geo.make_circle(256).vertices + 1e5)
-        passes = []
-        real = geo._closed_edge_lengths
+        frames = []
+        real = geo._TangentFrame
 
-        def counting(closed):
-            passes.append(1)
-            return real(closed)
+        def counting(edges, lengths):
+            frames.append(1)
+            return real(edges, lengths)
 
-        monkeypatch.setattr(geo, "_closed_edge_lengths", counting)
+        monkeypatch.setattr(geo, "_TangentFrame", counting)
         resampled = geo.resample_arclength(far, 256)
         lengths = resampled.edge_lengths()
         assert (lengths.max() - lengths.min()) / lengths.mean() \
             <= geo.EDGE_SPREAD_TOL
-        assert len(passes) < 10
+        assert 1 <= len(frames) <= 3
 
 
 class TestMetricQueries:

@@ -151,6 +151,15 @@ class TestProjection:
         projected.validate()
         assert np.abs(projected.centroid()).max() < 1e-12
 
+    def test_dependent_edge_constraints_raise(self):
+        # a doubly covered segment: the Sherman-Morrison denominator of
+        # its cyclic J J^T is exactly zero, which used to give NaNs
+        segment = geo.make_double_segment(64)
+        with pytest.raises(DegenerateCurveError, match="not independent"):
+            _frame(segment)
+        with pytest.raises(DegenerateCurveError, match="not independent"):
+            opt.maximize(4.0, segment, opt.OptimizeOptions(n=64, max_iters=5))
+
     def test_tangent_projection_kills_constraint_derivative(self):
         curve = geo.random_closed_curve(6, n=128)
         grad = opt.objective_grad(curve, 3.0)
@@ -289,14 +298,57 @@ class TestCanonicalize:
         assert np.abs(again.vertices - curve.vertices).max() < 1e-9
 
     def test_removes_rigid_motions(self):
-        curve = geo.make_ellipse(2, 256)
-        theta = 0.7
-        rot = np.array([[np.cos(theta), -np.sin(theta)],
-                        [np.sin(theta), np.cos(theta)]])
-        moved = geo.PolyCurve(curve.vertices @ rot.T + [3.0, -1.0])
-        a = opt.canonicalize(curve)
-        b = opt.canonicalize(moved)
-        assert np.abs(a.vertices - b.vertices).max() < 1e-9
+        # the ellipse is mirror-symmetric; the random curve has decisive
+        # third moments
+        for curve in (geo.make_ellipse(2, 256),
+                      geo.random_closed_curve(8, n=256)):
+            a = opt.canonicalize(curve)
+            for theta in (0.7, 2.5, 4.0, 5.5):
+                rot = np.array([[np.cos(theta), -np.sin(theta)],
+                                [np.sin(theta), np.cos(theta)]])
+                moved = geo.PolyCurve(curve.vertices @ rot.T + [3.0, -1.0])
+                b = opt.canonicalize(moved)
+                assert np.abs(a.vertices - b.vertices).max() < 1e-9
+
+    def test_removes_rigid_motions_of_the_p4_maximizer(self):
+        # the maximizer is symmetric under both reflections, so both
+        # third moments are round-off: the reflections must come from
+        # the orientation, not from which mirror vertex wins by 1e-16
+        init = opt.perturb_mode2(geo.make_circle(256), 0.05)
+        curve = opt.maximize(4.0, init, opt.OptimizeOptions(n=256)).curve
+        ref = opt.canonicalize(curve).vertices
+        rng = np.random.default_rng(0)
+        for shift in (0, 7) * 25:
+            theta = rng.uniform(0, 2 * np.pi)
+            rot = np.array([[np.cos(theta), -np.sin(theta)],
+                            [np.sin(theta), np.cos(theta)]])
+            moved = np.roll(curve.vertices, shift, axis=0) @ rot.T \
+                + [3.0, -1.0]
+            canon = opt.canonicalize(geo.PolyCurve(moved)).vertices
+            assert np.abs(canon - ref).max() < 1e-9
+
+    def test_mirror_pair_at_the_largest_x_goes_to_the_larger_y(self):
+        # a stretched 64-gon whose two rightmost vertices mirror each
+        # other across the major axis: their x agree to round-off
+        n = 64
+        t = (2 * np.arange(n) + 1) * np.pi / n
+        curve = geo.PolyCurve(np.column_stack([2 * np.cos(t), np.sin(t)]))
+        ref = opt.canonicalize(curve).vertices
+        assert ref[0, 1] > 0 and abs(ref[-1, 0] - ref[0, 0]) < 1e-9
+        rng = np.random.default_rng(1)
+        for shift in range(20):
+            theta = rng.uniform(0, 2 * np.pi)
+            rot = np.array([[np.cos(theta), -np.sin(theta)],
+                            [np.sin(theta), np.cos(theta)]])
+            moved = np.roll(curve.vertices, shift, axis=0) @ rot.T
+            canon = opt.canonicalize(geo.PolyCurve(moved)).vertices
+            assert np.abs(canon - ref).max() < 1e-9
+
+    def test_counterclockwise(self):
+        curve = geo.random_closed_curve(8, n=256)
+        for v in (curve.vertices, curve.vertices[::-1]):
+            x, y = opt.canonicalize(geo.PolyCurve(v)).vertices.T
+            assert np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0
 
     def test_rejects_space_curves(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ class DegenerateCurveError(ChordEnergyError, ValueError):
 
 
 class ParameterDomainError(ChordEnergyError, ValueError):
-    """Energy exponents outside the convergence region j < 2 + 1/p."""
+    """An argument or input outside its domain, e.g. j >= 2 + 1/p."""
 
 
 class KernelSingularityError(ChordEnergyError, ValueError):

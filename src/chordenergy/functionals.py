@@ -43,6 +43,9 @@ COINCIDENCE_TOL = 1e-12
 #: Gauss-Legendre nodes per panel of circle_bound's tail rule
 BOUND_NODES = 24
 
+#: end of circle_bound's series head, where its panels begin
+SERIES_CUT = 1e-4
+
 
 def require_finite_exponent(p: float) -> None:
     """Raise ParameterDomainError unless 0 < p < inf; NaN is refused too."""
@@ -85,7 +88,7 @@ class ChordKernel:
 
     The flags describe F(sqrt(x), y) as a function of x; they are
     caller-asserted metadata.  validate() spot-checks them on a sample
-    grid and raises ValueError on a violation.
+    grid and raises ParameterDomainError on a violation.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -103,12 +106,12 @@ class ChordKernel:
             vals = np.asarray([float(self.fn(math.sqrt(x), y)) for x in xs])
             dv = np.diff(vals)
             if self.decreasing and np.any(dv > 1e-9 * max(1, np.abs(vals).max())):
-                raise ValueError(
+                raise ParameterDomainError(
                     f"{self.name}: declared decreasing in squared chord "
                     f"but increases at y={y:.3f}")
             d2 = np.diff(vals, 2)
             if self.convex and np.any(d2 < -1e-7 * max(1, np.abs(vals).max())):
-                raise ValueError(
+                raise ParameterDomainError(
                     f"{self.name}: declared convex in squared chord "
                     f"but is concave at y={y:.3f}")
 
@@ -233,13 +236,13 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(BOUND_NODES)
 
 
-def circle_bound(params: EnergyParams, series_cut: float = 1e-4) -> float:
+def circle_bound(params: EnergyParams) -> float:
     """Sharp circle value 2^(3-jp) pi * int_0^(pi/2) (csc^j s - s^-j)^p ds.
 
-    Below series_cut the integrand is replaced by its leading behavior
+    Below SERIES_CUT the integrand is replaced by its leading behavior
     (j/6)^p * s^((2-j)p), integrated in closed form.  The rest is a
     BOUND_NODES-point Gauss-Legendre rule on the panels [c, 2c], [2c, 4c],
-    ... up to pi/2, with c = series_cut: 14 panels at the default.  Each
+    ... up to pi/2, with c = SERIES_CUT: 14 panels.  Each
     panel lies at least its own width from the integrand's singularity at
     0, so the rule converges there as on a smooth function.  The
     integrand is evaluated without cancellation (_bound_integrand), so
@@ -248,18 +251,15 @@ def circle_bound(params: EnergyParams, series_cut: float = 1e-4) -> float:
     At (j, p) = (2, 1), where the value is 4 exactly, the error is
     -1.4e-13, the truncation of the series head, against -9.1e-13 for
     adaptive quadrature of the subtracted form (scipy.integrate.quad at
-    tolerance 1e-12).  series_cut must lie in (0, pi/2).
+    tolerance 1e-12).
     """
-    if not 0 < series_cut < math.pi / 2:
-        raise ParameterDomainError(
-            f"need 0 < series_cut < pi/2, got {series_cut}")
     params.require_convergent()
     j, p = params.j, params.p
     expo = (2.0 - j) * p
     # leading term of (csc^j - s^-j)^p as s -> 0
-    head = (j / 6.0) ** p * series_cut ** (expo + 1) / (expo + 1)
-    ends = series_cut * 2.0 ** np.arange(
-        math.ceil(math.log2(math.pi / 2 / series_cut)))
+    head = (j / 6.0) ** p * SERIES_CUT ** (expo + 1) / (expo + 1)
+    ends = SERIES_CUT * 2.0 ** np.arange(
+        math.ceil(math.log2(math.pi / 2 / SERIES_CUT)))
     ends = np.append(ends[ends < math.pi / 2], math.pi / 2)
     mids = 0.5 * (ends[1:] + ends[:-1])
     halves = 0.5 * (ends[1:] - ends[:-1])

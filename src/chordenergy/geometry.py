@@ -7,13 +7,12 @@ spread below EDGE_SPREAD_TOL) and whose perimeter is exactly renormalized
 to 2*pi, so integrals over the curve become uniform Riemann sums with
 weight 2*pi/N.
 
-Two routines make the edges equal, each for one kind of input.  An
-analytic trace (make_ellipse, random_closed_curve) gets its vertices
-placed on the trace with equal chords (_inscribe_equal_chords).  A
-polygon (resample_arclength, and the optimizer's start curves and
-line-search trials) goes through Newton projection onto the edge
-constraints (_retract), whose tangent frame (_TangentFrame) binds
-LAPACK from scipy.linalg when the first one is built.
+Two routines make the edges equal.  An analytic trace (make_ellipse,
+random_closed_curve) gets vertices on the trace with equal chords
+(_inscribe_equal_chords); a polygon (resample_arclength, the optimizer's
+start curves and trials) is Newton-projected onto the edge constraints
+(_retract).  Both measure edges one way (_edges), respace by one
+equal-arclength pass (_equal_arclength) and stop by one rule (_settle).
 """
 
 from __future__ import annotations
@@ -41,12 +40,9 @@ EDGE_SPREAD_TOL = 1e-6
 #: pass cap and target edge spread of the equal-chord inscriber
 INSCRIBE_MAX_PASSES, INSCRIBE_TOL = 80, 1e-13
 
-#: target of the Newton projection onto the edge constraints (_retract):
-#: largest edge-length error relative to 2*pi/N
-RETRACT_TOL = 1e-14
-
-#: cap on the Newton steps of one projection
-RETRACT_MAX_STEPS = 20
+#: step cap and target of the Newton projection onto the edge constraints
+#: (_retract), on the largest edge-length error relative to 2*pi/N
+RETRACT_MAX_STEPS, RETRACT_TOL = 20, 1e-14
 
 
 @dataclass(frozen=True)
@@ -86,10 +82,10 @@ class PolyCurve:
 
     def edges(self) -> np.ndarray:
         """Edge vectors, edge i running from vertex i to vertex i+1."""
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return _edges(self.vertices)[0]
 
     def edge_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.edges(), axis=1)
+        return _edges(self.vertices)[1]
 
     def perimeter(self) -> float:
         return float(self.edge_lengths().sum())
@@ -227,10 +223,6 @@ def offset_chord_blocks(vertices: np.ndarray, ks):
         yield rows, _gather_squared_chords(windows, ks[rows])
 
 
-def _closed_edge_lengths(closed: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.diff(closed, axis=0), axis=1)
-
-
 def _next(a: np.ndarray) -> np.ndarray:
     """Rows shifted cyclically up by one: row i holds a[i + 1]."""
     return np.concatenate((a[1:], a[:1]))
@@ -239,9 +231,43 @@ def _next(a: np.ndarray) -> np.ndarray:
 def _edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge vectors v_{i+1} - v_i of a closed polygon and their lengths."""
     edges = _next(v) - v
-    # the arithmetic of np.linalg.norm(edges, axis=1), without its
-    # per-call overhead
-    return edges, np.sqrt(np.einsum("id,id->i", edges, edges))
+    # summed coordinate by coordinate, in the order of np.linalg.norm:
+    # its lengths bit for bit (an einsum sum differs in 3-D)
+    return edges, np.sqrt(sum((edges * edges).T))
+
+
+def _equal_arclength(lengths: np.ndarray, columns, m: int) -> list:
+    """Each of columns, values at the vertices of a closed polygon with
+    edge lengths lengths and again at its closing vertex, interpolated at
+    m points of equal arclength from vertex 0.  A polygon shorter than
+    1e-6 raises DegenerateCurveError."""
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    if cum[-1] < 1e-6:
+        raise DegenerateCurveError("curve perimeter collapsed below 1e-6")
+    targets = np.arange(m) * (cum[-1] / m)
+    return [np.interp(targets, cum, col) for col in columns]
+
+
+def _settle(state: tuple, step, tol: float, cap: int, error: type,
+            what: str) -> tuple:
+    """Apply step to state, a tuple ending in its relative error, until
+    the error is below tol, or at round-off: a step that fails to halve
+    it within EDGE_SPREAD_TOL returns the better of its two states.  An
+    error that grows beyond EDGE_SPREAD_TOL, or cap steps, raise error
+    with a message starting with what."""
+    for steps in range(cap + 1):
+        err = state[-1]
+        if err < tol:
+            return state
+        if steps == cap:
+            raise error(f"{what} {err:.3e} after {steps} steps")
+        new = step(state)
+        new_err = new[-1]
+        if new_err <= EDGE_SPREAD_TOL and not new_err <= 0.5 * err:
+            return new if new_err < err else state
+        if not new_err <= err:
+            raise error(f"{what} diverged: {err:.3e} -> {new_err:.3e}")
+        state = new
 
 
 #: LAPACK's factorization and solve of symmetric positive definite
@@ -319,42 +345,25 @@ def _retract(v: np.ndarray, h: float, frame: _TangentFrame | None):
 
     Each step is v <- v - J^T (J J^T)^-1 c(v) with c_i = |v_{i+1} - v_i| - h.
     The first uses frame, the frame of v already factored, when one is
-    given; each later one factors J at the new point.  The steps stop
-    once the largest |c_i| / h is below RETRACT_TOL, or at round-off:
-    when a step fails to halve it while it is within EDGE_SPREAD_TOL,
-    the better of the two points is kept.  An error that grows,
-    dependent constraints or RETRACT_MAX_STEPS steps raise
-    DegenerateCurveError.  Returns the vertices with the edge vectors
-    and lengths of their last check.
+    given; each later one factors J at the new point.  They stop by
+    _settle on max |c_i| / h; dependent constraints and _settle's
+    failures raise DegenerateCurveError.  Returns the vertices with the
+    edge vectors and lengths of their last check.
     """
-    edges, lengths = _edges(v)
-    resid = lengths - h
-    err = np.abs(resid).max() / h
-    for steps in range(RETRACT_MAX_STEPS + 1):
-        if err < RETRACT_TOL:
-            break
-        if steps == RETRACT_MAX_STEPS:
-            raise DegenerateCurveError(
-                f"edge constraints not met after {steps} Newton steps: "
-                f"relative error {err:.3e}")
-        if frame is None:
-            frame = _TangentFrame(edges, lengths)
-        new_v = v - frame.normal(resid)
+    def measured(v):
+        edges, lengths = _edges(v)
+        return v, edges, lengths, np.abs(lengths - h).max() / h
+
+    def newton(state):
+        nonlocal frame
+        v, edges, lengths, _ = state
+        normal = (frame or _TangentFrame(edges, lengths)).normal(lengths - h)
         frame = None
-        new_edges, new_lengths = _edges(new_v)
-        new_resid = new_lengths - h
-        new_err = np.abs(new_resid).max() / h
-        if not new_err <= 0.5 * err:
-            if new_err <= EDGE_SPREAD_TOL:
-                if new_err < err:
-                    v, edges, lengths = new_v, new_edges, new_lengths
-                break
-            if not new_err <= err:
-                raise DegenerateCurveError(
-                    f"Newton steps on the edge constraints diverged: "
-                    f"relative error {err:.3e} -> {new_err:.3e}")
-        v, edges, lengths, resid, err = \
-            new_v, new_edges, new_lengths, new_resid, new_err
+        return measured(v - normal)
+
+    v, edges, lengths, _ = _settle(
+        measured(v), newton, RETRACT_TOL, RETRACT_MAX_STEPS,
+        DegenerateCurveError, "Newton projection: edge-length error")
     # the arithmetic of v.mean(axis=0), without its per-call overhead
     return v - v.sum(axis=0) / v.shape[0], edges, lengths
 
@@ -367,20 +376,14 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     polyline and scales them to perimeter 2*pi; Newton projection onto
     the edge constraints (_retract) then makes the edges equal.  So an
     already equal-edge curve at fixed m maps to itself, up to its
-    centroid.  The first call binds scipy.linalg (_TangentFrame).  A
-    collapsed curve, dependent edge constraints or a projection that
-    does not converge raise DegenerateCurveError, so the result always
-    has unit speed.
+    centroid.  A collapsed curve, dependent edge constraints or a
+    projection that does not converge raise DegenerateCurveError, so the
+    result always has unit speed.
     """
     if m < MIN_VERTICES:
         raise InvalidDiscretizationError(f"need m >= {MIN_VERTICES}, got {m}")
     closed = np.vstack([curve.vertices, curve.vertices[:1]])
-    cum = np.concatenate([[0.0], np.cumsum(_closed_edge_lengths(closed))])
-    if cum[-1] < 1e-6:
-        raise DegenerateCurveError("curve perimeter collapsed below 1e-6")
-    targets = np.arange(m) * (cum[-1] / m)
-    pts = np.column_stack([np.interp(targets, cum, col)
-                           for col in closed.T])
+    pts = np.column_stack(_equal_arclength(curve.edge_lengths(), closed.T, m))
     pts *= TWO_PI / _edges(pts)[1].sum()
     return PolyCurve(_retract(pts, TWO_PI / m, None)[0])
 
@@ -416,9 +419,7 @@ def make_ellipse(axis_ratio: float, n: int) -> PolyCurve:
     def trace(t):
         return np.column_stack([axis_ratio * np.cos(t), np.sin(t)])
 
-    curve = PolyCurve(_inscribe_equal_chords(trace, n))
-    curve.validate()
-    return curve
+    return PolyCurve(_inscribe_equal_chords(trace, n))
 
 
 def make_double_segment(n: int) -> PolyCurve:
@@ -445,28 +446,25 @@ def _inscribe_equal_chords(trace, n: int, start=None) -> np.ndarray:
     Keeping the vertices on the analytic trace (rather than on its
     chords) preserves the exponential decay of the DFT spectrum, which
     the Fourier-side checks rely on.  start, when given, is the trace on
-    the uniform grid t_i = 2*pi*i/n: the points of the first pass.
+    the uniform grid t_i = 2*pi*i/n: the points of the first pass.  The
+    passes stop by _settle on the edge spread; its failures raise
+    InvalidDiscretizationError.
     """
+    def measured(t, pts):
+        lengths = _edges(pts)[1]
+        return t, pts, lengths, np.ptp(lengths) / (lengths.sum() / n)
+
+    def respace(state):
+        t, _, lengths, _ = state
+        t, = _equal_arclength(lengths, [np.append(t, t[0] + TWO_PI)], n)
+        return measured(t, trace(t))
+
     t = TWO_PI * np.arange(n) / n
-    previous = np.inf
-    for count in range(INSCRIBE_MAX_PASSES):
-        pts = start if count == 0 and start is not None else trace(t)
-        seg = _closed_edge_lengths(np.vstack([pts, pts[:1]]))
-        total = seg.sum()
-        if total < 1e-6:
-            raise DegenerateCurveError("curve perimeter collapsed below 1e-6")
-        spread = (seg.max() - seg.min()) / (total / n)
-        # the spread falls quadratically until it reaches round-off, then
-        # wanders there: stop at the first pass that does not halve it
-        if spread < INSCRIBE_TOL or spread > 0.5 * previous:
-            break
-        previous = spread
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        t_ext = np.concatenate([t, [t[0] + TWO_PI]])
-        targets = np.arange(n) * (total / n)
-        t = np.interp(targets, cum, t_ext)
-    # total is the perimeter of pts: the last pass moved t, not pts
-    return pts * (TWO_PI / total)
+    _, pts, lengths, _ = _settle(
+        measured(t, trace(t) if start is None else start), respace,
+        INSCRIBE_TOL, INSCRIBE_MAX_PASSES, InvalidDiscretizationError,
+        "equal-chord inscription: edge spread")
+    return pts * (TWO_PI / lengths.sum())
 
 
 #: points of the speed grid on which random_closed_curve rejects draws
@@ -493,7 +491,8 @@ def random_closed_curve(seed: int, K: int = 6, amplitude_decay: float = 0.4,
     Coefficients for harmonic k have magnitude proportional to
     amplitude_decay**|k|; vertices are placed on the smooth trace with
     equal chord lengths and perimeter 2*pi.  Deterministic per seed;
-    degenerate draws (perimeter below 1e-6 before normalization) fall
+    draws whose speed dips below 0.35 of its mean, and draws the
+    inscriber rejects (a perimeter below 1e-6, or unequal edges), fall
     through to the next substream.  The cos and sin of the SPEED_GRID
     speed grid and of the inscriber's first, uniform pass come from a
     small read-only cache keyed by grid size and K (_harmonic_table);
@@ -520,15 +519,13 @@ def random_closed_curve(seed: int, K: int = 6, amplitude_decay: float = 0.4,
 
         da = -sin_dense * ks @ a + cos_dense * ks @ b
         speed = np.linalg.norm(da, axis=1)
-        perim = float(np.trapezoid(
-            np.append(speed, speed[0]), dx=TWO_PI / SPEED_GRID))
-        if perim < 1e-6 or speed.min() < 0.35 * speed.mean():
+        if speed.min() < 0.35 * speed.mean():
             continue
         cos_n, sin_n = _harmonic_table(n, K)
         try:
             return PolyCurve(_inscribe_equal_chords(
                 trace, n, start=cos_n @ a + sin_n @ b))
-        except DegenerateCurveError:
+        except (DegenerateCurveError, InvalidDiscretizationError):
             continue
     raise DegenerateCurveError(
         f"no non-degenerate sample found for seed {seed}")

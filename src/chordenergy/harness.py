@@ -53,13 +53,12 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         payload = json.loads(text)
         if not isinstance(payload, dict):
-            raise ValueError("config JSON must be an object")
+            raise ParameterDomainError("config JSON must be an object")
         # configs of earlier versions carry a seed that nothing read
         payload.pop("seed", None)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
+        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+            raise ParameterDomainError(f"unknown config fields: {unknown}")
         if "fine_grid" in payload:
             payload["fine_grid"] = tuple(payload["fine_grid"])
         return cls(**payload)
@@ -127,7 +126,7 @@ class VerificationReport:
 def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationReport:
     """Run every cross-module inequality suite on seeded random curves."""
     if n_curves < 1:
-        raise ValueError(f"need n_curves >= 1, got {n_curves}")
+        raise ParameterDomainError(f"need n_curves >= 1, got {n_curves}")
     report = VerificationReport()
     curves = [geo.random_closed_curve(seed + i, n=n) for i in range(n_curves)]
     curves3 = [geo.random_closed_curve(seed + 1000 + i, n=n, dim=3)
@@ -196,7 +195,7 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     rng = np.random.default_rng(seed)
     ks = rng.integers(2, 51, size=10000)
     thetas = rng.uniform(-10, 10, size=10000)
-    viol = np.sin(ks * thetas) ** 2 - ks ** 2 * np.sin(thetas) ** 2
+    viol = np.subtract(*spec.trig_lemma_check(ks, thetas))
     report.add("sin^2(k theta) <= k^2 sin^2(theta)", viol.max() <= 1e-9,
                float(viol.max()), 0.0, 1e-9)
     worst_tetra = np.inf
@@ -316,7 +315,7 @@ def read_sweep_csv(path) -> list[shp.SweepRecord]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames not in SWEEP_COLUMNS.values():
-            raise ValueError(f"unexpected sweep CSV header {reader.fieldnames}")
+            raise ParameterDomainError(f"bad CSV header {reader.fieldnames}")
         for row in reader:
             extra = {}
             if "iterations" in row:

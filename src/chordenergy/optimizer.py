@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DegenerateCurveError, SingularGradientError
+from .errors import DegenerateCurveError, InvalidDiscretizationError, \
+    ParameterDomainError, SingularGradientError
 from .geometry import TWO_PI, PolyCurve, _edges, _retract, _TangentFrame, \
     make_circle, resample_arclength, squared_chord_matrix
 from .functionals import circle_avg_chord, require_finite_exponent, \
@@ -60,13 +61,13 @@ class OptimizeOptions:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError(f"need max_iters >= 1, got {self.max_iters}")
+            raise ParameterDomainError(f"need max_iters > 0: {self.max_iters}")
         if not self.tol_grad > 0:
-            raise ValueError(f"need a positive tol_grad, got {self.tol_grad}")
+            raise ParameterDomainError(f"need tol_grad > 0: {self.tol_grad}")
         if self.n < 32:
-            raise ValueError(f"need n >= 32, got {self.n}")
+            raise InvalidDiscretizationError(f"need n >= 32, got {self.n}")
         if not math.isfinite(self.perturb):
-            raise ValueError(f"need a finite perturb, got {self.perturb}")
+            raise ParameterDomainError(f"need finite perturb: {self.perturb}")
 
 
 class Termination(enum.Enum):
@@ -233,7 +234,7 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
     """
     v = curve.vertices - curve.vertices.mean(axis=0)
     if curve.dim != 2:
-        raise ValueError("canonicalize handles planar curves only")
+        raise InvalidDiscretizationError("canonicalize needs a planar curve")
     _, vecs = np.linalg.eigh(v.T @ v)
     axis = vecs[:, -1]
     if np.sum((v @ axis) ** 3) < -1e-9:
@@ -286,7 +287,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     """
     require_finite_exponent(p)
     if init.dim != 2:
-        raise ValueError("optimization is restricted to planar curves")
+        raise InvalidDiscretizationError("maximize needs a planar curve")
     v = project(init).vertices
     h = TWO_PI / v.shape[0]
     edges, lengths = _edges(v)
@@ -359,7 +360,7 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     """
     p_grid = list(p_grid)
     if sorted(p_grid) != p_grid:
-        raise ValueError("p_grid must be sorted ascending")
+        raise ParameterDomainError("p_grid must be sorted ascending")
     records = []
     current = make_circle(opts.n)
     for p in p_grid:

@@ -8,10 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PolyCurve
+from .errors import InvalidDiscretizationError
+from .geometry import PolyCurve, _edges
 
 #: sentinel for ratios of collapsed curves
 INFINITE_RATIO = math.inf
+
+#: directions, spanning a half turn, at which width_ratio probes widths
+WIDTH_ANGLES = 180
 
 
 @dataclass(frozen=True)
@@ -48,14 +52,12 @@ class SweepRecord:
     curve: PolyCurve | None = field(default=None, compare=False, repr=False)
 
 
-def width_ratio(curve: PolyCurve, m_angles: int = 180) -> float:
+def width_ratio(curve: PolyCurve) -> float:
     """Ratio of the widest and narrowest 1-D projections of a planar
-    curve, probed at m_angles directions spanning a half turn."""
+    curve, probed at WIDTH_ANGLES directions spanning a half turn."""
     if curve.dim != 2:
-        raise ValueError("width_ratio needs a planar curve")
-    if m_angles < 90:
-        raise ValueError(f"need m_angles >= 90, got {m_angles}")
-    theta = np.pi * np.arange(m_angles) / m_angles
+        raise InvalidDiscretizationError("width_ratio needs a planar curve")
+    theta = np.pi * np.arange(WIDTH_ANGLES) / WIDTH_ANGLES
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     proj = curve.vertices @ dirs.T
     widths = proj.max(axis=0) - proj.min(axis=0)
@@ -75,7 +77,7 @@ def fit_conic(curve: PolyCurve) -> ConicFit:
     degenerate (non-elliptic) fit rather than an error.
     """
     if curve.dim != 2:
-        raise ValueError("fit_conic needs a planar curve")
+        raise InvalidDiscretizationError("fit_conic needs a planar curve")
     x, y = curve.vertices[:, 0], curve.vertices[:, 1]
     design = np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
     _, sing, vt = np.linalg.svd(design, full_matrices=False)
@@ -99,15 +101,13 @@ def fit_conic(curve: PolyCurve) -> ConicFit:
 def _point_polyline_dist(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Distance from each point to a closed polyline, via projection
     onto every segment."""
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
+    ab = _edges(poly)[0]
     denom = np.sum(ab ** 2, axis=1)
     denom = np.where(denom == 0, 1.0, denom)
     # points (m, d) against segments (n, d)
-    ap = points[:, None, :] - a[None, :, :]
+    ap = points[:, None, :] - poly[None, :, :]
     t = np.clip(np.sum(ap * ab[None, :, :], axis=2) / denom[None, :], 0, 1)
-    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    closest = poly[None, :, :] + t[:, :, None] * ab[None, :, :]
     d = np.linalg.norm(points[:, None, :] - closest, axis=2)
     return d.min(axis=1)
 

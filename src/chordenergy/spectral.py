@@ -132,11 +132,13 @@ def deficit_direct(curve: PolyCurve, k):
     return float(rho[0]) if np.ndim(k) == 0 else rho
 
 
-def trig_lemma_check(k: int, theta: float) -> tuple[float, float]:
-    """Both sides of sin^2(k theta) <= k^2 sin^2(theta) for integer k >= 2."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    return float(np.sin(k * theta) ** 2), float(k ** 2 * np.sin(theta) ** 2)
+def trig_lemma_check(k, theta):
+    """Both sides of sin^2(k theta) <= k^2 sin^2(theta) for integers
+    k >= 2: floats, or arrays for stacked k and theta."""
+    if np.min(k) < 2:
+        raise ParameterDomainError(f"need k >= 2, got {np.min(k)}")
+    lhs, rhs = np.sin(k * theta) ** 2, k ** 2 * np.sin(theta) ** 2
+    return (float(lhs), float(rhs)) if np.ndim(lhs) == 0 else (lhs, rhs)
 
 
 def tetra_check(A, B, C, D):

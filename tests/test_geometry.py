@@ -19,6 +19,54 @@ class TestPolyCurve:
         with pytest.raises(InvalidDiscretizationError, match="finite"):
             geo.PolyCurve(v).validate()
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_edge_lengths_are_norm_bit_for_bit(self, dim):
+        # geometry measures edges in one place, with the arithmetic of
+        # np.linalg.norm; einsum's differs in the last bits in 3-D
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            v = rng.normal(size=(257, dim))
+            edges = np.roll(v, -1, axis=0) - v
+            norms = np.linalg.norm(edges, axis=1)
+            curve = geo.PolyCurve(v)
+            assert np.array_equal(curve.edges(), edges)
+            assert np.array_equal(curve.edge_lengths(), norms)
+            assert np.array_equal(geo._edges(v)[1], norms)
+
+
+class TestSettle:
+    """The stop rule shared by the Newton projection and the inscriber,
+    on scripted error sequences: state i carries the error errs[i]."""
+
+    @staticmethod
+    def _settle(errs, tol=1e-14, cap=200):
+        def step(state):
+            return state[0] + 1, errs[state[0] + 1]
+        return geo._settle((0, errs[0]), step, tol, cap,
+                           InvalidDiscretizationError, "error")
+
+    def test_stops_below_the_tolerance(self):
+        assert self._settle([1e-2, 1e-5, 1e-15, 1.0]) == (2, 1e-15)
+
+    def test_linear_convergence_goes_on_to_edge_spread_tol(self):
+        # a factor 0.75 per step never halves the error: the rule keeps
+        # stepping while the error is above EDGE_SPREAD_TOL
+        errs = [0.5 * 0.75 ** i for i in range(60)]
+        index, err = self._settle(errs)
+        assert err <= geo.EDGE_SPREAD_TOL < errs[index - 1]
+
+    @pytest.mark.parametrize("last, kept", [(2e-9, 1), (0.8e-9, 2)])
+    def test_keeps_the_better_state_at_round_off(self, last, kept):
+        assert self._settle([1e-4, 1e-9, last, 0.0])[0] == kept
+
+    def test_growth_beyond_edge_spread_tol_raises(self):
+        with pytest.raises(InvalidDiscretizationError, match="diverged"):
+            self._settle([1e-3, 2e-3, 0.0])
+
+    def test_cap_raises(self):
+        with pytest.raises(InvalidDiscretizationError, match="after 3 steps"):
+            self._settle([1e-1, 0.9e-1, 0.8e-1, 0.7e-1, 0.0], cap=3)
+
 
 class TestMakeCircle:
     def test_below_minimum_raises(self):
@@ -59,10 +107,23 @@ class TestMakeEllipse:
 
     def test_unequal_inscribed_edges_raise(self):
         # at odd n the inscriber's passes shrink the spread of a
-        # stretched ellipse by about a quarter each, and it stops at
-        # the first pass that does not halve it
+        # stretched ellipse by about a quarter each, and at (8, 9) the
+        # pass cap comes first
         with pytest.raises(InvalidDiscretizationError, match="spread"):
             geo.make_ellipse(8, 9)
+
+    def test_unequal_inscribed_edges_raise_at_the_pass_cap(self):
+        with pytest.raises(InvalidDiscretizationError,
+                           match=f"after {geo.INSCRIBE_MAX_PASSES} steps"):
+            geo.make_ellipse(8, 9)
+
+    @pytest.mark.parametrize("ratio, n", [(3, 9), (4, 15), (6, 63), (8, 33),
+                                          (10, 127), (20, 511)])
+    def test_linearly_converging_inscription_gets_equal_edges(self, ratio,
+                                                             n):
+        # the spread shrinks by a constant factor above one half per
+        # pass; the inscriber used to stop at the first such pass
+        geo.make_ellipse(ratio, n).validate()
 
     @pytest.mark.parametrize("n", [8, 256, 1024])
     @pytest.mark.parametrize("ratio", [1, 2, 8, 100])
@@ -118,6 +179,20 @@ class TestRandomClosedCurve:
         c = geo.random_closed_curve(2, n=256, dim=3)
         assert c.dim == 3
         c.validate()
+
+    @pytest.mark.parametrize("seed", [131, 140])
+    def test_small_odd_n_gets_equal_edges(self, seed):
+        # relative edge spreads 0.17 and 0.25 under the inscriber's
+        # earlier stop rule, which ended at the first pass that did not
+        # halve the spread
+        geo.random_closed_curve(seed, n=9).validate()
+
+    def test_draws_the_inscriber_rejects_fall_through(self, monkeypatch):
+        # with two passes no draw reaches equal edges: each substream's
+        # InvalidDiscretizationError is skipped, and the seed runs out
+        monkeypatch.setattr(geo, "INSCRIBE_MAX_PASSES", 2)
+        with pytest.raises(DegenerateCurveError, match="no non-degenerate"):
+            geo.random_closed_curve(1, n=64)
 
     def test_inscriber_stops_at_round_off(self, monkeypatch):
         # the edge spread falls quadratically to ~1e-13 by the sixth

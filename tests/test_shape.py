@@ -17,11 +17,9 @@ class TestWidthRatio:
     def test_collapsed_curve_is_infinite(self, double_segment512):
         assert shp.width_ratio(double_segment512) == shp.INFINITE_RATIO
 
-    def test_input_validation(self, circle256):
+    def test_input_validation(self):
         with pytest.raises(ValueError):
             shp.width_ratio(geo.random_closed_curve(1, n=128, dim=3))
-        with pytest.raises(ValueError):
-            shp.width_ratio(circle256, m_angles=10)
 
 
 class TestConicFit:

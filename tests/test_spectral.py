@@ -210,6 +210,18 @@ class TestPointwiseLemmas:
     def test_trig_lemma_rejects_small_k(self):
         with pytest.raises(ValueError):
             spec.trig_lemma_check(1, 0.3)
+        with pytest.raises(ParameterDomainError):
+            spec.trig_lemma_check(np.array([2, 5, 1]), np.zeros(3))
+
+    def test_trig_lemma_stacked_equals_single_calls(self):
+        rng = np.random.default_rng(2)
+        ks = rng.integers(2, 51, size=100)
+        thetas = rng.uniform(-10, 10, size=100)
+        lhs, rhs = spec.trig_lemma_check(ks, thetas)
+        assert lhs.shape == rhs.shape == (100,)
+        for k, theta, left, right in zip(ks, thetas, lhs, rhs):
+            assert spec.trig_lemma_check(int(k), float(theta)) \
+                == (left, right)
 
     def test_tetra_random_quadruples(self):
         rng = np.random.default_rng(1)

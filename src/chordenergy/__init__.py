@@ -17,8 +17,6 @@ from .errors import (
 )
 from .geometry import (
     PolyCurve,
-    arc_distance,
-    chord,
     lambda_chord,
     load_curve,
     make_circle,

@@ -108,11 +108,10 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = harness.ExperimentConfig(p_min=args.p_min, p_max=args.p_max,
-                                    p_step=args.step).p_grid()
-    opts = opt.OptimizeOptions(n=args.n, max_iters=args.max_iters,
-                               perturb=args.perturb)
-    records = opt.sweep(grid, opts)
+    config = harness.ExperimentConfig(
+        p_min=args.p_min, p_max=args.p_max, p_step=args.step, n=args.n,
+        max_iters=args.max_iters, perturb=args.perturb)
+    records = opt.sweep(config.p_grid(), config.options)
     harness.write_sweep_csv(records, args.out)
     if not args.quiet:
         print(f"wrote {len(records)} rows to {args.out}")
@@ -152,6 +151,7 @@ def cmd_figures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = opt.OptimizeOptions()
     parser = argparse.ArgumentParser(
         prog="chordenergy",
         description="Chord functionals on discrete closed curves: "
@@ -188,17 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("deficit", help="Wirtinger deficit profile as CSV")
     s.add_argument("--curve", required=True)
-    group = s.add_mutually_exclusive_group()
-    # the series is the default; --series is accepted to say so
-    group.add_argument("--series", action="store_true")
-    group.add_argument("--direct", action="store_true")
+    s.add_argument("--direct", action="store_true")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_deficit)
 
     s = sub.add_parser("maximize", help="maximize the chord-power mean")
     s.add_argument("--p", type=float, required=True)
-    s.add_argument("--max-iters", type=int, default=2000)
-    s.add_argument("--perturb", type=float, default=0.05)
+    s.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    s.add_argument("--perturb", type=float, default=defaults.perturb)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_maximize)
 
@@ -206,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-min", type=float, required=True)
     s.add_argument("--p-max", type=float, required=True)
     s.add_argument("--step", type=float, default=0.05)
-    s.add_argument("--max-iters", type=int, default=2000)
-    s.add_argument("--perturb", type=float, default=0.05)
+    s.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    s.add_argument("--perturb", type=float, default=defaults.perturb)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sweep)
 

@@ -4,10 +4,11 @@ Everything here is a uniform double Riemann sum over the parameter grid
 t_i = 2*pi*i/N with weight (2*pi/N)^2, diagonal excluded where the
 integrand is singular.  The arc of a vertex pair depends on its grid
 offset k = j - i alone, and offsets k and N - k hold the same chords, so
-the sums over pairs walk the offsets k = 1..N/2 of one exact-difference
-chord table, a block of offsets at a time.  The circle reference values
-come from a fixed Gauss-Legendre rule on geometrically graded panels of
-the corresponding closed-form integrals.
+the sums over pairs walk the offsets k = 1..N/2 of the exact-difference
+chord table of geometry.offset_chord_blocks, a block of offsets at a
+time; only avg_chord_p reads the Gram table, squared_chord_matrix.  The
+circle reference values come from a fixed Gauss-Legendre rule on
+geometrically graded panels of the corresponding closed-form integrals.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ BOUND_NODES = 24
 
 #: end of circle_bound's series head, where its panels begin
 SERIES_CUT = 1e-4
+
+#: squared chords per arc, and arcs, on ChordKernel.validate's sample grid
+KERNEL_CHORDS, KERNEL_ARCS = 64, 16
 
 
 def require_finite_exponent(p: float) -> None:
@@ -99,10 +103,10 @@ class ChordKernel:
     def __call__(self, x, y):
         return self.fn(x, y)
 
-    def validate(self, n_x: int = 64, n_y: int = 16) -> None:
-        ys = np.linspace(0.2, np.pi - 0.2, n_y)
+    def validate(self) -> None:
+        ys = np.linspace(0.2, np.pi - 0.2, KERNEL_ARCS)
         for y in ys:
-            xs = np.linspace(1e-3 * y**2, y**2 * (1 - 1e-6), n_x)
+            xs = np.linspace(1e-3 * y**2, y**2 * (1 - 1e-6), KERNEL_CHORDS)
             vals = np.asarray([float(self.fn(math.sqrt(x), y)) for x in xs])
             dv = np.diff(vals)
             if self.decreasing and np.any(dv > 1e-9 * max(1, np.abs(vals).max())):
@@ -200,7 +204,7 @@ def renorm_energy(curve: PolyCurve, kernel: ChordKernel) -> float:
         if bad.any():
             r, i = np.unravel_index(np.argmax(bad), bad.shape)
             raise KernelSingularityError(
-                int(i), int((i + ks[rows][r]) % n), float("nan"))
+                int(i), int((i + ks[rows][r]) % n), float(vals[r, i]))
         total += weights[rows] @ vals.sum(axis=1)
     return float((TWO_PI / n) ** 2 * total)
 

@@ -50,7 +50,7 @@ class PolyCurve:
     """Closed polygon approximating a unit-speed curve of length 2*pi.
 
     vertices has shape (n, dim) with dim 2 or 3; row i is the point at
-    parameter 2*pi*i/n.  Indexing is cyclic: vertex(i) == vertex(i + n).
+    parameter 2*pi*i/n, and indices are cyclic: vertex n is vertex 0.
     """
 
     vertices: np.ndarray
@@ -76,9 +76,6 @@ class PolyCurve:
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-    def vertex(self, i: int) -> np.ndarray:
-        return self.vertices[i % self.n]
 
     def edges(self) -> np.ndarray:
         """Edge vectors, edge i running from vertex i to vertex i+1."""
@@ -107,19 +104,6 @@ class PolyCurve:
             raise InvalidDiscretizationError(
                 f"edge-length relative spread {spread:.3e} exceeds {EDGE_SPREAD_TOL}"
             )
-
-
-def chord(curve: PolyCurve, i: int, k: int) -> float:
-    """Straight-line distance between vertices i and i+k."""
-    return float(np.linalg.norm(curve.vertex(i + k) - curve.vertex(i)))
-
-
-def arc_distance(curve: PolyCurve, i: int, k: int) -> float:
-    """Shorter distance along the curve between vertices i and i+k.
-
-    Always in [0, pi] since the curve has length 2*pi.
-    """
-    return float(offset_arcs(curve.n, k))
 
 
 def lambda_chord(s):
@@ -163,38 +147,6 @@ def squared_chord_matrix(vertices: np.ndarray, others=None,
 OFFSET_BLOCK = 1 << 14
 
 
-def _cyclic_windows(vertices: np.ndarray) -> np.ndarray:
-    """Read-only (dim, n, n) view W of the doubled coordinate rows, with
-    W[d, k] the d-th coordinate column rolled by -k; W[:, 0] is v.T."""
-    n = vertices.shape[0]
-    doubled = np.concatenate([vertices, vertices]).T.copy()
-    row, item = doubled.strides
-    return as_strided(doubled, (doubled.shape[0], n, n), (row, item, item),
-                      writeable=False)
-
-
-def _gather_squared_chords(windows: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    diff = windows[:, ks]
-    diff -= windows[:, :1]
-    diff *= diff
-    # summed coordinate by coordinate, in the order of np.linalg.norm
-    table = diff[0]
-    for sq in diff[1:]:
-        table += sq
-    return table
-
-
-def offset_squared_chords(vertices: np.ndarray, ks) -> np.ndarray:
-    """Squared chords |v_{i+k} - v_i|^2 (indices cyclic) for each offset k
-    in ks, as a (len(ks), n) array; row r holds offset ks[r].
-
-    Built from exact vertex differences, so short chords keep full
-    relative precision, unlike the Gram form of squared_chord_matrix.
-    """
-    ks = np.atleast_1d(np.asarray(ks)) % vertices.shape[0]
-    return _gather_squared_chords(_cyclic_windows(vertices), ks)
-
-
 def half_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets k = 1..floor(n/2) and how many ordered vertex pairs each
     stands for: offsets k and n - k hold the same chords, so weight 2,
@@ -213,14 +165,30 @@ def offset_arcs(n: int, ks) -> np.ndarray:
 
 
 def offset_chord_blocks(vertices: np.ndarray, ks):
-    """Yield (rows, table) over the offsets ks, a block at a time: table
-    is offset_squared_chords(vertices, ks[rows])."""
-    windows = _cyclic_windows(vertices)
-    ks = np.asarray(ks) % vertices.shape[0]
-    step = max(1, OFFSET_BLOCK // vertices.shape[0])
+    """Yield (rows, table) over the offsets ks, a block at a time: row r
+    of table holds the squared chords |v_{i+k} - v_i|^2, indices cyclic,
+    of the offset k = ks[rows][r].  The one builder of chords by offset:
+    exact vertex differences keep short chords at full relative
+    precision, unlike the Gram form of squared_chord_matrix."""
+    n, dim = vertices.shape
+    # windows[d, k] is the d-th coordinate column rolled by -k: a
+    # read-only view of the doubled coordinate rows
+    doubled = np.concatenate([vertices, vertices]).T.copy()
+    row, item = doubled.strides
+    windows = as_strided(doubled, (dim, n, n), (row, item, item),
+                         writeable=False)
+    ks = np.asarray(ks) % n
+    step = max(1, OFFSET_BLOCK // n)
     for start in range(0, len(ks), step):
         rows = slice(start, start + step)
-        yield rows, _gather_squared_chords(windows, ks[rows])
+        diff = windows[:, ks[rows]]
+        diff -= windows[:, :1]
+        diff *= diff
+        # summed coordinate by coordinate, in the order of np.linalg.norm
+        table = diff[0]
+        for sq in diff[1:]:
+            table += sq
+        yield rows, table
 
 
 def _next(a: np.ndarray) -> np.ndarray:
@@ -470,6 +438,9 @@ def _inscribe_equal_chords(trace, n: int, start=None) -> np.ndarray:
 #: points of the speed grid on which random_closed_curve rejects draws
 SPEED_GRID = 4096
 
+#: coefficient scale ratio of successive harmonics in random_closed_curve
+AMPLITUDE_DECAY = 0.4
+
 
 @lru_cache(maxsize=8)
 def _harmonic_table(m: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -484,12 +455,12 @@ def _harmonic_table(m: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def random_closed_curve(seed: int, K: int = 6, amplitude_decay: float = 0.4,
-                        n: int = 512, dim: int = 2) -> PolyCurve:
+def random_closed_curve(seed: int, K: int = 6, n: int = 512,
+                        dim: int = 2) -> PolyCurve:
     """Random smooth closed curve from Fourier modes up to harmonic K.
 
     Coefficients for harmonic k have magnitude proportional to
-    amplitude_decay**|k|; vertices are placed on the smooth trace with
+    AMPLITUDE_DECAY**|k|; vertices are placed on the smooth trace with
     equal chord lengths and perimeter 2*pi.  Deterministic per seed;
     draws whose speed dips below 0.35 of its mean, and draws the
     inscriber rejects (a perimeter below 1e-6, or unequal edges), fall
@@ -505,7 +476,7 @@ def random_closed_curve(seed: int, K: int = 6, amplitude_decay: float = 0.4,
     cos_dense, sin_dense = _harmonic_table(SPEED_GRID, K)
     for attempt in range(32):
         rng = np.random.default_rng((seed, attempt))
-        scale = 0.25 * amplitude_decay ** ks[:, None]
+        scale = 0.25 * AMPLITUDE_DECAY ** ks[:, None]
         a = rng.normal(size=(K, dim)) * scale
         b = rng.normal(size=(K, dim)) * scale
         # base circle in the first two coordinates keeps the speed bounded
@@ -543,16 +514,18 @@ def save_curve(curve: PolyCurve, path) -> None:
 
 
 def load_curve(path) -> PolyCurve:
-    """Read a curve JSON file and check the unit-speed invariants."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    missing = [key for key in ("dim", "n", "vertices")
-               if not isinstance(payload, dict) or key not in payload]
-    if missing:
+    """Read a curve JSON file and check the unit-speed invariants.  A file
+    that is not JSON, lacks a key, or holds vertices that are not a table
+    of numbers raises InvalidDiscretizationError."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        vertices = np.asarray(payload["vertices"], dtype=float)
+        shape = (payload["n"], payload["dim"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDiscretizationError(
-            f"curve file lacks the keys {missing}")
-    vertices = np.asarray(payload["vertices"], dtype=float)
-    if vertices.shape != (payload["n"], payload["dim"]):
+            f"malformed curve file ({type(exc).__name__}: {exc})") from exc
+    if vertices.shape != shape:
         raise InvalidDiscretizationError(
             "vertex array shape disagrees with declared n/dim")
     curve = PolyCurve(vertices)

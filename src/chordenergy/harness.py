@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,33 +26,63 @@ FORMAT_VERSION = 3
 #: floats are written with 17 significant digits so CSV/JSON round-trip
 FLOAT_FMT = "%.17g"
 
+#: width and height of the SVG figures, in pixels
+SVG_SIZE = 800
+
+
+def _require_number(name: str, value, kinds: tuple) -> None:
+    """Raise ParameterDomainError unless value, not a bool, is a finite
+    instance of kinds; numpy integers fail, as json cannot write them."""
+    if isinstance(value, bool) or not isinstance(value, kinds) \
+            or not math.isfinite(value):
+        raise ParameterDomainError(
+            f"config field {name} must be a finite "
+            f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of a sweep/figures run, round-trippable as JSON."""
+    """Parameters of a sweep/figures run, round-trippable as JSON.  Making
+    one checks every field and builds options, its OptimizeOptions."""
 
     p_min: float = 1.0
     p_max: float = 4.0
     p_step: float = 0.05
     fine_grid: tuple = ()
-    n: int = 256
-    max_iters: int = 2000
-    perturb: float = 0.05
+    n: int = opt.OptimizeOptions.n
+    max_iters: int = opt.OptimizeOptions.max_iters
+    perturb: float = opt.OptimizeOptions.perturb
     version: int = FORMAT_VERSION
 
     def __post_init__(self):
+        for name in ("p_min", "p_max", "p_step", "perturb"):
+            _require_number(name, getattr(self, name), (int, float))
+        for name in ("n", "max_iters", "version"):
+            _require_number(name, getattr(self, name), (int,))
+        if not isinstance(self.fine_grid, (list, tuple)):
+            raise ParameterDomainError(
+                f"config field fine_grid must be a list: {self.fine_grid!r}")
+        object.__setattr__(self, "fine_grid", tuple(self.fine_grid))
+        for p in self.fine_grid:
+            _require_number("fine_grid", p, (int, float))
         if not self.p_step > 0:
             raise ParameterDomainError(
                 f"need a positive p_step, got {self.p_step}")
+        if not 1 <= self.version <= FORMAT_VERSION:
+            raise ParameterDomainError(
+                f"unknown config version {self.version}")
+        object.__setattr__(self, "options", opt.OptimizeOptions(
+            n=self.n, max_iters=self.max_iters, perturb=self.perturb))
 
     def to_json(self) -> str:
-        payload = dict(self.__dict__)
-        payload["fine_grid"] = list(self.fine_grid)
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise ParameterDomainError(f"config is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ParameterDomainError("config JSON must be an object")
         # configs of earlier versions carry a seed that nothing read
@@ -59,8 +90,6 @@ class ExperimentConfig:
         unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
             raise ParameterDomainError(f"unknown config fields: {unknown}")
-        if "fine_grid" in payload:
-            payload["fine_grid"] = tuple(payload["fine_grid"])
         return cls(**payload)
 
     def p_grid(self) -> list[float]:
@@ -221,16 +250,16 @@ def _svg_path(points, closed: bool) -> str:
     return f'<path d="{d}" fill="none" stroke="black" stroke-width="1.5"/>'
 
 
-def _write_svg(path, size: int, elements) -> None:
+def _write_svg(path, elements) -> None:
     """Write an SVG document of the given elements to path."""
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">',
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+             f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
              *elements, "</svg>"]
     with open(path, "w") as fh:
         fh.write("\n".join(parts))
 
 
-def emit_svg(curves, labels, path, size: int = 800) -> None:
+def emit_svg(curves, labels, path) -> None:
     """Write planar curves into one SVG document with a shared scale."""
     curves = list(curves)
     labels = list(labels)
@@ -240,12 +269,12 @@ def emit_svg(curves, labels, path, size: int = 800) -> None:
         lo = allpts.min(axis=0)
         hi = allpts.max(axis=0)
         span = max(float((hi - lo).max()), 1e-12)
-        margin = 0.08 * size
+        margin = 0.08 * SVG_SIZE
 
         def to_px(pts):
-            scaled = (pts - (lo + hi) / 2) / span * (size - 2 * margin)
-            x = scaled[:, 0] + size / 2
-            y = size / 2 - scaled[:, 1]
+            scaled = (pts - (lo + hi) / 2) / span * (SVG_SIZE - 2 * margin)
+            x = scaled[:, 0] + SVG_SIZE / 2
+            y = SVG_SIZE / 2 - scaled[:, 1]
             return np.column_stack([x, y])
 
         for curve, label in zip(curves, labels):
@@ -254,10 +283,10 @@ def emit_svg(curves, labels, path, size: int = 800) -> None:
             lx, ly = px[0]
             elements.append(f'<text x="{lx + 4:.2f}" y="{ly - 4:.2f}" '
                             f'font-size="14">{label}</text>')
-    _write_svg(path, size, elements)
+    _write_svg(path, elements)
 
 
-def _polyline_svg(xs, ys, path, xlabel, ylabel, size: int = 800) -> None:
+def _polyline_svg(xs, ys, path, xlabel, ylabel) -> None:
     """Minimal scatter/line plot as SVG (axes, ticks omitted on purpose)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -270,17 +299,17 @@ def _polyline_svg(xs, ys, path, xlabel, ylabel, size: int = 800) -> None:
             if hi - lo < 1e-300:
                 return np.full_like(v, (a + b) / 2)
             return a + (v - lo) / (hi - lo) * (b - a)
-        px = scale(xs, xs.min(), xs.max(), margin, size - margin)
-        py = scale(ys, ys.min(), ys.max(), size - margin, margin)
+        px = scale(xs, xs.min(), xs.max(), margin, SVG_SIZE - margin)
+        py = scale(ys, ys.min(), ys.max(), SVG_SIZE - margin, margin)
         elements.append(_svg_path(zip(px, py), closed=False))
         for x, y in zip(px, py):
             elements.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3"/>')
-        elements.append(f'<text x="{size // 2}" y="{size - 20}" '
+        elements.append(f'<text x="{SVG_SIZE // 2}" y="{SVG_SIZE - 20}" '
                         f'font-size="16">{xlabel}</text>')
-        elements.append(f'<text x="20" y="{size // 2}" font-size="16" '
-                        f'transform="rotate(-90 20 {size // 2})">'
+        elements.append(f'<text x="20" y="{SVG_SIZE // 2}" font-size="16" '
+                        f'transform="rotate(-90 20 {SVG_SIZE // 2})">'
                         f'{ylabel}</text>')
-    _write_svg(path, size, elements)
+    _write_svg(path, elements)
 
 
 #: sweep CSV header by format version; version 2 added the iteration
@@ -341,10 +370,8 @@ def reproduce_figures(outdir, config: ExperimentConfig | None = None) -> dict:
     config = config or ExperimentConfig(
         fine_grid=tuple(round(3.462 + 0.002 * i, 10) for i in range(12)))
     os.makedirs(outdir, exist_ok=True)
-    opts = opt.OptimizeOptions(n=config.n, max_iters=config.max_iters,
-                               perturb=config.perturb)
     grid = config.p_grid()
-    records = opt.sweep(grid, opts)
+    records = opt.sweep(grid, config.options)
     curves = {rec.p: rec.curve for rec in records if rec.curve is not None}
     for p, curve in curves.items():
         geo.save_curve(curve, os.path.join(outdir, f"curve_p{p:.3f}.json"))

@@ -26,7 +26,8 @@ class FourierCurve:
 
     coeffs has shape (2K+1, dim): row K + k holds a_k in C^dim for
     k = -K..K, in the normalization c(t) = sum_k a_k e^{ikt}.
-    n records the source grid size (used for the default deficit grid).
+    n records the source grid size, the grid of reconstruct and the
+    default grid of deficit.
     """
 
     coeffs: np.ndarray
@@ -51,10 +52,9 @@ class FourierCurve:
         return float(TWO_PI * np.sum(k[:, None] ** 2
                                      * np.abs(self.coeffs) ** 2))
 
-    def reconstruct(self, n: int | None = None) -> np.ndarray:
+    def reconstruct(self) -> np.ndarray:
         """Evaluate the truncated series on the uniform n-point grid."""
-        n = n or self.n
-        t = TWO_PI * np.arange(n) / n
+        t = TWO_PI * np.arange(self.n) / self.n
         k = np.arange(-self.K, self.K + 1)
         phases = np.exp(1j * np.outer(t, k))
         return (phases @ self.coeffs).real

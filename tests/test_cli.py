@@ -80,11 +80,11 @@ class TestDeficitCommand:
         path = tmp_path / "curve.json"
         geo.save_curve(geo.random_closed_curve(3, n=128), path)
         tables = {}
-        for flag in ("--series", "--direct"):
-            code, out, _ = run(capsys, "deficit", "--curve", str(path), flag)
+        for flags in ((), ("--direct",)):
+            code, out, _ = run(capsys, "deficit", "--curve", str(path), *flags)
             assert code == cli.EXIT_OK
-            tables[flag] = [line.split(",") for line in out.splitlines()[1:]]
-        series, direct = tables["--series"], tables["--direct"]
+            tables[flags] = [line.split(",") for line in out.splitlines()[1:]]
+        series, direct = tables[()], tables[("--direct",)]
         assert [s for s, _ in series] == [s for s, _ in direct]
         assert len(series) == 127
 
@@ -180,6 +180,17 @@ class TestErrorPaths:
         assert code == cli.EXIT_PRECONDITION
         assert out == ""
         assert "error" in err
+
+    def test_figures_rejects_bad_config_before_writing(self, capsys,
+                                                       tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"p_min": "x"}')
+        out_dir = tmp_path / "figures"
+        code, out, err = run(capsys, "figures", "--out", str(out_dir),
+                             "--config", str(config))
+        assert code == cli.EXIT_PRECONDITION
+        assert out == "" and "p_min" in err
+        assert not out_dir.exists()
 
     def test_sweep_rejects_zero_step(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--p-min", "2", "--p-max", "3",

@@ -309,6 +309,19 @@ class TestRenormEnergy:
         with pytest.raises(KernelSingularityError):
             fn.renorm_energy(circle256, fn.ChordKernel(bad))
 
+    def test_singular_value_reported(self):
+        # inf at the pair (3, 4) alone: the offset-1 row, vertex 3
+        arc1 = geo.offset_arcs(64, 1)
+
+        def inf_at_3_4(c, a):
+            vals = np.zeros(c.shape)
+            vals[(a == arc1) & (np.arange(c.shape[-1]) == 3)] = np.inf
+            return vals
+        with pytest.raises(KernelSingularityError, match="inf") as err:
+            fn.renorm_energy(geo.make_circle(64), fn.ChordKernel(inf_at_3_4))
+        assert err.value.pair == (3, 4)
+        assert err.value.value == np.inf
+
     def test_validate_accepts_true_flags(self):
         kernel = fn.ChordKernel(lambda c, a: c**-2 - a**-2,
                                 decreasing=True, convex=True)

@@ -155,7 +155,7 @@ class TestDoubleSegment:
     def test_fold_symmetry(self):
         d = geo.make_double_segment(256)
         for i in (1, 50, 100):
-            assert geo.chord(d, i, 256 - 2 * i) == 0.0
+            assert _offset_table(d.vertices, [256 - 2 * i])[0, i] == 0.0
 
 
 class TestRandomClosedCurve:
@@ -218,14 +218,13 @@ class TestRandomClosedCurve:
             assert len(calls) <= 12
 
 
-def _uncached_random_closed_curve(seed, K=6, amplitude_decay=0.4, n=512,
-                                  dim=2):
+def _uncached_random_closed_curve(seed, K=6, n=512, dim=2):
     """random_closed_curve with every cos and sin evaluated on the spot,
     the reference for the harmonic-table cache."""
     for attempt in range(32):
         rng = np.random.default_rng((seed, attempt))
         ks = np.arange(1, K + 1)
-        scale = 0.25 * amplitude_decay ** ks[:, None]
+        scale = 0.25 * geo.AMPLITUDE_DECAY ** ks[:, None]
         a = rng.normal(size=(K, dim)) * scale
         b = rng.normal(size=(K, dim)) * scale
         a[0, 0] += 1.0
@@ -278,6 +277,13 @@ class TestHarmonicTableCache:
                     part[0, 0] = 1.0
                 with pytest.raises(ValueError):
                     part *= 2.0
+
+
+def _offset_table(v, ks):
+    """The squared chords of the offsets ks as one (len(ks), n) table,
+    joined from the blocks of offset_chord_blocks."""
+    return np.concatenate([table for _, table
+                           in geo.offset_chord_blocks(v, ks)])
 
 
 def _brute_squared_chords(v, ks):
@@ -342,7 +348,7 @@ class TestOffsetKernel:
             ks = np.arange(n)
         else:
             ks = np.array([0, 1, 2, n // 2, n // 2 + 1, n - 1, n + 3])
-        table = geo.offset_squared_chords(v, ks)
+        table = _offset_table(v, ks)
         assert table.shape == (len(ks), n)
         assert np.array_equal(table, _brute_squared_chords(v, ks))
 
@@ -353,8 +359,8 @@ class TestOffsetKernel:
         assert weights.sum() == n - 1
         # offset k and n - k hold the same chords, shifted by k
         v = np.random.default_rng(n).normal(size=(n, 2))
-        table = geo.offset_squared_chords(v, ks)
-        partner = geo.offset_squared_chords(v, n - ks)
+        table = _offset_table(v, ks)
+        partner = _offset_table(v, n - ks)
         for r, k in enumerate(ks):
             assert np.array_equal(np.roll(partner[r], -k), table[r])
 
@@ -364,8 +370,9 @@ class TestOffsetKernel:
         seen = []
         for rows, table in geo.offset_chord_blocks(v, ks):
             assert len(table) <= geo.OFFSET_BLOCK
-            assert np.array_equal(table,
-                                  geo.offset_squared_chords(v, ks[rows]))
+            diff = v[(ks[rows][:, None] + np.arange(400)) % 400] - v
+            assert np.array_equal(table, diff[..., 0] * diff[..., 0]
+                                  + diff[..., 1] * diff[..., 1])
             seen.extend(ks[rows])
         assert seen == list(ks)
 
@@ -375,8 +382,9 @@ class TestOffsetKernel:
         assert arcs[0] == 0.0
         assert arcs[n // 2] == pytest.approx(np.pi)
         assert np.allclose(arcs[1:], arcs[1:][::-1])
-        for k in (0, 1, 100, 256, 400):
-            assert arcs[k] == geo.arc_distance(geo.make_circle(n), 0, k)
+        for k in (0, 1, 100, 256, 400, n + 100):
+            s = (k % n) * (TWO_PI / n)
+            assert geo.offset_arcs(n, k) == arcs[k % n] == min(s, TWO_PI - s)
 
 
 class TestResample:
@@ -470,21 +478,21 @@ class TestResample:
 
 class TestMetricQueries:
     def test_chord_diameter(self, circle512):
-        assert geo.chord(circle512, 0, 256) == pytest.approx(2.0, abs=1e-4)
+        d2 = _offset_table(circle512.vertices, [256])[0, 0]
+        assert np.sqrt(d2) == pytest.approx(2.0, abs=1e-4)
 
     def test_chord_zero_separation(self, circle512):
-        assert geo.chord(circle512, 17, 0) == 0.0
+        assert _offset_table(circle512.vertices, [0])[0, 17] == 0.0
 
     def test_chord_quarter_arc(self, circle512):
-        assert geo.chord(circle512, 0, 128) == pytest.approx(
-            np.sqrt(2), abs=1e-4)
+        d2 = _offset_table(circle512.vertices, [128])[0, 0]
+        assert np.sqrt(d2) == pytest.approx(np.sqrt(2), abs=1e-4)
 
     def test_arc_distance_wraps(self, circle512):
         n = circle512.n
-        assert geo.arc_distance(circle512, 0, n // 2) == pytest.approx(np.pi)
-        assert geo.arc_distance(circle512, 0, 3 * n // 4) == pytest.approx(
-            np.pi / 2)
-        assert geo.arc_distance(circle512, 0, 0) == 0.0
+        assert geo.offset_arcs(n, n // 2) == pytest.approx(np.pi)
+        assert geo.offset_arcs(n, 3 * n // 4) == pytest.approx(np.pi / 2)
+        assert geo.offset_arcs(n, 0) == 0.0
 
     @pytest.mark.parametrize("s,expected", [
         (np.pi, 2.0), (0.0, 0.0), (np.pi / 2, np.sqrt(2))])
@@ -497,17 +505,18 @@ class TestMetricQueries:
         # included, its exact-difference chords are exactly zero
         for curve in random_curves[:3]:
             ks = np.arange(curve.n)
-            chords = np.sqrt(geo.offset_squared_chords(curve.vertices, ks))
+            chords = np.sqrt(_offset_table(curve.vertices, ks))
             arcs = geo.offset_arcs(curve.n, ks)
             assert np.all(chords <= arcs[:, None] * (1 + 1e-5))
 
     def test_lambda_matches_circle_chords(self, circle512):
         n = circle512.n
         tol = 2 * (np.pi / n) ** 2
-        for k in (1, 10, 100, 256):
+        ks = [1, 10, 100, 256]
+        chords = np.sqrt(_offset_table(circle512.vertices, ks)[:, 0])
+        for k, chord in zip(ks, chords):
             s = 2 * np.pi * k / n
-            assert abs(geo.lambda_chord(s)
-                       - geo.chord(circle512, 0, k)) < tol
+            assert abs(geo.lambda_chord(s) - chord) < tol
 
 
 class TestCurveFile:

@@ -32,6 +32,19 @@ class TestExperimentConfig:
                                                   version=2)
         assert "seed" not in config.to_json()
 
+    def test_figures_solve_with_the_options_built_with_the_config(
+            self, monkeypatch, tmp_path):
+        config = harness.ExperimentConfig(p_min=2.0, p_max=2.0, n=64,
+                                          max_iters=100, perturb=0.1)
+        assert config.options == opt.OptimizeOptions(n=64, max_iters=100,
+                                                     perturb=0.1)
+        assert harness.ExperimentConfig().options == opt.OptimizeOptions()
+        used = []
+        monkeypatch.setattr(opt, "sweep",
+                            lambda grid, opts: used.append(opts) or [])
+        harness.reproduce_figures(tmp_path, config)
+        assert used == [config.options] and used[0] is config.options
+
     def test_non_object_config_rejected(self):
         with pytest.raises(ValueError, match="object"):
             harness.ExperimentConfig.from_json('["p_min"]')

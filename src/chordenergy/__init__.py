@@ -51,6 +51,7 @@ from .spectral import (
     trig_lemma_check,
 )
 from .optimizer import (
+    IterationRecord,
     OptimizeOptions,
     OptimizeResult,
     Termination,

@@ -68,6 +68,10 @@ class ExperimentConfig:
         if not self.p_step > 0:
             raise ParameterDomainError(
                 f"need a positive p_step, got {self.p_step}")
+        if not self.p_max >= self.p_min:
+            raise ParameterDomainError(
+                f"need p_max >= p_min, got p_min={self.p_min} and "
+                f"p_max={self.p_max}")
         if not 1 <= self.version <= FORMAT_VERSION:
             raise ParameterDomainError(
                 f"unknown config version {self.version}")

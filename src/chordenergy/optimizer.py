@@ -9,10 +9,12 @@ constraints, starting from the iteration's tangent frame (a
 projection-like retraction, Absil & Malick, SIAM J. Optim. 2012);
 start curves reach it by the same projection after one
 equal-arclength pass (geometry.resample_arclength).  The projection
-and the tangent frame live in geometry.  The pairwise
-work, the chord powers behind the value and the gradient, visits each
-unordered vertex pair once, through a band of the Gram chord table
-(_ChordBand).  Past the critical exponent the circle loses its
+and the tangent frame live in geometry.  Each line search starts from a
+Barzilai-Borwein step and backtracks by safeguarded quadratic
+interpolation; it stops when the step no longer moves the iterate.  The
+pairwise work, the chord powers behind the value and the gradient,
+visits each unordered vertex pair once, through a band of the Gram
+chord table (_ChordBand).  Past the critical exponent the circle loses its
 maximality and the iterates stretch into ovals, so initial curves carry
 an explicit mode-2 perturbation to break the rotational symmetry.
 """
@@ -24,6 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -44,6 +47,11 @@ STEP0 = 1.0
 
 #: cap on a Barzilai-Borwein first trial step, in units of STEP0
 MAX_STEP_FACTOR = 1e3
+
+#: bounds of a backtracked trial step, as fractions of the step whose
+#: trial lowered the value (see _backtrack)
+BACKTRACK_MIN = 0.1
+BACKTRACK_MAX = 0.5
 
 #: strength of the H^1 smoothing applied to ascent directions;
 #: mode k is damped by 1/(1 + SMOOTH_SIGMA k^2).  Stiff high-frequency
@@ -81,13 +89,25 @@ class Termination(enum.Enum):
     MAX_ITERS = "max_iters"
 
 
+class IterationRecord(NamedTuple):
+    """One entry of OptimizeResult.history; entry 0 is the start curve."""
+
+    iteration: int
+    #: the power mean A_p after the iteration
+    value: float
+    #: projected-gradient norm at the iteration's start (nan at entry 0)
+    gnorm: float
+    #: retracted line-search trials the iteration made
+    trials: int
+
+
 @dataclass
 class OptimizeResult:
     curve: PolyCurve
     value: float
     iterations: int
     reason: Termination
-    history: list = field(default_factory=list)
+    history: list[IterationRecord] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -210,15 +230,18 @@ def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
 
 @lru_cache(maxsize=8)
 def _h1_filter(n: int) -> np.ndarray:
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    return 1.0 / (1.0 + SMOOTH_SIGMA * k ** 2)
+    """The factors 1/(1 + SMOOTH_SIGMA k^2) of the rfft modes k of n
+    points, as a read-only column."""
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    filt = (1.0 / (1.0 + SMOOTH_SIGMA * k ** 2))[:, None]
+    filt.flags.writeable = False
+    return filt
 
 
 def _smooth_direction(pg: np.ndarray) -> np.ndarray:
-    """Damp mode k of a vertex field by 1/(1 + SMOOTH_SIGMA k^2)."""
-    filt = _h1_filter(pg.shape[0])
-    return np.real(np.fft.ifft(np.fft.fft(pg, axis=0)
-                               * filt[:, None], axis=0))
+    """Damp mode k of a real vertex field by 1/(1 + SMOOTH_SIGMA k^2)."""
+    n = pg.shape[0]
+    return np.fft.irfft(np.fft.rfft(pg, axis=0) * _h1_filter(n), n, axis=0)
 
 
 def canonicalize(curve: PolyCurve) -> PolyCurve:
@@ -251,22 +274,42 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
 
 
 def _first_trial_step(step: float, s: np.ndarray, y: np.ndarray,
-                      dnorm: float) -> float:
+                      py: np.ndarray, dnorm: float) -> float:
     """First trial length of a line search along the unit ascent direction.
 
-    s is the displacement of the last accepted step and y the change of
-    the projected gradient of -A_p over it.  With positive curvature,
+    s is the displacement of the last accepted step, y the change of
+    the projected gradient of -A_p over it and py = P y, with P the
+    smoothing filter; since P is linear, maximize forms P y from the
+    smoothed gradients it already has.  With positive curvature,
     <s, y> > 0, this is the Barzilai-Borwein "short" step in the H^1
     metric, <s, y> / <y, P y> times the direction's norm dnorm before
-    normalization (P the smoothing filter), capped at MAX_STEP_FACTOR *
-    STEP0; otherwise it is step, the last accepted step doubled.
+    normalization, capped at MAX_STEP_FACTOR * STEP0; otherwise it is
+    step, the last accepted step doubled.
     """
     # numpy sums, not BLAS dots, whose round-off depends on the thread count
     sy = float(np.sum(s * y))
     if sy <= 0:
         return step
-    ypy = float(np.sum(y * _smooth_direction(y)))
+    ypy = float(np.sum(y * py))
     return min(sy / ypy * dnorm, MAX_STEP_FACTOR * STEP0)
+
+
+def _backtrack(step: float, slope: float, drop: float) -> float:
+    """Next trial step after the trial at step lowered F = A_p^p by
+    drop > 0, where slope = F'(0) along the search direction.
+
+    It is the maximizer of the quadratic through F(0), F'(0) and
+    F(step), slope step^2 / (2 (slope step + drop)), clamped to
+    [BACKTRACK_MIN, BACKTRACK_MAX] * step (safeguarded interpolation,
+    Nocedal & Wright, Numerical Optimization, section 3.5).  A slope
+    that is not positive, round-off at a stationary point, gives the
+    lower bound.
+    """
+    lower, upper = BACKTRACK_MIN * step, BACKTRACK_MAX * step
+    if not slope > 0:
+        return lower
+    return min(max(slope * step * step / (2.0 * (slope * step + drop)),
+                   lower), upper)
 
 
 def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult:
@@ -274,16 +317,23 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
 
     The start is init placed on the manifold by project.  Steps follow
     the H^1-smoothed tangent-projected gradient.  Each line search
-    starts from a Barzilai-Borwein step (_first_trial_step), retracts
+    starts from a Barzilai-Borwein step (_first_trial_step) and retracts
     each trial by Newton projection onto the edge constraints
-    (_retract), and halves the step until the functional does not
-    decrease; a trial the retraction rejects, or one with two vertices
-    closer than MIN_PAIR_DISTANCE, is halved too.  Each trial writes its
-    chord table and its weights into the solve's _ChordBand, over n^2/2
-    pairs; the accepted trial's weights give the next gradient.
+    (_retract).  A trial that lowers the functional is followed by the
+    maximizer of the quadratic through F(0), F'(0) and the trial's F,
+    with F = A_p^p, clamped to [BACKTRACK_MIN, BACKTRACK_MAX] times the
+    step (_backtrack); a trial the retraction rejects, or one with two
+    vertices closer than MIN_PAIR_DISTANCE, halves the step.  The first
+    trial whose value does not decrease is accepted.  The search fails
+    after 60 trials, or as soon as the step no longer moves the iterate
+    in floating point.  Each trial writes its chord table and its
+    weights into the solve's _ChordBand, over n^2/2 pairs; the accepted
+    trial's weights give the next gradient.  Each iteration applies the
+    smoothing filter once, by one real FFT pair.
     Terminates when the projected gradient norm falls below
     opts.tol_grad, when the line search finds no ascent, or after
-    opts.max_iters iterations; result.reason says which.
+    opts.max_iters iterations; result.reason says which, and
+    result.history holds an IterationRecord per iteration.
     """
     require_finite_exponent(p)
     if init.dim != 2:
@@ -298,33 +348,45 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     _require_regular_gradient(band.tabulate(v), p)
     value = band.power_mean(p)
     step = STEP0
-    history = [(0, value, float("nan"))]
+    history = [IterationRecord(0, value, float("nan"), 0)]
     reason = Termination.MAX_ITERS
     iters = 0
-    last = None  # vertices and projected gradient of the previous iterate
+    # vertices, projected gradient and its smoothing at the previous iterate
+    last = None
     for iters in range(1, opts.max_iters + 1):
         frame = _TangentFrame(edges, lengths)
         pg = frame.project(band.gradient(v, p))
         gnorm = float(np.linalg.norm(pg))
         if gnorm < opts.tol_grad:
             reason = Termination.GRAD_TOL
-            history.append((iters, value, gnorm))
+            history.append(IterationRecord(iters, value, gnorm, 0))
             break
-        direction = frame.project(_smooth_direction(pg))
+        smoothed = _smooth_direction(pg)
+        direction = frame.project(smoothed)
         dnorm = float(np.linalg.norm(direction))
         if dnorm < 1e-15:
             # no ascent direction left to search along
             reason = Termination.LINE_SEARCH_STALLED
-            history.append((iters, value, gnorm))
+            history.append(IterationRecord(iters, value, gnorm, 0))
             break
         if last is not None:
-            step = _first_trial_step(step, v - last[0], last[1] - pg, dnorm)
+            step = _first_trial_step(step, v - last[0], last[1] - pg,
+                                     last[2] - smoothed, dnorm)
         direction /= dnorm
+        # F'(0) of F = A_p^p along the direction; a numpy sum, like the
+        # inner products of _first_trial_step
+        slope = float(np.sum(pg * direction))
+        power = value ** p
         accepted = False
+        trials = 0
         for _ in range(60):
+            trial = v + step * direction
+            if np.array_equal(trial, v):
+                # the step no longer moves the iterate
+                break
+            trials += 1
             try:
-                cand, cand_edges, cand_lengths = _retract(
-                    v + step * direction, h, frame)
+                cand, cand_edges, cand_lengths = _retract(trial, h, frame)
             except DegenerateCurveError:
                 step *= 0.5
                 continue
@@ -333,15 +395,15 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
                 continue
             new_value = band.power_mean(p)
             if new_value >= value:
-                last = (v, pg)
+                last = (v, pg, smoothed)
                 v, edges, lengths = cand, cand_edges, cand_lengths
                 value = new_value
                 accepted = True
                 break
-            step *= 0.5
-        history.append((iters, value, gnorm))
+            step = _backtrack(step, slope, power - new_value ** p)
+        history.append(IterationRecord(iters, value, gnorm, trials))
         if not accepted:
-            # step shrank to nothing without finding ascent
+            # no step along the direction found ascent
             reason = Termination.LINE_SEARCH_STALLED
             break
         step *= 2.0

@@ -197,3 +197,12 @@ class TestErrorPaths:
                            "--step", "0", "--out", str(tmp_path / "s.csv"))
         assert code == cli.EXIT_PRECONDITION
         assert "error" in err
+
+    def test_sweep_rejects_empty_range(self, capsys, tmp_path):
+        # p_max < p_min used to write a header-only CSV and exit 0
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(capsys, "--n", "64", "sweep", "--p-min", "3",
+                             "--p-max", "2", "--out", str(out_csv))
+        assert code == cli.EXIT_PRECONDITION
+        assert out == "" and "p_max" in err
+        assert not out_csv.exists()

@@ -84,6 +84,7 @@ def _config(text):
     _config('{"fine_grid": [3.4, "x"]}'),
     _config('{"n": 16}'),
     _config('{"version": 99}'),
+    _config('{"p_min": 3.0, "p_max": 2.0}'),
     lambda: harness.ExperimentConfig(n=np.int64(64)),
     lambda: fn.ChordKernel(lambda c, a: c ** 2, decreasing=True).validate(),
     lambda: fn.ChordKernel(lambda c, a: -c ** 4, convex=True).validate(),
@@ -100,7 +101,7 @@ def _config(text):
         "config_float_integer", "config_bool_integer", "config_nan",
         "config_scalar_grid", "config_string_in_grid",
         "config_optimizer_n", "config_future_version",
-        "config_numpy_integer", "kernel_decreasing",
+        "config_empty_range", "config_numpy_integer", "kernel_decreasing",
         "kernel_convex", "curve_truncated", "curve_non_numeric",
         "curve_ragged", "curve_vertices_object", "curve_not_object"])
 def test_bad_input_raises_a_package_error(call):

@@ -376,6 +376,70 @@ class TestMaximize:
         assert result.converged is False
         assert result.iterations < opts.max_iters
 
+    def test_stalled_search_stops_at_the_iterate(self, monkeypatch):
+        # past its maximizer no step ascends: the search ends once the
+        # step no longer moves the iterate, not after 60 halvings
+        frames = []
+        real_retract = opt._retract
+
+        def retract(v, h, frame):
+            frames.append(frame)
+            return real_retract(v, h, frame)
+
+        monkeypatch.setattr(opt, "_retract", retract)
+        init = opt.perturb_mode2(geo.make_circle(64), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(
+            n=64, tol_grad=1e-300))
+        assert result.reason is opt.Termination.LINE_SEARCH_STALLED
+        last_search = sum(frame is frames[-1] for frame in frames)
+        assert 0 < last_search <= 20
+        assert result.history[-1].trials == last_search
+
+    def test_history_counts_the_trials(self, monkeypatch):
+        calls = []
+        real_retract = opt._retract
+        monkeypatch.setattr(opt, "_retract",
+                            lambda *args: calls.append(1) or
+                            real_retract(*args))
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(
+            n=128, max_iters=50))
+        assert [rec.iteration for rec in result.history] \
+            == list(range(result.iterations + 1))
+        assert result.history[0].trials == 0
+        assert sum(rec.trials for rec in result.history) == len(calls)
+        assert all(isinstance(rec, opt.IterationRecord)
+                   for rec in result.history)
+        assert result.history[-1][2] == result.history[-1].gnorm
+
+    def test_backtracked_steps_shrink_by_a_bounded_factor(self,
+                                                          monkeypatch):
+        # each trial lies at its step along the unit direction from the
+        # iterate whose gradient the iteration read
+        iterates, trials = [], []
+        real_retract = opt._retract
+        real_gradient = opt._ChordBand.gradient
+
+        def gradient(band, v, p):
+            iterates.append(v)
+            return real_gradient(band, v, p)
+
+        def retract(v, h, frame):
+            trials.append((len(iterates), np.linalg.norm(v - iterates[-1])))
+            return real_retract(v, h, frame)
+
+        monkeypatch.setattr(opt._ChordBand, "gradient", gradient)
+        monkeypatch.setattr(opt, "_retract", retract)
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        opt.maximize(4.0, init, opt.OptimizeOptions(n=128, max_iters=50))
+        ratios = np.array([b[1] / a[1] for a, b in zip(trials, trials[1:])
+                           if a[0] == b[0]])
+        assert len(ratios) > 10
+        assert np.all(ratios >= opt.BACKTRACK_MIN * (1 - 1e-12))
+        assert np.all(ratios <= opt.BACKTRACK_MAX * (1 + 1e-12))
+        # the quadratic, not halving, set some of them
+        assert np.any(ratios < 0.9 * opt.BACKTRACK_MAX)
+
     def test_iteration_cap_is_not_convergence(self):
         opts = opt.OptimizeOptions(n=128, max_iters=3)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
@@ -400,7 +464,7 @@ class TestMaximize:
         opts = opt.OptimizeOptions(n=128, max_iters=200)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(4.0, init, opts)
-        values = [v for _, v, _ in result.history]
+        values = [rec.value for rec in result.history]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_one_chord_table_per_retracted_trial(self, monkeypatch):
@@ -539,27 +603,56 @@ class TestMaximize:
             "n", "max_iters", "tol_grad", "perturb"]
 
 
+def _complex_smooth(x):
+    """Reference: the H^1 filter through the complex FFT."""
+    k = np.fft.fftfreq(len(x), d=1.0 / len(x))
+    return np.real(np.fft.ifft(np.fft.fft(x, axis=0) / (
+        1.0 + opt.SMOOTH_SIGMA * k ** 2)[:, None], axis=0))
+
+
+@pytest.mark.parametrize("n", [32, 33, 256])
+def test_smoothing_matches_the_complex_fft(n):
+    x = np.random.default_rng(n).normal(size=(n, 2))
+    assert np.abs(opt._smooth_direction(x) - _complex_smooth(x)).max() \
+        < 1e-15
+
+
 class TestFirstTrialStep:
     def test_barzilai_borwein_short_step(self):
         rng = np.random.default_rng(5)
         s = rng.normal(size=(64, 2))
         y = s + 0.1 * rng.normal(size=(64, 2))
-        k = np.fft.fftfreq(64, d=1.0 / 64)
-        smooth_y = np.real(np.fft.ifft(np.fft.fft(y, axis=0) / (
-            1.0 + opt.SMOOTH_SIGMA * k ** 2)[:, None], axis=0))
-        expected = np.sum(s * y) / np.sum(y * smooth_y) * 0.3
-        assert opt._first_trial_step(7.0, s, y, 0.3) \
+        py = _complex_smooth(y)
+        expected = np.sum(s * y) / np.sum(y * py) * 0.3
+        assert opt._first_trial_step(7.0, s, y, py, 0.3) \
             == pytest.approx(expected, rel=1e-14)
 
     def test_non_positive_curvature_keeps_doubled_step(self):
         s = np.random.default_rng(6).normal(size=(64, 2))
-        assert opt._first_trial_step(7.0, s, -s, 0.3) == 7.0
-        assert opt._first_trial_step(7.0, s, np.zeros_like(s), 0.3) == 7.0
+        for y in (-s, np.zeros_like(s)):
+            assert opt._first_trial_step(
+                7.0, s, y, _complex_smooth(y), 0.3) == 7.0
 
     def test_step_is_capped(self):
         s = np.random.default_rng(7).normal(size=(64, 2))
-        step = opt._first_trial_step(7.0, s, 1e-9 * s, 1.0)
+        y = 1e-9 * s
+        step = opt._first_trial_step(7.0, s, y, _complex_smooth(y), 1.0)
         assert step == opt.MAX_STEP_FACTOR * opt.STEP0 == 1e3
+
+
+class TestBacktrack:
+    def test_maximizer_of_the_quadratic(self):
+        # F(t) = 1 + 2 t - 5 t^2 peaks at t = 0.2; from step 1 the drop
+        # is F(0) - F(1) = 3
+        assert opt._backtrack(1.0, 2.0, 3.0) == pytest.approx(0.2,
+                                                             rel=1e-15)
+
+    @pytest.mark.parametrize("slope, drop", [
+        (1e-12, 1.0), (1.0, 1e-12), (1.0, 0.0), (0.0, 1.0), (-1e-18, 1.0)])
+    def test_clamped(self, slope, drop):
+        step = 0.75
+        t = opt._backtrack(step, slope, drop)
+        assert opt.BACKTRACK_MIN * step <= t <= opt.BACKTRACK_MAX * step
 
 
 class TestSweep:
@@ -582,10 +675,13 @@ class TestSweep:
 
     def test_high_leg_is_the_same_at_one_and_two_blas_threads(self):
         # a verdict must not depend on the BLAS thread count; the sweep
-        # runs in fresh processes, since OpenBLAS reads it at load time
+        # runs in fresh processes, since OpenBLAS reads it at load time.
+        # 3.45, 3.50 and 3.55 straddle the critical exponent
         src = os.path.dirname(os.path.dirname(os.path.abspath(opt.__file__)))
         probe = ("import json; from chordenergy import optimizer as opt; "
-                 "recs = opt.sweep([3.8, 4.0], opt.OptimizeOptions(n=256)); "
+                 "o = opt.OptimizeOptions(n=256); "
+                 "recs = opt.sweep([3.8, 4.0], o) "
+                 "+ opt.sweep([3.45, 3.5, 3.55], o); "
                  "print(json.dumps([[r.iterations, r.reason, r.value] "
                  "for r in recs]))")
         tables = []
@@ -597,7 +693,7 @@ class TestSweep:
                                   timeout=600)
             assert done.returncode == 0, done.stderr
             tables.append(json.loads(done.stdout))
-        assert len(tables[0]) == 2
+        assert len(tables[0]) == 5
         assert tables[0] == tables[1]
 
     def test_criterion_9_sweep_iteration_budget(self):

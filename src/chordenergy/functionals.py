@@ -144,6 +144,24 @@ def _distortion_ratios(arcs: np.ndarray, min_d2: np.ndarray,
     return ratio
 
 
+def _power(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e for x >= 0.  The half-odd exponents +-1/2 and +-3/2 come
+    from np.sqrt, a product with x and a reciprocal, with no libm pow
+    call, within 4e-16 relative of np.power; exponent 1 returns x itself,
+    not a copy; every other exponent is np.power, which takes its own
+    fast paths at -1, 1/2 and 2."""
+    if e == 1:
+        return x
+    if abs(e) not in (0.5, 1.5):
+        return np.power(x, e)
+    out = np.sqrt(x)
+    if abs(e) == 1.5:
+        out *= x
+    if e < 0:
+        np.divide(1.0, out, out=out)
+    return out
+
+
 def energy_Ejp(curve: PolyCurve, params: EnergyParams) -> float:
     """Discrete chord/arc energy sum (2pi/N)^2 sum_{i!=k}
     (chord^-j - arc^-j)^p."""
@@ -155,7 +173,9 @@ def _energy_walk(curve: PolyCurve, params_seq) -> tuple[list[float], float]:
     the curve's distortion, from one walk of its offset chord table.
 
     Per block, the clipped chord/arc difference is built once for each
-    distinct j and raised to each p of that j.  A pair's value does not
+    distinct j and raised to each p of that j, both powers by _power, so
+    the verify grid (j in {1, 2}, p in {1, 1.5, 2}) makes no libm pow
+    call.  A pair's value does not
     depend on the other pairs: it is energy_Ejp(curve, params) bit for
     bit.  Each block's row minima serve both the embedding check and the
     distortion, which equals distortion(curve) bit for bit.  Every pair
@@ -176,7 +196,8 @@ def _energy_walk(curve: PolyCurve, params_seq) -> tuple[list[float], float]:
         min_d2[rows] = d2.min(axis=1)
         _check_embedded(d2, ks[rows], min_d2[rows])
         for j, positions in by_j.items():
-            integrand = d2 ** (-j / 2.0)
+            # -j/2 < 0, so this is a new array, never d2 itself
+            integrand = _power(d2, -j / 2.0)
             integrand -= arc_terms[j][rows, None]
             # chord <= arc, so the integrand is nonnegative up to
             # round-off; clip keeps fractional powers real at the
@@ -184,7 +205,7 @@ def _energy_walk(curve: PolyCurve, params_seq) -> tuple[list[float], float]:
             np.maximum(integrand, 0.0, out=integrand)
             for pos in positions:
                 totals[pos] += weights[rows] @ np.sum(
-                    integrand ** params_seq[pos].p, axis=1)
+                    _power(integrand, params_seq[pos].p), axis=1)
     worst_ratio = float(_distortion_ratios(arcs, min_d2, ks).max())
     return ([float((TWO_PI / n) ** 2 * total) for total in totals],
             worst_ratio)
@@ -275,11 +296,19 @@ def circle_bound(params: EnergyParams) -> float:
 
 def avg_chord_p(curve: PolyCurve, p: float) -> float:
     """L^p mean of the chord length over all parameter pairs,
-    ((1/N^2) sum |c_i - c_k|^p)^(1/p); the diagonal contributes zero."""
+    ((1/N^2) sum |c_i - c_k|^p)^(1/p); the diagonal contributes zero.
+    Where the chord powers or their sum overflow double precision (on
+    the circle from p near 1020, as 2^p nears the largest double)
+    ParameterDomainError is raised, as for the closed forms."""
     require_finite_exponent(p)
     d2 = squared_chord_matrix(curve.vertices)
-    d2 **= p / 2.0
-    return float(np.mean(d2) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        d2 **= p / 2.0
+        value = np.mean(d2) ** (1.0 / p)
+    if not math.isfinite(value):
+        raise ParameterDomainError(
+            f"the chord powers overflow double precision at p = {p}")
+    return float(value)
 
 
 def _closed_form_mean(p: float, mean_power) -> float:

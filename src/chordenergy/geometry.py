@@ -164,12 +164,26 @@ def offset_arcs(n: int, ks) -> np.ndarray:
     return np.minimum(s, TWO_PI - s)
 
 
+def _offset_index(block: np.ndarray):
+    """block, offsets in 0..n-1, as a slice when they rise by one constant
+    step (a single offset too), so that indexing with it gives a view;
+    any other block as itself, which indexing gathers."""
+    step = block[1] - block[0] if len(block) > 1 else 1
+    if step > 0 and (np.diff(block) == step).all():
+        return slice(block[0], block[-1] + 1, step)
+    return block
+
+
 def offset_chord_blocks(vertices: np.ndarray, ks):
     """Yield (rows, table) over the offsets ks, a block at a time: row r
     of table holds the squared chords |v_{i+k} - v_i|^2, indices cyclic,
     of the offset k = ks[rows][r].  The one builder of chords by offset:
     exact vertex differences keep short chords at full relative
-    precision, unlike the Gram form of squared_chord_matrix."""
+    precision, unlike the Gram form of squared_chord_matrix.  A block of
+    evenly spaced ascending offsets (as from half_offsets) reads its
+    windows of the vertex coordinates through a slice, with no gathered
+    copy; any other block gathers them.  The arithmetic is the same, so
+    the tables are too, bit for bit."""
     n, dim = vertices.shape
     # windows[d, k] is the d-th coordinate column rolled by -k: a
     # read-only view of the doubled coordinate rows
@@ -181,8 +195,8 @@ def offset_chord_blocks(vertices: np.ndarray, ks):
     step = max(1, OFFSET_BLOCK // n)
     for start in range(0, len(ks), step):
         rows = slice(start, start + step)
-        diff = windows[:, ks[rows]]
-        diff -= windows[:, :1]
+        diff = np.subtract(windows[:, _offset_index(ks[rows])],
+                           windows[:, :1])
         diff *= diff
         # summed coordinate by coordinate, in the order of np.linalg.norm
         table = diff[0]
@@ -442,16 +456,24 @@ SPEED_GRID = 4096
 AMPLITUDE_DECAY = 0.4
 
 
+def _harmonics(t: np.ndarray, K: int) -> np.ndarray:
+    """cos(k t) and sin(k t) for k = 1..K as one (len(t), 2K) array, row
+    i holding cos t_i, sin t_i, cos 2t_i, sin 2t_i, ...: the real and
+    imaginary parts of the powers z^k of z = exp(i t), from one complex
+    exponential and K - 1 complex products (np.cumprod), not 2K
+    trigonometric calls per point."""
+    z = np.exp(1j * t)
+    return np.cumprod(np.broadcast_to(z[:, None], (z.size, K)),
+                      axis=1).view(float)
+
+
 @lru_cache(maxsize=8)
-def _harmonic_table(m: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(k t_i) and sin(k t_i) on the uniform grid t_i = 2*pi*i/m for
-    k = 1..K, as read-only (m, K) arrays.  They depend on no curve, so
-    random_closed_curve reads them from here on every draw."""
-    t = TWO_PI * np.arange(m) / m
-    phase = np.outer(t, np.arange(1, K + 1))
-    table = np.cos(phase), np.sin(phase)
-    for part in table:
-        part.flags.writeable = False
+def _harmonic_table(m: int, K: int) -> np.ndarray:
+    """_harmonics on the uniform grid t_i = 2*pi*i/m, read-only.  It
+    depends on no curve, so random_closed_curve reads it from here on
+    every draw."""
+    table = _harmonics(TWO_PI * np.arange(m) / m, K)
+    table.flags.writeable = False
     return table
 
 
@@ -464,38 +486,45 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
     equal chord lengths and perimeter 2*pi.  Deterministic per seed;
     draws whose speed dips below 0.35 of its mean, and draws the
     inscriber rejects (a perimeter below 1e-6, or unequal edges), fall
-    through to the next substream.  The cos and sin of the SPEED_GRID
-    speed grid and of the inscriber's first, uniform pass come from a
-    small read-only cache keyed by grid size and K (_harmonic_table);
-    they are the values the trace would compute, so the vertices are
-    the same bit for bit.
+    through to the next substream.  The trace takes cos(kt) and sin(kt)
+    from the powers of exp(it) (_harmonics); on the SPEED_GRID speed grid
+    and on the inscriber's first, uniform pass they come from a small
+    read-only cache keyed by grid size and K (_harmonic_table), built by
+    the same function, so the vertices are those of the trace bit for
+    bit.  n below MIN_VERTICES, dim other than 2 or 3, and K below 1
+    raise InvalidDiscretizationError before any draw.
     """
     if K < 1:
         raise InvalidDiscretizationError(f"need K >= 1, got {K}")
-    ks = np.arange(1, K + 1)
-    cos_dense, sin_dense = _harmonic_table(SPEED_GRID, K)
+    if n < MIN_VERTICES:
+        raise InvalidDiscretizationError(f"need n >= {MIN_VERTICES}, got {n}")
+    if dim not in (2, 3):
+        raise InvalidDiscretizationError(f"need dim 2 or 3, got {dim}")
+    ks = np.arange(1, K + 1)[:, None]
     for attempt in range(32):
         rng = np.random.default_rng((seed, attempt))
-        scale = 0.25 * AMPLITUDE_DECAY ** ks[:, None]
+        scale = 0.25 * AMPLITUDE_DECAY ** ks
         a = rng.normal(size=(K, dim)) * scale
         b = rng.normal(size=(K, dim)) * scale
         # base circle in the first two coordinates keeps the speed bounded
         # away from zero, so the chord-equalized sampling stays smooth
         a[0, 0] += 1.0
         b[0, 1] += 1.0
+        # rows a_1, b_1, a_2, b_2, ... against the columns of _harmonics,
+        # and those of the derivative, k b_k cos kt - k a_k sin kt
+        coef = np.stack([a, b], axis=1).reshape(2 * K, dim)
+        dcoef = np.stack([ks * b, -ks * a], axis=1).reshape(2 * K, dim)
 
-        def trace(t, a=a, b=b):
-            return (np.cos(np.outer(t, ks)) @ a
-                    + np.sin(np.outer(t, ks)) @ b)
+        def trace(t, coef=coef):
+            return _harmonics(t, K) @ coef
 
-        da = -sin_dense * ks @ a + cos_dense * ks @ b
-        speed = np.linalg.norm(da, axis=1)
+        speed = np.linalg.norm(_harmonic_table(SPEED_GRID, K) @ dcoef,
+                               axis=1)
         if speed.min() < 0.35 * speed.mean():
             continue
-        cos_n, sin_n = _harmonic_table(n, K)
         try:
             return PolyCurve(_inscribe_equal_chords(
-                trace, n, start=cos_n @ a + sin_n @ b))
+                trace, n, start=_harmonic_table(n, K) @ coef))
         except (DegenerateCurveError, InvalidDiscretizationError):
             continue
     raise DegenerateCurveError(

@@ -125,6 +125,18 @@ class TestErrorPaths:
         assert code == cli.EXIT_PRECONDITION
         assert "error" in err
 
+    def test_apnorm_overflow_exit_code(self, capsys, curve_file):
+        # used to print "value": Infinity, which is not JSON, and exit 0
+        code, out, err = run(capsys, "apnorm", "--curve", curve_file,
+                             "--p", "1100")
+        assert code == cli.EXIT_PRECONDITION
+        assert out == "" and "overflow" in err
+
+    def test_verify_names_a_bad_vertex_count(self, capsys):
+        code, _, err = run(capsys, "--n", "7", "verify", "--curves", "1")
+        assert code == cli.EXIT_PRECONDITION
+        assert "need n >= 8" in err
+
     def test_missing_curve_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "energy", "--curve",
                          str(tmp_path / "nope.json"), "--j", "2", "--p", "1")

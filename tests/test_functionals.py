@@ -192,6 +192,27 @@ class TestEnergy:
             float(reference), rel=1e-13)
 
 
+class TestPower:
+    X = np.concatenate([
+        np.geomspace(1e-12, 1e3, 20001),
+        np.random.default_rng(0).uniform(1e-12, 1e3, 20000)])
+
+    @pytest.mark.parametrize("e", [0.5, -0.5, 1.5, -1.5])
+    def test_half_odd_exponents_match_np_power(self, e):
+        reference = np.power(self.X, e)
+        got = fn._power(self.X, e)
+        assert np.max(np.abs(got - reference) / reference) <= 4e-16
+
+    @pytest.mark.parametrize("e", [1, 1.0])
+    def test_exponent_one_returns_its_input(self, e):
+        assert fn._power(self.X, e) is self.X
+
+    @pytest.mark.parametrize("e", [-2.5, -2, -1, -0.25, 0.25, 0.75, 1.25,
+                                   2, 2.5, 3])
+    def test_other_exponents_are_np_power(self, e):
+        assert np.array_equal(fn._power(self.X, e), np.power(self.X, e))
+
+
 class TestSharedEnergyWalk:
     """One walk of the chord table serves several (j, p) pairs."""
 
@@ -382,6 +403,13 @@ class TestChordMeans:
             == ((2.0 ** p / math.pi) * integral) ** (1.0 / p)
         assert fn.segment_avg_chord(p) \
             == (2.0 * math.pi ** p / ((p + 1) * (p + 2))) ** (1.0 / p)
+
+    def test_raises_where_chord_powers_overflow(self, circle256):
+        # the circle's diameter is about 2, and 2^p overflows near
+        # p = 1024; p = 1100 used to give inf with a RuntimeWarning
+        assert math.isfinite(fn.avg_chord_p(circle256, 1000))
+        with pytest.raises(ParameterDomainError, match="overflow"):
+            fn.avg_chord_p(circle256, 1100)
 
     def test_power_mean_monotone(self, random_curves):
         vals = [fn.avg_chord_p(random_curves[0], p)

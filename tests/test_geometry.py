@@ -187,6 +187,18 @@ class TestRandomClosedCurve:
         # halve the spread
         geo.random_closed_curve(seed, n=9).validate()
 
+    @pytest.mark.parametrize("size, match", [
+        ({"n": 7}, "n >= 8"), ({"n": 0}, "n >= 8"),
+        ({"dim": 4}, "dim 2 or 3"), ({"dim": 1}, "dim 2 or 3")],
+        ids=["n7", "n0", "dim4", "dim1"])
+    def test_bad_size_raises_before_any_draw(self, size, match,
+                                             monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a curve")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(InvalidDiscretizationError, match=match):
+            geo.random_closed_curve(1, **size)
+
     def test_draws_the_inscriber_rejects_fall_through(self, monkeypatch):
         # with two passes no draw reaches equal edges: each substream's
         # InvalidDiscretizationError is skipped, and the seed runs out
@@ -219,25 +231,25 @@ class TestRandomClosedCurve:
 
 
 def _uncached_random_closed_curve(seed, K=6, n=512, dim=2):
-    """random_closed_curve with every cos and sin evaluated on the spot,
-    the reference for the harmonic-table cache."""
+    """random_closed_curve with every harmonic evaluated on the spot by
+    the trace's own recurrence, the reference for the harmonic-table
+    cache."""
     for attempt in range(32):
         rng = np.random.default_rng((seed, attempt))
-        ks = np.arange(1, K + 1)
-        scale = 0.25 * geo.AMPLITUDE_DECAY ** ks[:, None]
+        ks = np.arange(1, K + 1)[:, None]
+        scale = 0.25 * geo.AMPLITUDE_DECAY ** ks
         a = rng.normal(size=(K, dim)) * scale
         b = rng.normal(size=(K, dim)) * scale
         a[0, 0] += 1.0
         b[0, 1] += 1.0
+        coef = np.stack([a, b], axis=1).reshape(2 * K, dim)
+        dcoef = np.stack([ks * b, -ks * a], axis=1).reshape(2 * K, dim)
 
-        def trace(t, a=a, b=b):
-            return (np.cos(np.outer(t, ks)) @ a
-                    + np.sin(np.outer(t, ks)) @ b)
+        def trace(t, coef=coef):
+            return geo._harmonics(t, K) @ coef
 
         dense = TWO_PI * np.arange(4096) / 4096
-        da = -np.sin(np.outer(dense, ks)) * ks @ a \
-            + np.cos(np.outer(dense, ks)) * ks @ b
-        speed = np.linalg.norm(da, axis=1)
+        speed = np.linalg.norm(geo._harmonics(dense, K) @ dcoef, axis=1)
         perim = float(np.trapezoid(
             np.append(speed, speed[0]), dx=TWO_PI / 4096))
         if perim < 1e-6 or speed.min() < 0.35 * speed.mean():
@@ -247,6 +259,27 @@ def _uncached_random_closed_curve(seed, K=6, n=512, dim=2):
         except DegenerateCurveError:
             continue
     raise DegenerateCurveError(seed)
+
+
+class TestHarmonics:
+    @pytest.mark.parametrize("K", [1, 6, 12])
+    def test_matches_cos_and_sin(self, K):
+        # the uniform grid, and the shifted parameters of later passes
+        t = np.concatenate([
+            TWO_PI * np.arange(512) / 512,
+            np.random.default_rng(K).uniform(-0.1, TWO_PI + 0.1, 4096)])
+        table = geo._harmonics(t, K)
+        assert table.shape == (len(t), 2 * K)
+        phase = np.outer(t, np.arange(1, K + 1))
+        assert np.abs(table[:, 0::2] - np.cos(phase)).max() <= 1e-14
+        assert np.abs(table[:, 1::2] - np.sin(phase)).max() <= 1e-14
+
+    def test_table_is_the_recurrence_on_the_grid(self):
+        geo._harmonic_table.cache_clear()
+        for m, K in ((64, 6), (geo.SPEED_GRID, 3)):
+            assert np.array_equal(
+                geo._harmonic_table(m, K),
+                geo._harmonics(TWO_PI * np.arange(m) / m, K))
 
 
 class TestHarmonicTableCache:
@@ -296,6 +329,20 @@ def _brute_squared_chords(v, ks):
                 acc += x * x
             out[r, i] = acc
     return out
+
+
+def _gathered_squared_chords(v, ks):
+    """The offset table as gathered copies of the cyclic vertex windows
+    minus the vertices, squared and summed coordinate by coordinate."""
+    n = len(v)
+    coords = np.concatenate([v, v]).T
+    offsets = np.asarray(ks)[:, None] % n + np.arange(n)
+    diff = coords[:, offsets] - coords[:, None, :n]
+    diff *= diff
+    table = diff[0]
+    for sq in diff[1:]:
+        table += sq
+    return table
 
 
 def _gram_table_before_others(vertices):
@@ -375,6 +422,36 @@ class TestOffsetKernel:
                                   + diff[..., 1] * diff[..., 1])
             seen.extend(ks[rows])
         assert seen == list(ks)
+
+    # evenly spaced ascending runs (sliced), then uneven, descending,
+    # duplicate and wrapped offsets (gathered), in one list so that runs
+    # cross block boundaries
+    MIXED = [1, 2, 3, 4, 5, 9, 13, 17, 21, 2, 3, 5, 8, 13, 40, 30, 20, 10,
+             6, 6, 6, 7, 0, 64, 128, 65, 66, 67, 68, 11]
+
+    @pytest.mark.parametrize("per_block", [None, 4, 1])
+    @pytest.mark.parametrize("n, ks", [
+        (64, "half"), (64, "mixed"), (65, "mixed"), (64, "single"),
+        (257, "half"), (257, "every_fifth")])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_gather_reference(self, n, ks, dim, per_block,
+                                     monkeypatch):
+        if per_block is not None:
+            monkeypatch.setattr(geo, "OFFSET_BLOCK", per_block * n)
+        ks = {"half": geo.half_offsets(n)[0],
+              "mixed": np.array(self.MIXED),
+              "single": np.array([7]),
+              "every_fifth": np.arange(3, n + 40, 5)}[ks]
+        v = np.random.default_rng(n + dim).normal(size=(n, dim))
+        assert np.array_equal(_offset_table(v, ks),
+                              _gathered_squared_chords(v, ks))
+
+    def test_even_runs_are_indexed_by_slices(self):
+        assert geo._offset_index(np.array([3, 5, 7])) == slice(3, 8, 2)
+        assert geo._offset_index(np.array([9])) == slice(9, 10, 1)
+        for block in ([3, 5, 8], [7, 5, 3], [4, 4, 4], [63, 0, 1]):
+            block = np.array(block)
+            assert geo._offset_index(block) is block
 
     def test_arcs_fold_at_half_turn(self):
         n = 512

@@ -297,18 +297,19 @@ def circle_bound(params: EnergyParams) -> float:
 def avg_chord_p(curve: PolyCurve, p: float) -> float:
     """L^p mean of the chord length over all parameter pairs,
     ((1/N^2) sum |c_i - c_k|^p)^(1/p); the diagonal contributes zero.
-    Where the chord powers or their sum overflow double precision (on
-    the circle from p near 1020, as 2^p nears the largest double)
-    ParameterDomainError is raised, as for the closed forms."""
+    The powers are taken of the squared chords divided by the largest,
+    so they are at most 1, and the mean is scaled back: neither the
+    powers nor their sum overflow, and the value is finite at every
+    finite p > 0 (on the circle it nears the diameter, about 2)."""
     require_finite_exponent(p)
     d2 = squared_chord_matrix(curve.vertices)
-    with np.errstate(over="ignore"):
-        d2 **= p / 2.0
-        value = np.mean(d2) ** (1.0 / p)
-    if not math.isfinite(value):
-        raise ParameterDomainError(
-            f"the chord powers overflow double precision at p = {p}")
-    return float(value)
+    top = float(d2.max())
+    if top == 0.0:
+        # every vertex at one point
+        return 0.0
+    d2 /= top
+    d2 **= p / 2.0
+    return float(np.mean(d2) ** (1.0 / p) * math.sqrt(top))
 
 
 def _closed_form_mean(p: float, mean_power) -> float:

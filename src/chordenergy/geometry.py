@@ -10,14 +10,18 @@ weight 2*pi/N.
 Two routines make the edges equal.  An analytic trace (make_ellipse,
 random_closed_curve) gets vertices on the trace with equal chords
 (_inscribe_equal_chords); a polygon (resample_arclength, the optimizer's
-start curves and trials) is Newton-projected onto the edge constraints
-(_retract).  Both measure edges one way (_edges), respace by one
-equal-arclength pass (_equal_arclength) and stop by one rule (_settle).
+start curves) is Newton-projected onto the edge constraints (_retract).
+Both measure edges one way (_edges) and respace by one equal-arclength
+pass (_equal_arclength).  The optimizer's trials are planar polygons
+built from their edge angles, whose edges are equal by construction;
+only their closure is Newton-projected (_close_angles).  Every Newton
+loop stops by one rule (_settle).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -348,6 +352,81 @@ def _retract(v: np.ndarray, h: float, frame: _TangentFrame | None):
         DegenerateCurveError, "Newton projection: edge-length error")
     # the arithmetic of v.mean(axis=0), without its per-call overhead
     return v - v.sum(axis=0) / v.shape[0], edges, lengths
+
+
+def _closure_normal(cos: np.ndarray, sin: np.ndarray, rhs) -> np.ndarray:
+    """J^T (J J^T)^-1 rhs for the Jacobian J of the closure gap
+    sum_i (cos theta_i, sin theta_i) of the edge angles theta, whose two
+    rows are the normal fields -sin theta and cos theta: the least-norm
+    angle field whose change of the gap, to first order, is the 2-vector
+    rhs.  The 2 x 2 Gram matrix J J^T is solved in closed form; it is
+    singular when all edges are parallel, which raises
+    DegenerateCurveError."""
+    # numpy sums, not BLAS dots, whose round-off depends on the thread count
+    ss, cc, sc = np.sum(sin * sin), np.sum(cos * cos), np.sum(sin * cos)
+    # J J^T = [[ss, -sc], [-sc, cc]]
+    det = ss * cc - sc * sc
+    if not det > 0:
+        raise DegenerateCurveError(
+            "closure constraints of the curve are not independent")
+    along_sin = (cc * rhs[0] + sc * rhs[1]) / det
+    along_cos = (sc * rhs[0] + ss * rhs[1]) / det
+    return along_cos * cos - along_sin * sin
+
+
+def _close_angles(theta: np.ndarray, h: float):
+    """Newton projection of the edge angles theta onto closure, and the
+    polygon they give.
+
+    The polygon has vertex 0 at the origin and vertex k at
+    h sum_{i<k} (cos theta_i, sin theta_i), then its centroid moved to
+    the origin, so every edge but the last has length h by construction.
+    The last closes up to the gap sum_i (cos theta_i, sin theta_i),
+    whose norm bounds its length error relative to h.  Each step is
+    theta <- theta - J^T (J J^T)^-1 gap (_closure_normal); the steps stop
+    by _settle on the gap's norm, and their failures raise
+    DegenerateCurveError.  Returns the closed angles and the vertices.
+    """
+    def measured(theta):
+        cos, sin = np.cos(theta), np.sin(theta)
+        gap = (np.sum(cos), np.sum(sin))
+        return theta, cos, sin, gap, math.hypot(*gap)
+
+    def newton(state):
+        theta, cos, sin, gap, _ = state
+        return measured(theta - _closure_normal(cos, sin, gap))
+
+    theta, cos, sin, _, _ = _settle(
+        measured(theta), newton, RETRACT_TOL, RETRACT_MAX_STEPS,
+        DegenerateCurveError, "closure: gap")
+    n = theta.shape[0]
+    v = np.empty((n, 2))
+    v[0] = 0.0
+    np.cumsum(cos[:-1], out=v[1:, 0])
+    np.cumsum(sin[:-1], out=v[1:, 1])
+    v *= h
+    return theta, v - v.sum(axis=0) / n
+
+
+def _angle_gradient(theta: np.ndarray, grad: np.ndarray,
+                    h: float) -> np.ndarray:
+    """Tangent gradient in the edge angles theta of a function of the
+    vertices that _close_angles builds from them, given its vertex
+    gradient grad.
+
+    Vertex k moves with theta_i, i < k, along h (-sin theta_i,
+    cos theta_i), so the derivative in theta_i is that field dotted with
+    sum_{k>i} grad_k.  The prefix sums of one cumsum stand in for those
+    tails: they differ by the constant sum of grad, whose part lies in
+    the span of the closure normals, and the projection onto the tangent
+    space of closure (removing J^T (J J^T)^-1 J of the field) takes that
+    span out.
+    """
+    cos, sin = np.cos(theta), np.sin(theta)
+    prefix = np.cumsum(grad, axis=0)
+    field = h * (sin * prefix[:, 0] - cos * prefix[:, 1])
+    return field - _closure_normal(
+        cos, sin, (-np.sum(sin * field), np.sum(cos * field)))
 
 
 def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:

@@ -316,22 +316,16 @@ def _polyline_svg(xs, ys, path, xlabel, ylabel) -> None:
     _write_svg(path, elements)
 
 
-#: sweep CSV header by format version; version 2 added the iteration
-#: count and the stop reason of each solve, version 3 its seconds
-SWEEP_COLUMNS = {
-    1: ["p", "value", "r", "efit_log10", "eccentricity", "converged"],
-    2: ["p", "value", "r", "efit_log10", "eccentricity", "converged",
-        "iterations", "reason"],
-    3: ["p", "value", "r", "efit_log10", "eccentricity", "converged",
-        "iterations", "reason", "seconds"],
-}
+#: sweep CSV header of format FORMAT_VERSION, the only one read
+SWEEP_COLUMNS = ["p", "value", "r", "efit_log10", "eccentricity",
+                 "converged", "iterations", "reason", "seconds"]
 
 
 def write_sweep_csv(records, path) -> None:
     """Write the sweep records as CSV in format FORMAT_VERSION."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS[FORMAT_VERSION])
+        writer.writerow(SWEEP_COLUMNS)
         for rec in records:
             writer.writerow([
                 FLOAT_FMT % rec.p, FLOAT_FMT % rec.value, FLOAT_FMT % rec.r,
@@ -341,26 +335,21 @@ def write_sweep_csv(records, path) -> None:
 
 
 def read_sweep_csv(path) -> list[shp.SweepRecord]:
-    """Read a sweep CSV of any format version; the fields a version
-    lacks (iterations and reason before 2, seconds before 3) get their
-    SweepRecord defaults."""
+    """Read a sweep CSV of format FORMAT_VERSION; any other header,
+    earlier formats' included, raises ParameterDomainError."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames not in SWEEP_COLUMNS.values():
+        if reader.fieldnames != SWEEP_COLUMNS:
             raise ParameterDomainError(f"bad CSV header {reader.fieldnames}")
         for row in reader:
-            extra = {}
-            if "iterations" in row:
-                extra = {"iterations": int(row["iterations"]),
-                         "reason": row["reason"]}
-            if "seconds" in row:
-                extra["seconds"] = float(row["seconds"])
             out.append(shp.SweepRecord(
                 p=float(row["p"]), value=float(row["value"]),
                 r=float(row["r"]), efit_log10=float(row["efit_log10"]),
                 eccentricity=float(row["eccentricity"]),
-                converged=bool(int(row["converged"])), **extra))
+                converged=bool(int(row["converged"])),
+                iterations=int(row["iterations"]), reason=row["reason"],
+                seconds=float(row["seconds"])))
     return out
 
 

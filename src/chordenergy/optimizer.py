@@ -1,20 +1,26 @@
 """Projected gradient ascent for average chord-power functionals.
 
 The feasible set is the discrete unit-speed manifold: closed planar
-polygons with N equal edges and perimeter 2*pi.  Ascent steps follow
-the gradient of the p-th power mean of the chord lengths, projected
-onto the tangent space of the edge-length constraints.  Line-search
-trials return to the manifold by Newton projection onto the edge
-constraints, starting from the iteration's tangent frame (a
-projection-like retraction, Absil & Malick, SIAM J. Optim. 2012);
-start curves reach it by the same projection after one
-equal-arclength pass (geometry.resample_arclength).  The projection
-and the tangent frame live in geometry.  Each line search starts from a
-Barzilai-Borwein step and backtracks by safeguarded quadratic
-interpolation; it stops when the step no longer moves the iterate.  The
-pairwise work, the chord powers behind the value and the gradient,
-visits each unordered vertex pair once, through a band of the Gram
-chord table (_ChordBand).  Past the critical exponent the circle loses its
+polygons with N equal edges and perimeter 2*pi.  Such a polygon is fixed,
+up to translation, by the directions theta_i of its edges, so the ascent
+works on those angles: edges of length 2*pi/N laid end to end in those
+directions are equal by construction, and only closure, the two
+constraints sum_i (cos theta_i, sin theta_i) = 0, is left to enforce
+(geometry._close_angles, a Newton projection through a 2 x 2 solve).
+Steps follow the gradient of the p-th power mean of the chord lengths,
+pulled back to the angles by one cumsum and projected onto the tangent
+space of closure (geometry._angle_gradient).  The flat metric on the
+angles damps vertex mode k by about 1/k^2, so stiff high-frequency
+curvature does not force tiny steps.  Start curves reach the manifold
+by geometry.resample_arclength, and their angles are read off their
+edges.  Each line search starts from a Barzilai-Borwein step and
+backtracks by safeguarded quadratic interpolation; it stops when a
+trial's vertices equal the iterate's.  The stop test reads the
+projected gradient in the vertices, through the tangent frame of the
+edge-length constraints (geometry._TangentFrame).  The pairwise work,
+the chord powers behind the value and the gradient, visits each
+unordered vertex pair once, through a band of the Gram chord table
+(_ChordBand).  Past the critical exponent the circle loses its
 maximality and the iterates stretch into ovals, so initial curves carry
 an explicit mode-2 perturbation to break the rotational symmetry.
 """
@@ -25,7 +31,6 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +38,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateCurveError, InvalidDiscretizationError, \
     ParameterDomainError, SingularGradientError
-from .geometry import TWO_PI, PolyCurve, _edges, _retract, _TangentFrame, \
-    make_circle, resample_arclength, squared_chord_matrix
+from .geometry import TWO_PI, PolyCurve, _angle_gradient, _bind_lapack, \
+    _close_angles, _edges, _TangentFrame, make_circle, resample_arclength, \
+    squared_chord_matrix
 from .functionals import circle_avg_chord, require_finite_exponent, \
     segment_avg_chord
 from . import shape as shape_mod
@@ -52,12 +58,6 @@ MAX_STEP_FACTOR = 1e3
 #: trial lowered the value (see _backtrack)
 BACKTRACK_MIN = 0.1
 BACKTRACK_MAX = 0.5
-
-#: strength of the H^1 smoothing applied to ascent directions;
-#: mode k is damped by 1/(1 + SMOOTH_SIGMA k^2).  Stiff high-frequency
-#: curvature otherwise forces steps orders of magnitude below what
-#: the low-frequency stretching modes can absorb.
-SMOOTH_SIGMA = 16.0
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ class IterationRecord(NamedTuple):
     value: float
     #: projected-gradient norm at the iteration's start (nan at entry 0)
     gnorm: float
-    #: retracted line-search trials the iteration made
+    #: line-search trials, each a closure of trial angles, the
+    #: iteration made
     trials: int
 
 
@@ -209,7 +210,7 @@ def project(curve: PolyCurve) -> PolyCurve:
     """Place a curve on the feasible manifold: equal edges, perimeter
     2*pi, centroid at the origin, by resample_arclength at the curve's
     own vertex count.  maximize uses it for its start curve only;
-    line-search trials go through _retract directly.  A collapsed curve,
+    line-search trials go through _close_angles.  A collapsed curve,
     or one whose edges the projection cannot equalize, raises
     DegenerateCurveError."""
     return resample_arclength(curve, curve.n)
@@ -226,22 +227,6 @@ def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
     out = v.copy()
     out[safe] *= factor[safe, None]
     return project(PolyCurve(out))
-
-
-@lru_cache(maxsize=8)
-def _h1_filter(n: int) -> np.ndarray:
-    """The factors 1/(1 + SMOOTH_SIGMA k^2) of the rfft modes k of n
-    points, as a read-only column."""
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    filt = (1.0 / (1.0 + SMOOTH_SIGMA * k ** 2))[:, None]
-    filt.flags.writeable = False
-    return filt
-
-
-def _smooth_direction(pg: np.ndarray) -> np.ndarray:
-    """Damp mode k of a real vertex field by 1/(1 + SMOOTH_SIGMA k^2)."""
-    n = pg.shape[0]
-    return np.fft.irfft(np.fft.rfft(pg, axis=0) * _h1_filter(n), n, axis=0)
 
 
 def canonicalize(curve: PolyCurve) -> PolyCurve:
@@ -274,15 +259,13 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
 
 
 def _first_trial_step(step: float, s: np.ndarray, y: np.ndarray,
-                      py: np.ndarray, dnorm: float) -> float:
+                      dnorm: float) -> float:
     """First trial length of a line search along the unit ascent direction.
 
-    s is the displacement of the last accepted step, y the change of
-    the projected gradient of -A_p over it and py = P y, with P the
-    smoothing filter; since P is linear, maximize forms P y from the
-    smoothed gradients it already has.  With positive curvature,
-    <s, y> > 0, this is the Barzilai-Borwein "short" step in the H^1
-    metric, <s, y> / <y, P y> times the direction's norm dnorm before
+    s is the change of the edge angles over the last accepted step and y
+    the change of the tangent angle gradient of -A_p^p over it.  With
+    positive curvature, <s, y> > 0, this is the Barzilai-Borwein "short"
+    step <s, y> / <y, y> times the ascent direction's norm dnorm before
     normalization, capped at MAX_STEP_FACTOR * STEP0; otherwise it is
     step, the last accepted step doubled.
     """
@@ -290,8 +273,7 @@ def _first_trial_step(step: float, s: np.ndarray, y: np.ndarray,
     sy = float(np.sum(s * y))
     if sy <= 0:
         return step
-    ypy = float(np.sum(y * py))
-    return min(sy / ypy * dnorm, MAX_STEP_FACTOR * STEP0)
+    return min(sy / float(np.sum(y * y)) * dnorm, MAX_STEP_FACTOR * STEP0)
 
 
 def _backtrack(step: float, slope: float, drop: float) -> float:
@@ -313,34 +295,36 @@ def _backtrack(step: float, slope: float, drop: float) -> float:
 
 
 def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult:
-    """Monotone projected gradient ascent on the p-th chord-power mean.
+    """Monotone projected gradient ascent on the p-th chord-power mean,
+    in the edge angles.
 
-    The start is init placed on the manifold by project.  Steps follow
-    the H^1-smoothed tangent-projected gradient.  Each line search
-    starts from a Barzilai-Borwein step (_first_trial_step) and retracts
-    each trial by Newton projection onto the edge constraints
-    (_retract).  A trial that lowers the functional is followed by the
-    maximizer of the quadratic through F(0), F'(0) and the trial's F,
-    with F = A_p^p, clamped to [BACKTRACK_MIN, BACKTRACK_MAX] times the
-    step (_backtrack); a trial the retraction rejects, or one with two
+    The start is init placed on the manifold by project; its edge angles
+    are read off its edges and closed (_close_angles).  Steps follow the
+    tangent gradient in the angles (_angle_gradient).  Each line search
+    starts from a Barzilai-Borwein step (_first_trial_step); each trial
+    closes its angles and builds its vertices (_close_angles).  A trial
+    that lowers the functional is followed by the maximizer of the
+    quadratic through F(0), F'(0) and the trial's F, with F = A_p^p,
+    clamped to [BACKTRACK_MIN, BACKTRACK_MAX] times the step
+    (_backtrack); a trial whose angles do not close, or one with two
     vertices closer than MIN_PAIR_DISTANCE, halves the step.  The first
     trial whose value does not decrease is accepted.  The search fails
-    after 60 trials, or as soon as the step no longer moves the iterate
-    in floating point.  Each trial writes its chord table and its
-    weights into the solve's _ChordBand, over n^2/2 pairs; the accepted
-    trial's weights give the next gradient.  Each iteration applies the
-    smoothing filter once, by one real FFT pair.
-    Terminates when the projected gradient norm falls below
-    opts.tol_grad, when the line search finds no ascent, or after
-    opts.max_iters iterations; result.reason says which, and
-    result.history holds an IterationRecord per iteration.
+    after 60 trials, or as soon as a trial's vertices equal the
+    iterate's.  Each trial writes its chord table and its weights into
+    the solve's _ChordBand, over n^2/2 pairs; the accepted trial's
+    weights give the next gradient.  The stop test reads the projected
+    gradient in the vertices, from one tangent frame per iteration.
+    Terminates when that norm falls below opts.tol_grad, when the line
+    search finds no ascent, or after opts.max_iters iterations;
+    result.reason says which, and result.history holds an IterationRecord
+    per iteration.
     """
     require_finite_exponent(p)
     if init.dim != 2:
         raise InvalidDiscretizationError("maximize needs a planar curve")
-    v = project(init).vertices
-    h = TWO_PI / v.shape[0]
-    edges, lengths = _edges(v)
+    h = TWO_PI / init.n
+    edges = _edges(project(init).vertices)[0]
+    theta, v = _close_angles(np.arctan2(edges[:, 1], edges[:, 0]), h)
     # one chord table and one power of it per curve, in buffers of the
     # solve: the accepted candidate's weights give the next gradient,
     # which is read before the next line search overwrites them
@@ -351,56 +335,49 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     history = [IterationRecord(0, value, float("nan"), 0)]
     reason = Termination.MAX_ITERS
     iters = 0
-    # vertices, projected gradient and its smoothing at the previous iterate
+    # angles and their tangent gradient at the previous iterate
     last = None
     for iters in range(1, opts.max_iters + 1):
-        frame = _TangentFrame(edges, lengths)
-        pg = frame.project(band.gradient(v, p))
-        gnorm = float(np.linalg.norm(pg))
+        grad = band.gradient(v, p)
+        gnorm = float(np.linalg.norm(_TangentFrame(*_edges(v)).project(grad)))
         if gnorm < opts.tol_grad:
             reason = Termination.GRAD_TOL
             history.append(IterationRecord(iters, value, gnorm, 0))
             break
-        smoothed = _smooth_direction(pg)
-        direction = frame.project(smoothed)
-        dnorm = float(np.linalg.norm(direction))
+        ascent = _angle_gradient(theta, grad, h)
+        # a numpy sum, like the inner products of _first_trial_step; it is
+        # also F'(0) along the unit direction
+        dnorm = math.sqrt(np.sum(ascent * ascent))
         if dnorm < 1e-15:
             # no ascent direction left to search along
             reason = Termination.LINE_SEARCH_STALLED
             history.append(IterationRecord(iters, value, gnorm, 0))
             break
         if last is not None:
-            step = _first_trial_step(step, v - last[0], last[1] - pg,
-                                     last[2] - smoothed, dnorm)
-        direction /= dnorm
-        # F'(0) of F = A_p^p along the direction; a numpy sum, like the
-        # inner products of _first_trial_step
-        slope = float(np.sum(pg * direction))
+            step = _first_trial_step(step, theta - last[0], last[1] - ascent,
+                                     dnorm)
+        direction = ascent / dnorm
         power = value ** p
         accepted = False
-        trials = 0
-        for _ in range(60):
-            trial = v + step * direction
-            if np.array_equal(trial, v):
-                # the step no longer moves the iterate
-                break
-            trials += 1
+        for trials in range(1, 61):
             try:
-                cand, cand_edges, cand_lengths = _retract(trial, h, frame)
+                cand_theta, cand = _close_angles(theta + step * direction, h)
             except DegenerateCurveError:
                 step *= 0.5
                 continue
+            if np.array_equal(cand, v):
+                # the step no longer moves the iterate
+                break
             if band.tabulate(cand) < MIN_PAIR_DISTANCE ** 2:
                 step *= 0.5
                 continue
             new_value = band.power_mean(p)
             if new_value >= value:
-                last = (v, pg, smoothed)
-                v, edges, lengths = cand, cand_edges, cand_lengths
-                value = new_value
+                last = (theta, ascent)
+                theta, v, value = cand_theta, cand, new_value
                 accepted = True
                 break
-            step = _backtrack(step, slope, power - new_value ** p)
+            step = _backtrack(step, dnorm, power - new_value ** p)
         history.append(IterationRecord(iters, value, gnorm, trials))
         if not accepted:
             # no step along the direction found ascent
@@ -418,11 +395,13 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     perturbation of amplitude opts.perturb so the circle branch can
     destabilize.  Failures become flagged rows; the sweep continues.
     Each record's seconds is the wall time of its perturbation and
-    solve.
+    solve; LAPACK is bound before the first clock starts, so no record
+    holds its one-off import.
     """
     p_grid = list(p_grid)
     if sorted(p_grid) != p_grid:
         raise ParameterDomainError("p_grid must be sorted ascending")
+    _bind_lapack()
     records = []
     current = make_circle(opts.n)
     for p in p_grid:

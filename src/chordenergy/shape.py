@@ -38,7 +38,9 @@ class SweepRecord:
     """One row of a p-sweep: functional value and shape diagnostics,
     the solve's iteration count and stop reason (the value of an
     optimizer.Termination; empty for a failed solve), its wall time in
-    seconds, and the canonicalized maximizer when the solve succeeded."""
+    seconds, and the canonicalized maximizer when the solve succeeded.
+    The seconds never hold the one-off scipy.linalg import of the first
+    tangent frame: optimizer.sweep makes it before its first clock."""
 
     p: float
     value: float

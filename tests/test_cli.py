@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -125,12 +126,14 @@ class TestErrorPaths:
         assert code == cli.EXIT_PRECONDITION
         assert "error" in err
 
-    def test_apnorm_overflow_exit_code(self, capsys, curve_file):
-        # used to print "value": Infinity, which is not JSON, and exit 0
-        code, out, err = run(capsys, "apnorm", "--curve", curve_file,
-                             "--p", "1100")
-        assert code == cli.EXIT_PRECONDITION
-        assert out == "" and "overflow" in err
+    def test_apnorm_at_large_p_is_valid_json(self, capsys, curve_file):
+        # the chord powers used to overflow: the command printed
+        # "value": Infinity, then exited 2
+        code, out, _ = run(capsys, "apnorm", "--curve", curve_file,
+                           "--p", "1100")
+        assert code == cli.EXIT_OK
+        value = json.loads(out)["value"]
+        assert 1.99 < value <= math.pi
 
     def test_verify_names_a_bad_vertex_count(self, capsys):
         code, _, err = run(capsys, "--n", "7", "verify", "--curves", "1")

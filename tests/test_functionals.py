@@ -380,8 +380,9 @@ class TestChordMeans:
                                         double_segment512):
         for curve in (random_curves[2], circle512, double_segment512):
             d2 = geo.squared_chord_matrix(curve.vertices)
+            top = d2.max()
             assert fn.avg_chord_p(curve, p) \
-                == np.mean(d2 ** (p / 2)) ** (1 / p)
+                == np.mean((d2 / top) ** (p / 2)) ** (1 / p) * np.sqrt(top)
 
     @pytest.mark.parametrize("p", [300, 344, 620, 621, 2000])
     def test_closed_forms_raise_where_doubles_overflow(self, p):
@@ -404,12 +405,28 @@ class TestChordMeans:
         assert fn.segment_avg_chord(p) \
             == (2.0 * math.pi ** p / ((p + 1) * (p + 2))) ** (1.0 / p)
 
-    def test_raises_where_chord_powers_overflow(self, circle256):
-        # the circle's diameter is about 2, and 2^p overflows near
-        # p = 1024; p = 1100 used to give inf with a RuntimeWarning
-        assert math.isfinite(fn.avg_chord_p(circle256, 1000))
-        with pytest.raises(ParameterDomainError, match="overflow"):
-            fn.avg_chord_p(circle256, 1100)
+    @pytest.mark.parametrize("p", [1020, 1023, 1024])
+    def test_finite_where_chord_powers_overflow(self, p):
+        # on the 64-gon every d^p is finite here, but their sum used to
+        # overflow and raise; A_p is near the diameter, about 2
+        value = fn.avg_chord_p(geo.make_circle(64), p)
+        assert math.isfinite(value) and 1.99 < value <= math.pi
+
+    def test_collapsed_curve_is_zero(self):
+        # every chord is zero, so there is no largest one to scale by
+        curve = geo.PolyCurve(np.ones((8, 2)))
+        assert fn.avg_chord_p(curve, 2.0) == 0.0
+
+    @pytest.mark.parametrize("p", [0.5, 2, 7.3])
+    def test_matches_long_double_reference(self, p):
+        for curve in (geo.make_circle(64), geo.random_closed_curve(3, n=128),
+                      geo.make_ellipse(3, 65)):
+            v = curve.vertices.astype(np.longdouble)
+            diff = v[:, None, :] - v[None, :, :]
+            d2 = np.sum(diff * diff, axis=2)
+            ref = np.mean(d2 ** np.longdouble(p / 2)) ** (1 / np.longdouble(p))
+            assert fn.avg_chord_p(curve, p) == pytest.approx(float(ref),
+                                                             rel=1e-13)
 
     def test_power_mean_monotone(self, random_curves):
         vals = [fn.avg_chord_p(random_curves[0], p)

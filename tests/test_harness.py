@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import numpy as np
@@ -162,31 +161,22 @@ class TestSweepCsv:
         path = tmp_path / "sweep.csv"
         harness.write_sweep_csv(records, path)
         assert path.read_text().splitlines()[0] \
-            == ",".join(harness.SWEEP_COLUMNS[3])
+            == ",".join(harness.SWEEP_COLUMNS)
         again = harness.read_sweep_csv(path)
         assert again[:2] == records[:2]
         assert [rec.seconds for rec in again] \
             == [rec.seconds for rec in records]
         assert (again[2].iterations, again[2].reason) == (0, "")
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_round_trip_of_earlier_formats(self, tmp_path, version):
-        # a file in an earlier format: the current one without the
-        # columns that format lacks
-        records = _sweep_records()[:2]
-        path = tmp_path / "sweep.csv"
-        harness.write_sweep_csv(records, path)
-        kept = len(harness.SWEEP_COLUMNS[version])
-        path.write_text("".join(
-            ",".join(line.split(",")[:kept]) + "\n"
-            for line in path.read_text().splitlines()))
-        again = harness.read_sweep_csv(path)
-        lacking = {"seconds": 0.0}
-        if version == 1:
-            lacking.update(iterations=0, reason="")
-        assert again == [dataclasses.replace(rec, **lacking)
-                         for rec in records]
-        assert all(rec.seconds == 0.0 for rec in again)
+    def test_version_2_header_rejected(self, tmp_path):
+        # format 2, read until the earlier formats were dropped, lacked
+        # the seconds column
+        path = tmp_path / "sweep_v2.csv"
+        path.write_text("p,value,r,efit_log10,eccentricity,converged,"
+                        "iterations,reason\n"
+                        "2,1.4142135623730951,1,-12.5,0.1,1,26,grad_tol\n")
+        with pytest.raises(ValueError, match="header"):
+            harness.read_sweep_csv(path)
 
     def test_sweep_times_each_solve(self):
         start = time.perf_counter()
@@ -196,23 +186,6 @@ class TestSweepCsv:
         seconds = [rec.seconds for rec in records]
         assert all(s > 0 for s in seconds)
         assert sum(seconds) <= wall
-
-    def test_reads_version_1(self, tmp_path):
-        path = tmp_path / "sweep_v1.csv"
-        path.write_text("p,value,r,efit_log10,eccentricity,converged\n"
-                        "2,1.4142135623730951,1,-12.5,0.1,1\n"
-                        "4,1.5973,9.2,-2.8,0.99,0\n")
-        records = harness.read_sweep_csv(path)
-        assert records == [
-            shp.SweepRecord(p=2.0, value=np.sqrt(2), r=1.0,
-                            efit_log10=-12.5, eccentricity=0.1,
-                            converged=True),
-            shp.SweepRecord(p=4.0, value=1.5973, r=9.2,
-                            efit_log10=-2.8, eccentricity=0.99,
-                            converged=False),
-        ]
-        assert all((rec.iterations, rec.reason) == (0, "")
-                   for rec in records)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -139,9 +139,13 @@ def squared_chord_matrix(vertices: np.ndarray, others=None,
     right[:, dim] = 1.0
     right[:, dim + 1] = others_sq
     d2 = np.matmul(left, right.T, out=out)
-    np.maximum(d2, 0.0, out=d2)
     if others is vertices:
         np.fill_diagonal(d2, 0.0)
+    # cancellation can leave tiny negative entries, as on the diagonal;
+    # a min is cheaper than the clamp, which leaves a table without them
+    # unchanged
+    if d2.min() < 0.0:
+        np.maximum(d2, 0.0, out=d2)
     return d2
 
 
@@ -325,27 +329,23 @@ class _TangentFrame:
             np.einsum("id,id->i", self.u, _next(field) - field))
 
 
-def _retract(v: np.ndarray, h: float, frame: _TangentFrame | None):
+def _retract(v: np.ndarray, h: float):
     """Newton projection of the vertices v onto the edge constraints
     |v_{i+1} - v_i| = h, then centroid to the origin.
 
-    Each step is v <- v - J^T (J J^T)^-1 c(v) with c_i = |v_{i+1} - v_i| - h.
-    The first uses frame, the frame of v already factored, when one is
-    given; each later one factors J at the new point.  They stop by
-    _settle on max |c_i| / h; dependent constraints and _settle's
-    failures raise DegenerateCurveError.  Returns the vertices with the
-    edge vectors and lengths of their last check.
+    Each step is v <- v - J^T (J J^T)^-1 c(v) with c_i = |v_{i+1} - v_i| - h,
+    with J factored at the current point.  The steps stop by _settle on
+    max |c_i| / h; dependent constraints and _settle's failures raise
+    DegenerateCurveError.  Returns the vertices with the edge vectors and
+    lengths of their last check.
     """
     def measured(v):
         edges, lengths = _edges(v)
         return v, edges, lengths, np.abs(lengths - h).max() / h
 
     def newton(state):
-        nonlocal frame
         v, edges, lengths, _ = state
-        normal = (frame or _TangentFrame(edges, lengths)).normal(lengths - h)
-        frame = None
-        return measured(v - normal)
+        return measured(v - _TangentFrame(edges, lengths).normal(lengths - h))
 
     v, edges, lengths, _ = _settle(
         measured(v), newton, RETRACT_TOL, RETRACT_MAX_STEPS,
@@ -363,7 +363,7 @@ def _closure_normal(cos: np.ndarray, sin: np.ndarray, rhs) -> np.ndarray:
     singular when all edges are parallel, which raises
     DegenerateCurveError."""
     # numpy sums, not BLAS dots, whose round-off depends on the thread count
-    ss, cc, sc = np.sum(sin * sin), np.sum(cos * cos), np.sum(sin * cos)
+    ss, cc, sc = (sin * sin).sum(), (cos * cos).sum(), (sin * cos).sum()
     # J J^T = [[ss, -sc], [-sc, cc]]
     det = ss * cc - sc * sc
     if not det > 0:
@@ -389,7 +389,7 @@ def _close_angles(theta: np.ndarray, h: float):
     """
     def measured(theta):
         cos, sin = np.cos(theta), np.sin(theta)
-        gap = (np.sum(cos), np.sum(sin))
+        gap = (cos.sum(), sin.sum())
         return theta, cos, sin, gap, math.hypot(*gap)
 
     def newton(state):
@@ -426,7 +426,7 @@ def _angle_gradient(theta: np.ndarray, grad: np.ndarray,
     prefix = np.cumsum(grad, axis=0)
     field = h * (sin * prefix[:, 0] - cos * prefix[:, 1])
     return field - _closure_normal(
-        cos, sin, (-np.sum(sin * field), np.sum(cos * field)))
+        cos, sin, (-(sin * field).sum(), (cos * field).sum()))
 
 
 def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
@@ -446,7 +446,7 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     closed = np.vstack([curve.vertices, curve.vertices[:1]])
     pts = np.column_stack(_equal_arclength(curve.edge_lengths(), closed.T, m))
     pts *= TWO_PI / _edges(pts)[1].sum()
-    return PolyCurve(_retract(pts, TWO_PI / m, None)[0])
+    return PolyCurve(_retract(pts, TWO_PI / m)[0])
 
 
 def make_circle(n: int) -> PolyCurve:

@@ -1,4 +1,4 @@
-"""Projected gradient ascent for average chord-power functionals.
+"""Projected L-BFGS ascent for average chord-power functionals.
 
 The feasible set is the discrete unit-speed manifold: closed planar
 polygons with N equal edges and perimeter 2*pi.  Such a polygon is fixed,
@@ -7,15 +7,20 @@ works on those angles: edges of length 2*pi/N laid end to end in those
 directions are equal by construction, and only closure, the two
 constraints sum_i (cos theta_i, sin theta_i) = 0, is left to enforce
 (geometry._close_angles, a Newton projection through a 2 x 2 solve).
-Steps follow the gradient of the p-th power mean of the chord lengths,
-pulled back to the angles by one cumsum and projected onto the tangent
-space of closure (geometry._angle_gradient).  The flat metric on the
+The ascent reads the gradient of the p-th power mean of the chord
+lengths, pulled back to the angles by one cumsum and projected onto the
+tangent space of closure (geometry._angle_gradient).  The flat metric on the
 angles damps vertex mode k by about 1/k^2, so stiff high-frequency
 curvature does not force tiny steps.  Start curves reach the manifold
 by geometry.resample_arclength, and their angles are read off their
-edges.  Each line search starts from a Barzilai-Borwein step and
-backtracks by safeguarded quadratic interpolation; it stops when a
-trial's vertices equal the iterate's.  The stop test reads the
+edges.  Each iteration searches along the limited-memory BFGS
+direction of the last few angle steps with positive curvature
+(_lbfgs_direction), from the full step, and backtracks by safeguarded
+quadratic interpolation.  A search fails when a trial's vertices equal
+the iterate's, or once a backtracked step's predicted gain is below a
+few ulps of the value, which no comparison can resolve; a failed
+quasi-Newton search forgets its curvature pairs and searches once more
+along the gradient before the ascent stops.  The stop test reads the
 projected gradient in the vertices, through the tangent frame of the
 edge-length constraints (geometry._TangentFrame).  The pairwise work,
 the chord powers behind the value and the gradient, visits each
@@ -51,8 +56,16 @@ MIN_PAIR_DISTANCE = 1e-6
 #: first trial step of the first line search
 STEP0 = 1.0
 
-#: cap on a Barzilai-Borwein first trial step, in units of STEP0
+#: cap on the length of a quasi-Newton first trial step, in units of STEP0
 MAX_STEP_FACTOR = 1e3
+
+#: curvature pairs (s, y) the L-BFGS direction keeps
+MEMORY = 5
+
+#: a line search ends once a backtracked step's predicted gain
+#: step * F'(0) is below this many ulps of F = A_p^p: no value
+#: comparison can resolve a smaller one
+ROUNDOFF_ULPS = 4
 
 #: bounds of a backtracked trial step, as fractions of the step whose
 #: trial lowered the value (see _backtrack)
@@ -258,22 +271,41 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
     return PolyCurve(np.roll(w, -start, axis=0))
 
 
-def _first_trial_step(step: float, s: np.ndarray, y: np.ndarray,
-                      dnorm: float) -> float:
-    """First trial length of a line search along the unit ascent direction.
+def _remember(pairs: list, s: np.ndarray, y: np.ndarray) -> list:
+    """pairs, oldest first, with (s, y, 1 / <s, y>) appended and the
+    oldest dropped beyond MEMORY; pairs itself when <s, y> <= 0, where
+    the pair would break the positive definiteness of the L-BFGS
+    matrix."""
+    # a numpy sum, not a BLAS dot, whose round-off depends on the
+    # thread count
+    sy = float((s * y).sum())
+    if not sy > 0:
+        return pairs
+    return (pairs + [(s, y, 1.0 / sy)])[-MEMORY:]
 
-    s is the change of the edge angles over the last accepted step and y
-    the change of the tangent angle gradient of -A_p^p over it.  With
-    positive curvature, <s, y> > 0, this is the Barzilai-Borwein "short"
-    step <s, y> / <y, y> times the ascent direction's norm dnorm before
-    normalization, capped at MAX_STEP_FACTOR * STEP0; otherwise it is
-    step, the last accepted step doubled.
+
+def _lbfgs_direction(ascent: np.ndarray, pairs: list) -> np.ndarray:
+    """The L-BFGS ascent direction H ascent in the edge angles, by the
+    two-loop recursion (Nocedal, Math. Comp. 1980).
+
+    H is the inverse-BFGS approximation of the Hessian of -A_p^p built
+    from pairs, oldest first, each (s, y, 1 / <s, y>) with s a change of
+    the angles and y the change of the tangent angle gradient of -A_p^p
+    over it, and <s, y> > 0; it starts from H0 = gamma I with gamma the
+    newest pair's <s, y> / <y, y> (Liu & Nocedal, Math. Prog. 1989).
     """
     # numpy sums, not BLAS dots, whose round-off depends on the thread count
-    sy = float(np.sum(s * y))
-    if sy <= 0:
-        return step
-    return min(sy / float(np.sum(y * y)) * dnorm, MAX_STEP_FACTOR * STEP0)
+    q = ascent.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * (s * q).sum()
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, rho = pairs[-1]
+    r = q / (rho * (y * y).sum())
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * (y * r).sum()) * s
+    return r
 
 
 def _backtrack(step: float, slope: float, drop: float) -> float:
@@ -294,30 +326,69 @@ def _backtrack(step: float, slope: float, drop: float) -> float:
                    lower), upper)
 
 
-def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult:
-    """Monotone projected gradient ascent on the p-th chord-power mean,
-    in the edge angles.
+def _line_search(band: _ChordBand, p: float, h: float, theta: np.ndarray,
+                 v: np.ndarray, value: float, direction: np.ndarray,
+                 slope: float, step: float):
+    """Search from the iterate (theta, v, value) along direction, whose
+    F'(0) is slope, from the trial step.  Returns the trials it closed
+    and the accepted (angles, vertices, value), or None when it failed:
+    after 60 trials, at a trial whose vertices equal v, or once a
+    backtracked step's predicted gain step * slope falls below
+    ROUNDOFF_ULPS ulps of F = A_p^p."""
+    power = value ** p
+    floor = ROUNDOFF_ULPS * np.spacing(power)
+    for trials in range(1, 61):
+        try:
+            cand_theta, cand = _close_angles(theta + step * direction, h)
+        except DegenerateCurveError:
+            cand = None
+        if cand is not None and np.array_equal(cand, v):
+            # the step no longer moves the iterate
+            break
+        if cand is None or band.tabulate(cand) < MIN_PAIR_DISTANCE ** 2:
+            step *= 0.5
+        else:
+            new_value = band.power_mean(p)
+            if new_value >= value:
+                return trials, (cand_theta, cand, new_value)
+            step = _backtrack(step, slope, power - new_value ** p)
+        if step * slope < floor:
+            break
+    return trials, None
+
+
+def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
+             _band: _ChordBand | None = None) -> OptimizeResult:
+    """Monotone projected L-BFGS ascent on the p-th chord-power mean, in
+    the edge angles.
 
     The start is init placed on the manifold by project; its edge angles
-    are read off its edges and closed (_close_angles).  Steps follow the
-    tangent gradient in the angles (_angle_gradient).  Each line search
-    starts from a Barzilai-Borwein step (_first_trial_step); each trial
+    are read off its edges and closed (_close_angles).  Each iteration
+    reads the tangent gradient in the angles (_angle_gradient) and turns
+    it into the L-BFGS direction of the last MEMORY pairs with positive
+    curvature (_lbfgs_direction); with no pair stored it searches along
+    the unit gradient from STEP0.  A quasi-Newton search tries the full
+    step first, its length capped at MAX_STEP_FACTOR * STEP0.  Each trial
     closes its angles and builds its vertices (_close_angles).  A trial
     that lowers the functional is followed by the maximizer of the
     quadratic through F(0), F'(0) and the trial's F, with F = A_p^p,
     clamped to [BACKTRACK_MIN, BACKTRACK_MAX] times the step
     (_backtrack); a trial whose angles do not close, or one with two
     vertices closer than MIN_PAIR_DISTANCE, halves the step.  The first
-    trial whose value does not decrease is accepted.  The search fails
-    after 60 trials, or as soon as a trial's vertices equal the
-    iterate's.  Each trial writes its chord table and its weights into
-    the solve's _ChordBand, over n^2/2 pairs; the accepted trial's
-    weights give the next gradient.  The stop test reads the projected
-    gradient in the vertices, from one tangent frame per iteration.
-    Terminates when that norm falls below opts.tol_grad, when the line
-    search finds no ascent, or after opts.max_iters iterations;
-    result.reason says which, and result.history holds an IterationRecord
-    per iteration.
+    trial whose value does not decrease is accepted.  A search fails
+    after 60 trials, as soon as a trial's vertices equal the iterate's,
+    or once a backtracked step's predicted gain is below ROUNDOFF_ULPS
+    ulps of F.  A failed quasi-Newton search clears the pairs and
+    searches once more along the unit gradient from STEP0; a failed
+    gradient search stops the ascent.  Each trial writes its chord table
+    and its weights into the solve's _ChordBand, over n^2/2 pairs; the
+    accepted trial's weights give the next gradient.  The stop test
+    reads the projected gradient in the vertices, from one tangent frame
+    per iteration.  Terminates when that norm falls below opts.tol_grad,
+    when the line search finds no ascent, or after opts.max_iters
+    iterations; result.reason says which, and result.history holds an
+    IterationRecord per iteration.  _band, a _ChordBand for init.n, lends
+    its buffers to the solve; sweep passes one to all its solves.
     """
     require_finite_exponent(p)
     if init.dim != 2:
@@ -328,15 +399,15 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
     # one chord table and one power of it per curve, in buffers of the
     # solve: the accepted candidate's weights give the next gradient,
     # which is read before the next line search overwrites them
-    band = _ChordBand(v.shape[0])
+    band = _band if _band is not None else _ChordBand(v.shape[0])
     _require_regular_gradient(band.tabulate(v), p)
     value = band.power_mean(p)
-    step = STEP0
     history = [IterationRecord(0, value, float("nan"), 0)]
     reason = Termination.MAX_ITERS
     iters = 0
     # angles and their tangent gradient at the previous iterate
     last = None
+    pairs = []
     for iters in range(1, opts.max_iters + 1):
         grad = band.gradient(v, p)
         gnorm = float(np.linalg.norm(_TangentFrame(*_edges(v)).project(grad)))
@@ -345,45 +416,38 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions) -> OptimizeResult
             history.append(IterationRecord(iters, value, gnorm, 0))
             break
         ascent = _angle_gradient(theta, grad, h)
-        # a numpy sum, like the inner products of _first_trial_step; it is
-        # also F'(0) along the unit direction
-        dnorm = math.sqrt(np.sum(ascent * ascent))
+        # numpy sums, like the inner products of _lbfgs_direction
+        dnorm = math.sqrt((ascent * ascent).sum())
         if dnorm < 1e-15:
             # no ascent direction left to search along
             reason = Termination.LINE_SEARCH_STALLED
             history.append(IterationRecord(iters, value, gnorm, 0))
             break
         if last is not None:
-            step = _first_trial_step(step, theta - last[0], last[1] - ascent,
-                                     dnorm)
-        direction = ascent / dnorm
-        power = value ** p
-        accepted = False
-        for trials in range(1, 61):
-            try:
-                cand_theta, cand = _close_angles(theta + step * direction, h)
-            except DegenerateCurveError:
-                step *= 0.5
-                continue
-            if np.array_equal(cand, v):
-                # the step no longer moves the iterate
-                break
-            if band.tabulate(cand) < MIN_PAIR_DISTANCE ** 2:
-                step *= 0.5
-                continue
-            new_value = band.power_mean(p)
-            if new_value >= value:
-                last = (theta, ascent)
-                theta, v, value = cand_theta, cand, new_value
-                accepted = True
-                break
-            step = _backtrack(step, dnorm, power - new_value ** p)
+            pairs = _remember(pairs, theta - last[0], last[1] - ascent)
+        trials, found = 0, None
+        if pairs:
+            direction = _lbfgs_direction(ascent, pairs)
+            length = math.sqrt((direction * direction).sum())
+            trials, found = _line_search(
+                band, p, h, theta, v, value, direction,
+                float((ascent * direction).sum()),
+                min(1.0, MAX_STEP_FACTOR * STEP0 / length))
+            if found is None:
+                # restart from the gradient, with no stale curvature
+                pairs = []
+        if found is None:
+            more, found = _line_search(band, p, h, theta, v, value,
+                                       ascent / dnorm, dnorm, STEP0)
+            trials += more
+        if found is not None:
+            last = (theta, ascent)
+            theta, v, value = found
         history.append(IterationRecord(iters, value, gnorm, trials))
-        if not accepted:
-            # no step along the direction found ascent
+        if found is None:
+            # no step along the gradient found ascent
             reason = Termination.LINE_SEARCH_STALLED
             break
-        step *= 2.0
     return OptimizeResult(curve=PolyCurve(v), value=value, iterations=iters,
                           reason=reason, history=history)
 
@@ -396,7 +460,8 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     destabilize.  Failures become flagged rows; the sweep continues.
     Each record's seconds is the wall time of its perturbation and
     solve; LAPACK is bound before the first clock starts, so no record
-    holds its one-off import.
+    holds its one-off import.  The solves share one _ChordBand, whose
+    buffers fault in once per sweep, not once per solve.
     """
     p_grid = list(p_grid)
     if sorted(p_grid) != p_grid:
@@ -404,11 +469,12 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     _bind_lapack()
     records = []
     current = make_circle(opts.n)
+    band = _ChordBand(opts.n)
     for p in p_grid:
         start = time.perf_counter()
         try:
             init = perturb_mode2(current, opts.perturb)
-            result = maximize(p, init, opts)
+            result = maximize(p, init, opts, _band=band)
             seconds = time.perf_counter() - start
             current = result.curve
             canon = canonicalize(result.curve)

@@ -386,6 +386,22 @@ class TestGramTable:
         assert np.abs(d2 - exact).max() < 1e-14 * scale
 
 
+    @pytest.mark.parametrize("n", [8, 256])
+    def test_negative_round_off_is_clamped(self, n):
+        # far from the origin the distance of a vertex to its own copy
+        # cancels to round-off of either sign; the negative entries
+        # become zero and the others keep their bits
+        v = 1e4 + np.random.default_rng(n).normal(size=(n, 2))
+        others = v.copy()
+        sq = np.einsum("id,id->i", v, v)
+        left = np.column_stack((-2.0 * v, sq, np.ones(n)))
+        right = np.column_stack((others, np.ones(n), sq))
+        raw = left @ right.T
+        assert raw.min() < 0
+        d2 = geo.squared_chord_matrix(v, others)
+        assert np.array_equal(d2, np.maximum(raw, 0.0))
+
+
 class TestOffsetKernel:
     @pytest.mark.parametrize("n", [8, 9, 64, 257, 512])
     @pytest.mark.parametrize("dim", [2, 3])

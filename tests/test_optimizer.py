@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -207,9 +208,9 @@ class TestProjection:
 
 
 def _bumped_trial(n, step, direction="gradient"):
-    """A bumped n-gon, its tangent frame and a trial v + step * d along a
-    tangent direction d: the projected A_4 gradient scaled to unit norm,
-    or a projected random field whose largest vertex move is 1."""
+    """A trial v + step * d from a bumped n-gon v along a tangent
+    direction d: the projected A_4 gradient scaled to unit norm, or a
+    projected random field whose largest vertex move is 1."""
     curve = opt.perturb_mode2(geo.make_circle(n), 0.05)
     frame = _frame(curve)
     if direction == "gradient":
@@ -218,16 +219,15 @@ def _bumped_trial(n, step, direction="gradient"):
     else:
         d = frame.project(np.random.default_rng(n).normal(size=(n, 2)))
         d /= np.linalg.norm(d, axis=1).max()
-    return curve, frame, curve.vertices + step * d
+    return curve.vertices + step * d
 
 
 class TestRetraction:
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_equal_edges_and_centroid_at_origin(self, n):
-        _, frame, trial = _bumped_trial(n, 0.1)
+        trial = _bumped_trial(n, 0.1)
         assert _relative_edge_error(trial) > 1e-6
-        v, edges, lengths = geo._retract(trial + [0.5, -0.25],
-                                         2 * np.pi / n, frame)
+        v, edges, lengths = geo._retract(trial + [0.5, -0.25], 2 * np.pi / n)
         assert _relative_edge_error(v) < 1e-13
         assert np.abs(v.mean(axis=0)).max() < 1e-15
         # the edges it hands on are those of the returned vertices
@@ -238,11 +238,10 @@ class TestRetraction:
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_feasible_curve_comes_back_unchanged(self, n):
-        _, frame, trial = _bumped_trial(n, 0.1)
+        trial = _bumped_trial(n, 0.1)
         h = 2 * np.pi / n
-        for v in (geo.make_circle(n).vertices,
-                  geo._retract(trial, h, frame)[0]):
-            again = geo._retract(v, h, _frame(geo.PolyCurve(v)))[0]
+        for v in (geo.make_circle(n).vertices, geo._retract(trial, h)[0]):
+            again = geo._retract(v, h)[0]
             assert np.abs(again - v).max() < 1e-15
 
     @pytest.mark.parametrize("direction", ["gradient", "random"])
@@ -255,9 +254,9 @@ class TestRetraction:
         step = edges_moved * h
         if direction == "gradient":
             step *= np.sqrt(n)
-        _, frame, trial = _bumped_trial(n, step, direction)
+        trial = _bumped_trial(n, step, direction)
         try:
-            v = geo._retract(trial, h, frame)[0]
+            v = geo._retract(trial, h)[0]
         except DegenerateCurveError:
             return
         assert _relative_edge_error(v) < 1e-13
@@ -265,21 +264,32 @@ class TestRetraction:
 
     def test_growing_error_raises_at_once(self, monkeypatch):
         n = 256
-        steps = []
+        h = 2 * np.pi / n
+        steps, errors = [], []
         real_normal = opt._TangentFrame.normal
+        real_edges = geo._edges
 
         def normal(self, c):
             steps.append(c)
             return real_normal(self, c)
 
+        def edges(v):
+            out = real_edges(v)
+            errors.append(np.abs(out[1] - h).max() / h)
+            return out
+
+        # two edge lengths per vertex along the gradient: with J factored
+        # at each iterate the error falls for a few steps, then grows
+        trial = _bumped_trial(n, 2 * 2 * np.pi / np.sqrt(n))
         monkeypatch.setattr(opt._TangentFrame, "normal", normal)
-        # two edge lengths per vertex along the gradient: the first
-        # Newton step moves the edges further from 2*pi/n
-        _, frame, trial = _bumped_trial(n, 2 * 2 * np.pi / np.sqrt(n))
-        steps.clear()  # the projection of the direction
+        monkeypatch.setattr(geo, "_edges", edges)
         with pytest.raises(DegenerateCurveError, match="diverged"):
-            geo._retract(trial, 2 * np.pi / n, frame)
-        assert len(steps) == 1
+            geo._retract(trial, h)
+        # one error check before each step and one after the last
+        assert len(errors) == len(steps) + 1 > 2
+        # the first growth raises, with no step after it
+        assert all(b < a for a, b in zip(errors[:-2], errors[1:-1]))
+        assert errors[-1] > errors[-2]
 
     def test_iteration_budget_at_n1024(self):
         # a fixed 1e-14 target is below round-off at n=1024: every trial
@@ -357,6 +367,13 @@ class TestCanonicalize:
             opt.canonicalize(geo.random_closed_curve(1, n=128, dim=3))
 
 
+@functools.cache
+def _circle_start_p4_value():
+    """A_4 of the maximizer reached from the bumped circle at n=128."""
+    init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+    return opt.maximize(4.0, init, opt.OptimizeOptions(n=128)).value
+
+
 class TestMaximize:
     def test_subcritical_returns_to_circle(self):
         opts = opt.OptimizeOptions(n=128, max_iters=500)
@@ -379,8 +396,9 @@ class TestMaximize:
         assert result.iterations < opts.max_iters
 
     def test_stalled_search_stops_at_the_iterate(self, monkeypatch):
-        # past its maximizer no step ascends: the search ends once a
-        # trial's vertices equal the iterate's, not after 60 halvings
+        # past its maximizer no step ascends: the last iteration's
+        # searches end by the round-off stop or once a trial's vertices
+        # equal the iterate's, not after 60 trials
         searches = []  # closures of trial angles, one list per iteration
         real_gradient = opt._ChordBand.gradient
         real_close = opt._close_angles
@@ -403,7 +421,9 @@ class TestMaximize:
         assert result.reason is opt.Termination.LINE_SEARCH_STALLED
         assert 0 < len(searches[-1]) <= 20
         assert result.history[-1].trials == len(searches[-1])
-        assert np.array_equal(searches[-1][-1], result.curve.vertices)
+        # nothing accepted: the result is the iterate
+        assert result.value == result.history[-2].value
+        assert len(searches) == result.iterations
 
     def test_trial_at_the_iterate_ends_the_search(self, monkeypatch):
         # every trial closes back onto the start: the first one ends the
@@ -429,10 +449,26 @@ class TestMaximize:
 
     def test_history_counts_the_trials(self, monkeypatch):
         calls = []
+        searches = []  # (iteration, trials) of each line search
         real_close = opt._close_angles
+        real_search = opt._line_search
+        real_gradient = opt._ChordBand.gradient
+        iteration = [0]
+
+        def gradient(band, v, p):
+            iteration[0] += 1
+            return real_gradient(band, v, p)
+
+        def search(*args):
+            out = real_search(*args)
+            searches.append((iteration[0], out[0]))
+            return out
+
         monkeypatch.setattr(opt, "_close_angles",
                             lambda *args: calls.append(1) or
                             real_close(*args))
+        monkeypatch.setattr(opt, "_line_search", search)
+        monkeypatch.setattr(opt._ChordBand, "gradient", gradient)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
             n=128, max_iters=50))
@@ -441,39 +477,45 @@ class TestMaximize:
         assert result.history[0].trials == 0
         # every closure but the start curve's is a trial
         assert sum(rec.trials for rec in result.history) == len(calls) - 1
+        # a restart's trials count in the record of its iteration
+        for rec in result.history[1:]:
+            assert rec.trials == sum(t for i, t in searches
+                                     if i == rec.iteration)
+        iterations = [i for i, _ in searches]
+        assert len(iterations) > len(set(iterations))
         assert all(isinstance(rec, opt.IterationRecord)
                    for rec in result.history)
         assert result.history[-1][2] == result.history[-1].gnorm
 
     def test_backtracked_steps_shrink_by_a_bounded_factor(self,
                                                           monkeypatch):
-        # each trial lies at its step along the unit direction from the
-        # angles whose gradient the iteration read
-        iterates, trials = [], []
+        # each trial lies at its step along the search direction from
+        # the iterate's angles; a restart begins a new search
+        searches, trials = [], []
         real_close = opt._close_angles
-        real_angle_gradient = opt._angle_gradient
+        real_search = opt._line_search
 
-        def angle_gradient(theta, grad, h):
-            iterates.append(theta)
-            return real_angle_gradient(theta, grad, h)
+        def search(band, p, h, theta, *args):
+            searches.append(theta)
+            return real_search(band, p, h, theta, *args)
 
         def close(theta, h):
-            if iterates:
-                trials.append((len(iterates),
-                               np.linalg.norm(theta - iterates[-1])))
+            if searches:
+                trials.append((len(searches),
+                               np.linalg.norm(theta - searches[-1])))
             return real_close(theta, h)
 
-        monkeypatch.setattr(opt, "_angle_gradient", angle_gradient)
+        monkeypatch.setattr(opt, "_line_search", search)
         monkeypatch.setattr(opt, "_close_angles", close)
         ratios = []
-        for p in (3.8, 4.0):
+        for p in (3.6, 3.8, 4.0):
             init = opt.perturb_mode2(geo.make_circle(128), 0.05)
             opt.maximize(p, init, opt.OptimizeOptions(n=128))
             # to the stall at the round-off floor; below 1e-8 the
             # rounding of the angles shows in the distance
             ratios += [b[1] / a[1] for a, b in zip(trials, trials[1:])
                        if a[0] == b[0] and b[1] > 1e-8]
-            iterates.clear()
+            searches.clear()
             trials.clear()
         ratios = np.array(ratios)
         assert len(ratios) > 10
@@ -481,6 +523,137 @@ class TestMaximize:
         assert np.all(ratios <= opt.BACKTRACK_MAX * (1 + 1e-5))
         # the quadratic, not halving, set some of them
         assert np.any(ratios < 0.9 * opt.BACKTRACK_MAX)
+
+    @staticmethod
+    def _failing_searches(monkeypatch, keep_failing):
+        """Record each line search as (theta, direction, slope, step,
+        quasi_newton) and the pair count of each L-BFGS direction.  The
+        first search along an L-BFGS direction reports failure, and with
+        keep_failing so does every search after it."""
+        calls, memory = [], []
+        real_search = opt._line_search
+        real_direction = opt._lbfgs_direction
+
+        def direction(ascent, pairs):
+            memory.append(len(pairs))
+            return real_direction(ascent, pairs)
+
+        def search(band, p, h, theta, v, value, direction, slope, step):
+            quasi_newton = len(memory) > sum(c[4] for c in calls)
+            failed = any(c[4] for c in calls)
+            calls.append((theta, direction, slope, step, quasi_newton))
+            out = real_search(band, p, h, theta, v, value, direction, slope,
+                              step)
+            if (quasi_newton and not failed) or (failed and keep_failing):
+                return out[0], None
+            return out
+
+        monkeypatch.setattr(opt, "_lbfgs_direction", direction)
+        monkeypatch.setattr(opt, "_line_search", search)
+        return calls, memory
+
+    def test_failed_quasi_newton_search_restarts_from_the_gradient(
+            self, monkeypatch):
+        calls, memory = self._failing_searches(monkeypatch, False)
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(n=128))
+        # the failed search is followed by one along the unit gradient
+        # from the same angles and STEP0, within the same iteration
+        first = next(i for i, c in enumerate(calls) if c[4])
+        theta, direction, slope, step, quasi_newton = calls[first + 1]
+        assert not quasi_newton and theta is calls[first][0]
+        assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-14)
+        assert step == opt.STEP0
+        assert slope > 0
+        # the restart cleared the pairs: the next L-BFGS direction has at
+        # most the pair of the restart's step
+        assert memory[1] == 1
+        assert result.reason is not opt.Termination.MAX_ITERS
+        values = [rec.value for rec in result.history]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_quasi_newton_step_is_capped(self, monkeypatch):
+        # a direction far longer than MAX_STEP_FACTOR * STEP0 is first
+        # tried at that length, not at its full step
+        starts = []  # (direction, step) of each line search
+        real_search = opt._line_search
+        real_direction = opt._lbfgs_direction
+
+        def search(band, p, h, theta, v, value, direction, slope, step):
+            starts.append((direction, step))
+            return real_search(band, p, h, theta, v, value, direction, slope,
+                               step)
+
+        monkeypatch.setattr(opt, "_line_search", search)
+        monkeypatch.setattr(opt, "_lbfgs_direction",
+                            lambda ascent, pairs: 1e9 * real_direction(
+                                ascent, pairs))
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        opt.maximize(4.0, init, opt.OptimizeOptions(n=128, max_iters=3))
+        direction, step = next(c for c in starts if np.linalg.norm(c[0]) > 1e3)
+        assert step * np.linalg.norm(direction) == pytest.approx(
+            opt.MAX_STEP_FACTOR * opt.STEP0, rel=1e-14)
+        assert opt.MAX_STEP_FACTOR * opt.STEP0 == 1e3
+
+    def test_failed_gradient_search_after_a_restart_stalls(self,
+                                                           monkeypatch):
+        calls, memory = self._failing_searches(monkeypatch, True)
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(n=128))
+        assert result.reason is opt.Termination.LINE_SEARCH_STALLED
+        # the quasi-Newton search and its restart, in the last iteration
+        assert len(memory) == 1
+        assert [c[4] for c in calls[-2:]] == [True, False]
+        assert calls[-1][0] is calls[-2][0]
+        assert result.value == result.history[-2].value
+
+    def test_round_off_stop(self, monkeypatch):
+        # the circle maximizes A_1.5, so every trial lowers the value;
+        # the search closes trials while a backtracked step's predicted
+        # gain step * slope is at least ROUNDOFF_ULPS ulps of F = A_p^p,
+        # and none once it is below
+        n, p = 64, 1.5
+        h = 2 * np.pi / n
+        theta, v = _closed_angles(geo.make_circle(n))
+        band = opt._ChordBand(n)
+        band.tabulate(v)
+        value = band.power_mean(p)
+        field = np.sin(2 * theta)
+        field -= geo._closure_normal(np.cos(theta), np.sin(theta),
+                                     _closure_derivative(theta, field))
+        direction = field / np.linalg.norm(field)
+        floor = opt.ROUNDOFF_ULPS * np.spacing(value ** p)
+        assert opt.ROUNDOFF_ULPS == 4
+        steps, closures = [], []
+        real_backtrack = opt._backtrack
+        real_close = opt._close_angles
+
+        def backtrack(*args):
+            steps.append(real_backtrack(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(opt, "_backtrack", backtrack)
+        monkeypatch.setattr(opt, "_close_angles",
+                            lambda *args: closures.append(1) or
+                            real_close(*args))
+        slope = 3e3 * floor
+        trials, found = opt._line_search(band, p, h, theta, v, value,
+                                         direction, slope, 0.1)
+        assert found is None
+        assert trials == len(closures) == len(steps) >= 3
+        assert all(t * slope >= floor for t in steps[:-1])
+        assert steps[-1] * slope < floor
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_start_reaches_the_maximizer(self, seed):
+        # above the critical exponent a random start first finds the
+        # oval, then relaxes its vertex phase; both within 150 iterations
+        result = opt.maximize(4.0, geo.random_closed_curve(seed, n=128),
+                              opt.OptimizeOptions(n=128))
+        assert result.iterations < 150
+        assert result.reason is not opt.Termination.MAX_ITERS
+        assert result.value == pytest.approx(_circle_start_p4_value(),
+                                              abs=1e-13)
 
     def test_iteration_cap_is_not_convergence(self):
         opts = opt.OptimizeOptions(n=128, max_iters=3)
@@ -732,24 +905,72 @@ class TestEdgeAngles:
             < 4 * np.finfo(float).eps * np.sum(np.abs(grad))
 
 
-class TestFirstTrialStep:
-    def test_barzilai_borwein_short_step(self):
-        rng = np.random.default_rng(5)
-        s = rng.normal(size=64)
-        y = s + 0.1 * rng.normal(size=64)
-        expected = np.sum(s * y) / np.sum(y * y) * 0.3
-        assert opt._first_trial_step(7.0, s, y, 0.3) \
-            == pytest.approx(expected, rel=1e-14)
+def _dense_inverse_bfgs(pairs, n):
+    """Reference: the inverse-BFGS matrix of pairs (s, y), oldest first,
+    from H0 = gamma I with gamma the newest pair's <s, y> / <y, y>."""
+    s, y = pairs[-1]
+    hess = np.sum(s * y) / np.sum(y * y) * np.eye(n)
+    for s, y in pairs:
+        rho = 1.0 / np.sum(s * y)
+        left = np.eye(n) - rho * np.outer(s, y)
+        hess = left @ hess @ left.T + rho * np.outer(s, s)
+    return hess
 
-    def test_non_positive_curvature_keeps_doubled_step(self):
-        s = np.random.default_rng(6).normal(size=64)
-        for y in (-s, np.zeros_like(s)):
-            assert opt._first_trial_step(7.0, s, y, 0.3) == 7.0
 
-    def test_step_is_capped(self):
-        s = np.random.default_rng(7).normal(size=64)
-        step = opt._first_trial_step(7.0, s, 1e-9 * s, 1.0)
-        assert step == opt.MAX_STEP_FACTOR * opt.STEP0 == 1e3
+def _curvature_pairs(rng, n, count):
+    """count pairs (s, y = A s) of a random symmetric positive definite A."""
+    a = rng.normal(size=(n, n))
+    a = a @ a.T / n + np.eye(n)
+    return [(s, a @ s) for s in rng.normal(size=(count, n))]
+
+
+class TestLbfgsDirection:
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_matches_dense_inverse_bfgs(self, count):
+        rng = np.random.default_rng(count)
+        n = 40
+        pairs = _curvature_pairs(rng, n, count)
+        stored = []
+        for s, y in pairs:
+            stored = opt._remember(stored, s, y)
+        ascent = rng.normal(size=n)
+        expected = _dense_inverse_bfgs(pairs, n) @ ascent
+        direction = opt._lbfgs_direction(ascent, stored)
+        assert np.abs(direction - expected).max() \
+            < 1e-12 * np.abs(expected).max()
+
+    def test_keeps_the_newest_memory_pairs(self):
+        rng = np.random.default_rng(8)
+        n = 40
+        pairs = _curvature_pairs(rng, n, opt.MEMORY + 3)
+        stored = []
+        for s, y in pairs:
+            stored = opt._remember(stored, s, y)
+        assert len(stored) == opt.MEMORY == 5
+        assert all(a[0] is b[0] for a, b in zip(stored, pairs[-5:]))
+        ascent = rng.normal(size=n)
+        expected = _dense_inverse_bfgs(pairs[-5:], n) @ ascent
+        assert np.abs(opt._lbfgs_direction(ascent, stored) - expected).max() \
+            < 1e-12 * np.abs(expected).max()
+
+    def test_skips_pairs_without_positive_curvature(self):
+        rng = np.random.default_rng(9)
+        n = 40
+        pairs = _curvature_pairs(rng, n, 2)
+        stored = opt._remember([], *pairs[0])
+        s = rng.normal(size=n)
+        for y in (-s, np.zeros(n)):
+            assert opt._remember(stored, s, y) is stored
+        assert opt._remember([], s, -s) == []
+
+    def test_direction_ascends(self):
+        rng = np.random.default_rng(10)
+        n = 40
+        stored = []
+        for s, y in _curvature_pairs(rng, n, 7):
+            stored = opt._remember(stored, s, y)
+        for ascent in rng.normal(size=(20, n)):
+            assert np.sum(ascent * opt._lbfgs_direction(ascent, stored)) > 0
 
 
 class TestBacktrack:
@@ -802,6 +1023,21 @@ class TestSweep:
         records = opt.sweep([2.0], opt.OptimizeOptions(n=64, max_iters=5))
         assert events[0] == "bind" and events.count("bind") == 1
         assert records[0].seconds > 0
+
+    def test_one_chord_band_per_sweep(self, monkeypatch):
+        # the solves share the buffers of one band, not one band each
+        bands = []
+        real_band = opt._ChordBand
+
+        def band(n):
+            bands.append(n)
+            return real_band(n)
+
+        monkeypatch.setattr(opt, "_ChordBand", band)
+        records = opt.sweep([2.0, 3.0, 4.0],
+                            opt.OptimizeOptions(n=64, max_iters=20))
+        assert all(np.isfinite(rec.value) for rec in records)
+        assert bands == [64]
 
     def test_high_leg_is_the_same_at_one_and_two_blas_threads(self):
         # a verdict must not depend on the BLAS thread count; the sweep

@@ -10,12 +10,13 @@ weight 2*pi/N.
 Two routines make the edges equal.  An analytic trace (make_ellipse,
 random_closed_curve) gets vertices on the trace with equal chords
 (_inscribe_equal_chords); a polygon (resample_arclength, the optimizer's
-start curves) is Newton-projected onto the edge constraints (_retract).
-Both measure edges one way (_edges) and respace by one equal-arclength
-pass (_equal_arclength).  The optimizer's trials are planar polygons
-built from their edge angles, whose edges are equal by construction;
-only their closure is Newton-projected (_close_angles).  Every Newton
-loop stops by one rule (_settle).
+start curves) is Newton-projected onto the edge constraints (_retract),
+one tridiagonal LAPACK solve per step (_edge_normal).  Both measure
+edges one way (_edges) and respace by one equal-arclength pass
+(_equal_arclength).  The optimizer's trials are planar polygons built
+from their edge angles, whose edges are equal by construction; only
+their closure is Newton-projected (_close_angles).  Every Newton loop
+stops by one rule (_settle).
 """
 
 from __future__ import annotations
@@ -260,84 +261,72 @@ def _settle(state: tuple, step, tol: float, cap: int, error: type,
         state = new
 
 
-#: LAPACK's factorization and solve of symmetric positive definite
-#: tridiagonal systems, bound by the first _TangentFrame: scipy.linalg
-#: takes about 0.35 s to import, and nothing but the frame uses it
-_pttrf = _pttrs = None
+#: LAPACK's solver of symmetric positive definite tridiagonal systems,
+#: bound by the first _edge_normal: scipy.linalg takes about 0.35 s to
+#: import, and nothing else uses it
+_ptsv = None
 
 
 def _bind_lapack() -> None:
-    global _pttrf, _pttrs
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    _pttrf, _pttrs = dpttrf, dpttrs
+    global _ptsv
+    from scipy.linalg.lapack import dptsv
+    _ptsv = dptsv
 
 
-class _TangentFrame:
-    """The Jacobian J of the equal-edge-length constraints of one curve
-    (one length constraint per edge), with J J^T factored once for every
-    vertex field projected or corrected at that curve."""
-
-    __slots__ = ("u", "corner", "diag", "sub", "z", "denom")
-
-    def __init__(self, edges: np.ndarray, lengths: np.ndarray):
-        if _pttrs is None:
-            _bind_lapack()
-        n = lengths.shape[0]
-        self.u = edges / lengths[:, None]
-        # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices
-        # i, i+1.  J J^T is cyclic tridiagonal: 2 on the diagonal,
-        # coupling[i] at (i, i+1) and coupling[n-1] in the corners.  It
-        # equals B - w w^T with w = e_0 - coupling[n-1] e_{n-1} and B
-        # tridiagonal, positive definite since J J^T is; Sherman-Morrison
-        # turns the cyclic solve into tridiagonal ones with B.
-        coupling = -np.einsum("id,id->i", self.u, _next(self.u))
-        self.corner = coupling[-1]
-        diag = np.full(n, 2.0)
-        diag[0] += 1.0
-        diag[-1] += self.corner ** 2
-        self.diag, self.sub, info = _pttrf(diag, coupling[:-1])
-        if info != 0:
-            raise DegenerateCurveError(
-                "edge constraints of the curve are not independent")
-        w = np.zeros(n)
-        w[0] = 1.0
-        w[-1] = -self.corner
-        self.z = self._solve(w)
-        self.denom = 1.0 - (self.z[0] - self.corner * self.z[-1])
-        # zero for a doubly covered segment, whose cyclic J J^T is
-        # singular although its tridiagonal part B factors; NaN fails
-        # the comparison too
-        if not 0.0 < abs(self.denom) < np.inf:
-            raise DegenerateCurveError(
-                "edge constraints of the curve are not independent")
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _pttrs(self.diag, self.sub, rhs)[0]
-
-    def normal(self, c: np.ndarray) -> np.ndarray:
-        """J^T (J J^T)^-1 c: the normal vertex field whose change of the
-        edge lengths, to first order, is c."""
-        y = self._solve(c)
-        mult = y + self.z * ((y[0] - self.corner * y[-1]) / self.denom)
-        t = mult[:, None] * self.u
-        # J^T mult: vertex m gets t[m-1] - t[m]
-        return np.concatenate((t[-1:], t[:-1])) - t
-
-    def project(self, field: np.ndarray) -> np.ndarray:
-        """The tangent component of a vertex field."""
-        return field - self.normal(
-            np.einsum("id,id->i", self.u, _next(field) - field))
+def _edge_normal(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """J^T (J J^T)^-1 c for the Jacobian J of the edge lengths of a
+    closed polygon whose unit edge directions are u: the normal vertex
+    field whose change of the edge lengths, to first order, is c.
+    Dependent edge constraints raise DegenerateCurveError."""
+    if _ptsv is None:
+        _bind_lapack()
+    n = u.shape[0]
+    # constraint i: |v_{i+1} - v_i|; Jacobian rows touch vertices i, i+1.
+    # J J^T is cyclic tridiagonal: 2 on the diagonal, coupling[i] at
+    # (i, i+1) and coupling[n-1] in the corners.  It equals B - w w^T
+    # with w = e_0 - coupling[n-1] e_{n-1} and B tridiagonal, positive
+    # definite since J J^T is; Sherman-Morrison turns the cyclic solve
+    # into one tridiagonal solve with B on the two right-hand sides c, w
+    coupling = -np.einsum("id,id->i", u, _next(u))
+    corner = coupling[-1]
+    diag = np.full(n, 2.0)
+    diag[0], diag[-1] = 3.0, 2.0 + corner ** 2
+    rhs = np.zeros((2, n))
+    rhs[0], rhs[1, 0], rhs[1, -1] = c, 1.0, -corner
+    # rhs.T is the Fortran-ordered (n, 2) array LAPACK solves in place
+    _, _, x, info = _ptsv(diag, coupling[:-1], rhs.T, overwrite_d=1,
+                          overwrite_e=1, overwrite_b=1)
+    y, z = x.T
+    denom = 1.0 - (z[0] - corner * z[-1])
+    # zero for a doubly covered segment, whose cyclic J J^T is singular
+    # although B factors; NaN fails the comparison too
+    if info != 0 or not 0.0 < abs(denom) < np.inf:
+        raise DegenerateCurveError(
+            "edge constraints of the curve are not independent")
+    mult = y + z * ((y[0] - corner * y[-1]) / denom)
+    t = mult[:, None] * u
+    # J^T mult: vertex m gets t[m-1] - t[m]
+    return np.concatenate((t[-1:], t[:-1])) - t
 
 
-def _retract(v: np.ndarray, h: float):
+def _tangent_part(v: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """The component of the vertex field tangent to the equal-edge-length
+    constraints at the vertices v: field minus the normal field of its
+    edge derivative."""
+    edges, lengths = _edges(v)
+    u = edges / lengths[:, None]
+    return field - _edge_normal(
+        u, np.einsum("id,id->i", u, _next(field) - field))
+
+
+def _retract(v: np.ndarray, h: float) -> np.ndarray:
     """Newton projection of the vertices v onto the edge constraints
     |v_{i+1} - v_i| = h, then centroid to the origin.
 
     Each step is v <- v - J^T (J J^T)^-1 c(v) with c_i = |v_{i+1} - v_i| - h,
-    with J factored at the current point.  The steps stop by _settle on
-    max |c_i| / h; dependent constraints and _settle's failures raise
-    DegenerateCurveError.  Returns the vertices with the edge vectors and
-    lengths of their last check.
+    with J at the current point (_edge_normal).  The steps stop by
+    _settle on max |c_i| / h; dependent constraints and _settle's
+    failures raise DegenerateCurveError.
     """
     def measured(v):
         edges, lengths = _edges(v)
@@ -345,13 +334,14 @@ def _retract(v: np.ndarray, h: float):
 
     def newton(state):
         v, edges, lengths, _ = state
-        return measured(v - _TangentFrame(edges, lengths).normal(lengths - h))
+        return measured(
+            v - _edge_normal(edges / lengths[:, None], lengths - h))
 
-    v, edges, lengths, _ = _settle(
-        measured(v), newton, RETRACT_TOL, RETRACT_MAX_STEPS,
-        DegenerateCurveError, "Newton projection: edge-length error")
+    v = _settle(measured(v), newton, RETRACT_TOL, RETRACT_MAX_STEPS,
+                DegenerateCurveError,
+                "Newton projection: edge-length error")[0]
     # the arithmetic of v.mean(axis=0), without its per-call overhead
-    return v - v.sum(axis=0) / v.shape[0], edges, lengths
+    return v - v.sum(axis=0) / v.shape[0]
 
 
 def _closure_normal(cos: np.ndarray, sin: np.ndarray, rhs) -> np.ndarray:
@@ -446,7 +436,7 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     closed = np.vstack([curve.vertices, curve.vertices[:1]])
     pts = np.column_stack(_equal_arclength(curve.edge_lengths(), closed.T, m))
     pts *= TWO_PI / _edges(pts)[1].sum()
-    return PolyCurve(_retract(pts, TWO_PI / m)[0])
+    return PolyCurve(_retract(pts, TWO_PI / m))
 
 
 def make_circle(n: int) -> PolyCurve:

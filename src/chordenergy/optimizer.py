@@ -21,8 +21,8 @@ the iterate's, or once a backtracked step's predicted gain is below a
 few ulps of the value, which no comparison can resolve; a failed
 quasi-Newton search forgets its curvature pairs and searches once more
 along the gradient before the ascent stops.  The stop test reads the
-projected gradient in the vertices, through the tangent frame of the
-edge-length constraints (geometry._TangentFrame).  The pairwise work,
+vertex gradient's part tangent to the edge-length constraints
+(geometry._tangent_part, one tridiagonal solve).  The pairwise work,
 the chord powers behind the value and the gradient, visits each
 unordered vertex pair once, through a band of the Gram chord table
 (_ChordBand).  Past the critical exponent the circle loses its
@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import DegenerateCurveError, InvalidDiscretizationError, \
     ParameterDomainError, SingularGradientError
 from .geometry import TWO_PI, PolyCurve, _angle_gradient, _bind_lapack, \
-    _close_angles, _edges, _TangentFrame, make_circle, resample_arclength, \
+    _close_angles, _edges, _tangent_part, make_circle, resample_arclength, \
     squared_chord_matrix
 from .functionals import circle_avg_chord, require_finite_exponent, \
     segment_avg_chord
@@ -71,6 +71,15 @@ ROUNDOFF_ULPS = 4
 #: trial lowered the value (see _backtrack)
 BACKTRACK_MIN = 0.1
 BACKTRACK_MAX = 0.5
+
+#: the largest exponent the ascent admits, 303: every chord of a curve
+#: of perimeter 2*pi is at most pi, so the vertex and angle gradients,
+#: and the differences of two in the L-BFGS sums, have norms below
+#: 4 p pi^p, whose square must stay below the largest double.  The root
+#: of p log(pi) + log(4 p) = log(max) / 2 is 303.8; one fixed-point step
+#: from p = 300 lands within 0.02 of it
+_MAX_EXPONENT = math.floor((0.5 * math.log(np.finfo(float).max)
+                            - math.log(4 * 300)) / math.log(math.pi))
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,15 @@ class OptimizeResult:
     def converged(self) -> bool:
         """True only when the gradient test stopped the ascent."""
         return self.reason is Termination.GRAD_TOL
+
+
+def _require_exponent(p: float) -> None:
+    """Raise ParameterDomainError unless 0 < p <= _MAX_EXPONENT."""
+    require_finite_exponent(p)
+    if p > _MAX_EXPONENT:
+        raise ParameterDomainError(
+            f"chord powers overflow double precision above p = "
+            f"{_MAX_EXPONENT}, got {p}")
 
 
 def _require_regular_gradient(closest: float, p: float) -> None:
@@ -211,8 +229,9 @@ class _ChordBand:
 def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
     """Gradient of the power sum (1/N^2) sum_{i,k} |v_i - v_k|^p with
     respect to the vertices: row m is
-    (2p/N^2) sum_{k != m} |v_m - v_k|^(p-2) (v_m - v_k)."""
-    require_finite_exponent(p)
+    (2p/N^2) sum_{k != m} |v_m - v_k|^(p-2) (v_m - v_k).  p must be
+    positive and at most _MAX_EXPONENT, 303."""
+    _require_exponent(p)
     band = _ChordBand(curve.n)
     _require_regular_gradient(band.tabulate(curve.vertices), p)
     band.power_mean(p)
@@ -383,14 +402,17 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     gradient search stops the ascent.  Each trial writes its chord table
     and its weights into the solve's _ChordBand, over n^2/2 pairs; the
     accepted trial's weights give the next gradient.  The stop test
-    reads the projected gradient in the vertices, from one tangent frame
+    reads the projected gradient in the vertices, from one LAPACK solve
     per iteration.  Terminates when that norm falls below opts.tol_grad,
     when the line search finds no ascent, or after opts.max_iters
     iterations; result.reason says which, and result.history holds an
     IterationRecord per iteration.  _band, a _ChordBand for init.n, lends
-    its buffers to the solve; sweep passes one to all its solves.
+    its buffers to the solve; sweep passes one to all its solves.  p
+    must be positive and at most _MAX_EXPONENT, 303, above which the
+    squared gradient norms overflow; other exponents raise
+    ParameterDomainError.
     """
-    require_finite_exponent(p)
+    _require_exponent(p)
     if init.dim != 2:
         raise InvalidDiscretizationError("maximize needs a planar curve")
     h = TWO_PI / init.n
@@ -410,7 +432,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     pairs = []
     for iters in range(1, opts.max_iters + 1):
         grad = band.gradient(v, p)
-        gnorm = float(np.linalg.norm(_TangentFrame(*_edges(v)).project(grad)))
+        gnorm = float(np.linalg.norm(_tangent_part(v, grad)))
         if gnorm < opts.tol_grad:
             reason = Termination.GRAD_TOL
             history.append(IterationRecord(iters, value, gnorm, 0))
@@ -461,11 +483,15 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     Each record's seconds is the wall time of its perturbation and
     solve; LAPACK is bound before the first clock starts, so no record
     holds its one-off import.  The solves share one _ChordBand, whose
-    buffers fault in once per sweep, not once per solve.
+    buffers fault in once per sweep, not once per solve.  An exponent
+    that maximize refuses raises ParameterDomainError before the first
+    solve.
     """
     p_grid = list(p_grid)
     if sorted(p_grid) != p_grid:
         raise ParameterDomainError("p_grid must be sorted ascending")
+    for p in p_grid:
+        _require_exponent(p)
     _bind_lapack()
     records = []
     current = make_circle(opts.n)

@@ -196,6 +196,23 @@ class TestErrorPaths:
         assert out == ""
         assert "error" in err
 
+    def test_maximize_rejects_an_exponent_that_overflows(self, capsys):
+        # --p 1000 used to exit 0 and print "value": Infinity
+        code, out, err = run(capsys, "--n", "64", "maximize", "--p", "1000")
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert "overflow" in err
+
+    def test_sweep_rejects_an_exponent_that_overflows(self, capsys,
+                                                      tmp_path):
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(capsys, "--n", "64", "sweep", "--p-min", "2",
+                             "--p-max", "1000", "--step", "499",
+                             "--out", str(out_csv))
+        assert code == cli.EXIT_PRECONDITION
+        assert out == "" and "overflow" in err
+        assert not out_csv.exists()
+
     def test_figures_rejects_bad_config_before_writing(self, capsys,
                                                        tmp_path):
         config = tmp_path / "config.json"

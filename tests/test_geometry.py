@@ -549,24 +549,38 @@ class TestResample:
             resampled.validate()
             assert np.abs(resampled.centroid()).max() < 1e-15
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_space_curve_gets_equal_edges(self, seed):
+        # the edge-length projection takes the edge directions in any
+        # dimension: noise of 0.2 edge lengths on a random 3-D curve
+        n = 128
+        curve = geo.random_closed_curve(seed, n=n, dim=3)
+        rng = np.random.default_rng(seed)
+        noisy = geo.PolyCurve(curve.vertices + 0.2 * (TWO_PI / n)
+                              * rng.normal(size=(n, 3)))
+        resampled = geo.resample_arclength(noisy, n)
+        assert resampled.dim == 3
+        resampled.validate()
+        assert np.abs(resampled.centroid()).max() < 1e-15
+
     def test_round_off_stall_returns(self, monkeypatch):
         # far from the origin the edge lengths carry round-off near 1e-9,
         # above RETRACT_TOL and below EDGE_SPREAD_TOL: the projection
         # stops at the first Newton step that fails to halve the error
         far = geo.PolyCurve(geo.make_circle(256).vertices + 1e5)
-        frames = []
-        real = geo._TangentFrame
+        steps = []
+        real = geo._edge_normal
 
-        def counting(edges, lengths):
-            frames.append(1)
-            return real(edges, lengths)
+        def counting(u, c):
+            steps.append(1)
+            return real(u, c)
 
-        monkeypatch.setattr(geo, "_TangentFrame", counting)
+        monkeypatch.setattr(geo, "_edge_normal", counting)
         resampled = geo.resample_arclength(far, 256)
         lengths = resampled.edge_lengths()
         assert (lengths.max() - lengths.min()) / lengths.mean() \
             <= geo.EDGE_SPREAD_TOL
-        assert 1 <= len(frames) <= 3
+        assert 1 <= len(steps) <= 3
 
 
 class TestMetricQueries:

@@ -1,5 +1,6 @@
-"""Only the optimizer loads scipy: the package imports, and the
-verification paths run, without it.
+"""Only the edge-length projection (geometry.resample_arclength, which
+the optimizer calls) and the crossover bisection load scipy: the package
+imports, and the verification paths run, without it.
 
 Each probe runs in a fresh interpreter, since this test process may
 already hold scipy.

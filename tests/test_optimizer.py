@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -51,8 +52,9 @@ def _dense_tangent_project(curve, grad):
     return grad + mult[:, None] * u - np.roll(mult[:, None] * u, 1, axis=0)
 
 
-def _frame(curve):
-    return opt._TangentFrame(*opt._edges(curve.vertices))
+def _unit_edges(curve):
+    edges, lengths = geo._edges(curve.vertices)
+    return edges / lengths[:, None]
 
 
 def _relative_edge_error(v):
@@ -159,14 +161,14 @@ class TestProjection:
         # its cyclic J J^T is exactly zero, which used to give NaNs
         segment = geo.make_double_segment(64)
         with pytest.raises(DegenerateCurveError, match="not independent"):
-            _frame(segment)
+            geo._edge_normal(_unit_edges(segment), np.ones(64))
         with pytest.raises(DegenerateCurveError, match="not independent"):
             opt.maximize(4.0, segment, opt.OptimizeOptions(n=64, max_iters=5))
 
     def test_tangent_projection_kills_constraint_derivative(self):
         curve = geo.random_closed_curve(6, n=128)
         grad = opt.objective_grad(curve, 3.0)
-        pg = _frame(curve).project(grad)
+        pg = geo._tangent_part(curve.vertices, grad)
         edges = curve.edges()
         u = edges / np.linalg.norm(edges, axis=1)[:, None]
         jg = np.einsum("id,id->i", u, np.roll(pg, -1, axis=0) - pg)
@@ -180,7 +182,7 @@ class TestProjection:
         else:
             curve = geo.make_ellipse(8, n)
         grad = opt.objective_grad(curve, 3.0)
-        pg = _frame(curve).project(grad)
+        pg = geo._tangent_part(curve.vertices, grad)
         ref = _dense_tangent_project(curve, grad)
         assert np.linalg.norm(pg - ref) / np.linalg.norm(ref) < 1e-10
 
@@ -188,18 +190,37 @@ class TestProjection:
     def test_normal_field_has_the_given_edge_derivative(self, n):
         # J normal(c) = J J^T (J J^T)^-1 c = c
         curve = opt.perturb_mode2(geo.make_circle(n), 0.05)
-        frame = _frame(curve)
+        u = _unit_edges(curve)
         c = np.random.default_rng(4).normal(size=n)
-        field = frame.normal(c)
-        jf = np.einsum("id,id->i", frame.u, np.roll(field, -1, axis=0) - field)
+        field = geo._edge_normal(u, c)
+        jf = np.einsum("id,id->i", u, np.roll(field, -1, axis=0) - field)
         assert np.abs(jf - c).max() < 1e-12 * np.abs(c).max()
 
     def test_project_is_field_minus_normal_of_its_edge_derivative(self):
         curve = geo.random_closed_curve(6, n=128)
-        frame = _frame(curve)
+        u = _unit_edges(curve)
         grad = opt.objective_grad(curve, 3.0)
-        jg = np.einsum("id,id->i", frame.u, np.roll(grad, -1, axis=0) - grad)
-        assert np.array_equal(frame.project(grad), grad - frame.normal(jg))
+        jg = np.einsum("id,id->i", u, np.roll(grad, -1, axis=0) - grad)
+        assert np.array_equal(geo._tangent_part(curve.vertices, grad),
+                              grad - geo._edge_normal(u, jg))
+
+    def test_one_lapack_call_per_normal_field(self, monkeypatch):
+        # the cyclic solve and its Sherman-Morrison vector share one
+        # tridiagonal solve, on two right-hand sides
+        curve = opt.perturb_mode2(geo.make_circle(64), 0.05)
+        geo._bind_lapack()
+        calls = []
+        real_ptsv = geo._ptsv
+
+        def ptsv(*args, **kwargs):
+            calls.append(args[2].shape)
+            return real_ptsv(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "_ptsv", ptsv)
+        geo._edge_normal(_unit_edges(curve), np.ones(64))
+        assert calls == [(64, 2)]
+        geo._tangent_part(curve.vertices, curve.vertices)
+        assert len(calls) == 2
 
     def test_perturb_mode2_breaks_roundness(self, circle256):
         bumped = opt.perturb_mode2(circle256, 0.05)
@@ -212,12 +233,12 @@ def _bumped_trial(n, step, direction="gradient"):
     direction d: the projected A_4 gradient scaled to unit norm, or a
     projected random field whose largest vertex move is 1."""
     curve = opt.perturb_mode2(geo.make_circle(n), 0.05)
-    frame = _frame(curve)
     if direction == "gradient":
-        d = frame.project(opt.objective_grad(curve, 4.0))
+        d = geo._tangent_part(curve.vertices, opt.objective_grad(curve, 4.0))
         d /= np.linalg.norm(d)
     else:
-        d = frame.project(np.random.default_rng(n).normal(size=(n, 2)))
+        d = geo._tangent_part(curve.vertices,
+                              np.random.default_rng(n).normal(size=(n, 2)))
         d /= np.linalg.norm(d, axis=1).max()
     return curve.vertices + step * d
 
@@ -227,21 +248,17 @@ class TestRetraction:
     def test_equal_edges_and_centroid_at_origin(self, n):
         trial = _bumped_trial(n, 0.1)
         assert _relative_edge_error(trial) > 1e-6
-        v, edges, lengths = geo._retract(trial + [0.5, -0.25], 2 * np.pi / n)
+        v = geo._retract(trial + [0.5, -0.25], 2 * np.pi / n)
+        assert v.shape == (n, 2)
         assert _relative_edge_error(v) < 1e-13
         assert np.abs(v.mean(axis=0)).max() < 1e-15
-        # the edges it hands on are those of the returned vertices
-        ref_edges = np.roll(v, -1, axis=0) - v
-        assert np.abs(edges - ref_edges).max() < 1e-15
-        assert np.abs(lengths - np.linalg.norm(ref_edges, axis=1)).max() \
-            < 1e-15
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_feasible_curve_comes_back_unchanged(self, n):
         trial = _bumped_trial(n, 0.1)
         h = 2 * np.pi / n
-        for v in (geo.make_circle(n).vertices, geo._retract(trial, h)[0]):
-            again = geo._retract(v, h)[0]
+        for v in (geo.make_circle(n).vertices, geo._retract(trial, h)):
+            again = geo._retract(v, h)
             assert np.abs(again - v).max() < 1e-15
 
     @pytest.mark.parametrize("direction", ["gradient", "random"])
@@ -256,7 +273,7 @@ class TestRetraction:
             step *= np.sqrt(n)
         trial = _bumped_trial(n, step, direction)
         try:
-            v = geo._retract(trial, h)[0]
+            v = geo._retract(trial, h)
         except DegenerateCurveError:
             return
         assert _relative_edge_error(v) < 1e-13
@@ -266,12 +283,12 @@ class TestRetraction:
         n = 256
         h = 2 * np.pi / n
         steps, errors = [], []
-        real_normal = opt._TangentFrame.normal
+        real_normal = geo._edge_normal
         real_edges = geo._edges
 
-        def normal(self, c):
+        def normal(u, c):
             steps.append(c)
-            return real_normal(self, c)
+            return real_normal(u, c)
 
         def edges(v):
             out = real_edges(v)
@@ -281,7 +298,7 @@ class TestRetraction:
         # two edge lengths per vertex along the gradient: with J factored
         # at each iterate the error falls for a few steps, then grows
         trial = _bumped_trial(n, 2 * 2 * np.pi / np.sqrt(n))
-        monkeypatch.setattr(opt._TangentFrame, "normal", normal)
+        monkeypatch.setattr(geo, "_edge_normal", normal)
         monkeypatch.setattr(geo, "_edges", edges)
         with pytest.raises(DegenerateCurveError, match="diverged"):
             geo._retract(trial, h)
@@ -724,16 +741,21 @@ class TestMaximize:
 
     def test_one_frame_per_iteration_and_one_power_per_trial(
             self, monkeypatch):
-        counts = {"loop": 0, "project": 0, "_close_angles": 0, "tables": 0,
-                  "powers": 0}
+        counts = {"loop": 0, "project": 0, "_close_angles": 0,
+                  "tangent_parts": 0, "tables": 0, "powers": 0}
         inside = []  # the helper of maximize being run, if any
-        real_frame = geo._TangentFrame
+        real_normal = geo._edge_normal
+        real_tangent_part = opt._tangent_part
         real_tabulate = opt._ChordBand.tabulate
         real_power_mean = opt._ChordBand.power_mean
 
-        def frame(edges, lengths):
+        def normal(u, c):
             counts[inside[-1] if inside else "loop"] += 1
-            return real_frame(edges, lengths)
+            return real_normal(u, c)
+
+        def tangent_part(v, field):
+            counts["tangent_parts"] += 1
+            return real_tangent_part(v, field)
 
         def marked(func):
             def wrapper(*args):
@@ -752,8 +774,8 @@ class TestMaximize:
             counts["powers"] += 1
             return real_power_mean(band, p)
 
-        monkeypatch.setattr(opt, "_TangentFrame", frame)
-        monkeypatch.setattr(geo, "_TangentFrame", frame)
+        monkeypatch.setattr(geo, "_edge_normal", normal)
+        monkeypatch.setattr(opt, "_tangent_part", tangent_part)
         monkeypatch.setattr(opt, "project", marked(opt.project))
         monkeypatch.setattr(opt, "_close_angles", marked(opt._close_angles))
         monkeypatch.setattr(opt._ChordBand, "tabulate", tabulate)
@@ -761,8 +783,10 @@ class TestMaximize:
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
             n=128, max_iters=50))
-        # the stop test's frame, one per iteration; the closures build
-        # none, and the start curve's projection at most a few
+        # the stop test's projection, one normal field per iteration;
+        # the closures solve for none, and the start curve's projection
+        # for at most a few
+        assert counts["tangent_parts"] == result.iterations
         assert counts["loop"] == result.iterations
         assert counts["_close_angles"] == 0
         assert counts["project"] <= 3
@@ -814,6 +838,32 @@ class TestMaximize:
                 opt.maximize(bad, geo.make_circle(128), opts)
         with pytest.raises(ValueError):
             opt.maximize(2.0, geo.random_closed_curve(1, n=128, dim=3), opts)
+
+    @pytest.mark.parametrize("p", [304.0, 320.0, 1000.0])
+    def test_exponent_whose_chord_powers_overflow_raises(self, p):
+        # numpy used to warn of overflow from p = 320 on, and at p = 1000
+        # maximize returned an infinite value after one iteration
+        curve = opt.perturb_mode2(geo.make_circle(64), 0.05)
+        opts = opt.OptimizeOptions(n=64, max_iters=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterDomainError, match="overflow"):
+                opt.maximize(p, curve, opts)
+            with pytest.raises(ParameterDomainError, match="overflow"):
+                opt.objective_grad(curve, p)
+
+    def test_largest_admitted_exponent_runs_without_overflow(self):
+        # the limit the docstrings and the README state
+        assert opt._MAX_EXPONENT == 303
+        curve = opt.perturb_mode2(geo.make_circle(64), 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = opt.maximize(303.0, curve, opt.OptimizeOptions(
+                n=64, max_iters=10))
+            grad = opt.objective_grad(result.curve, 303.0)
+        assert result.iterations > 1 and math.isfinite(result.value)
+        assert all(math.isfinite(rec.gnorm) for rec in result.history[1:])
+        assert np.isfinite(grad).all()
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -1005,6 +1055,16 @@ class TestSweep:
             assert shp.width_ratio(rec.curve) == rec.r
             assert rec.reason == opt.Termination.GRAD_TOL.value
             assert 0 < rec.iterations <= opts.max_iters
+
+    def test_grid_is_checked_before_the_first_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(opt, "maximize",
+                            lambda *args, **kwargs: solves.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterDomainError, match="overflow"):
+                opt.sweep([2.0, 1000.0], opt.OptimizeOptions(n=64))
+        assert solves == []
 
     def test_lapack_is_bound_before_the_first_clock(self, monkeypatch):
         # the first tangent frame's one-off scipy.linalg import stays out

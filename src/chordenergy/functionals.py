@@ -6,8 +6,8 @@ integrand is singular.  The arc of a vertex pair depends on its grid
 offset k = j - i alone, and offsets k and N - k hold the same chords, so
 the sums over pairs walk the offsets k = 1..N/2 of the exact-difference
 chord table of geometry.offset_chord_blocks, a block of offsets at a
-time; only avg_chord_p reads the Gram table, squared_chord_matrix.  The
-circle reference values come from a fixed Gauss-Legendre rule on
+time; only avg_chord_p reads the Gram table, squared_chord_matrix, and it
+clamps that table's negative round-off itself.  The circle reference values come from a fixed Gauss-Legendre rule on
 geometrically graded panels of the corresponding closed-form integrals.
 """
 
@@ -300,9 +300,15 @@ def avg_chord_p(curve: PolyCurve, p: float) -> float:
     The powers are taken of the squared chords divided by the largest,
     so they are at most 1, and the mean is scaled back: neither the
     powers nor their sum overflow, and the value is finite at every
-    finite p > 0 (on the circle it nears the diameter, about 2)."""
+    finite p > 0 (on the circle it nears the diameter, about 2).  The
+    squared chords come from the Gram table, squared_chord_matrix, whose
+    negative round-off at coincident vertices is clamped to zero here,
+    and only when the table's min is negative."""
     require_finite_exponent(p)
     d2 = squared_chord_matrix(curve.vertices)
+    # coincident vertices can leave negative round-off in the table
+    if d2.min() < 0.0:
+        np.maximum(d2, 0.0, out=d2)
     top = float(d2.max())
     if top == 0.0:
         # every vertex at one point

@@ -121,32 +121,33 @@ def squared_chord_matrix(vertices: np.ndarray, others=None,
     """Squared distances |v_i - o_k|^2 from each vertex v_i to each point
     o_k of others, via the Gram matrix, as an (n, len(others)) table
     written into out when it is given.  others defaults to the vertices
-    themselves, and then the diagonal is exactly zero."""
+    themselves, and then the diagonal is exactly zero.  Cancellation can
+    leave round-off of either sign where two points (nearly) coincide;
+    the table is not clamped, so a reader that takes roots or fractional
+    powers clamps what it reads (optimizer._ChordBand.tabulate,
+    functionals.avg_chord_p)."""
     n, dim = vertices.shape
     sq = np.einsum("id,id->i", vertices, vertices)
     if others is None:
         others, others_sq = vertices, sq
     else:
         others_sq = np.einsum("id,id->i", others, others)
-    # |v_i|^2 - 2 v_i.o_k + |o_k|^2 as one product of two (., dim + 2)
-    # factors, [-2v, |v|^2, 1] and [o, 1, |o|^2], with no n x n pass
-    # for the two squared-norm terms
+    # |v_i|^2 - 2 v_i.o_k + |o_k|^2 as one product of an (n, dim + 2)
+    # factor [-2v, |v|^2, 1] and a (dim + 2, m) factor [o, 1, |o|^2]^T,
+    # with no n x n pass for the two squared-norm terms; the right
+    # factor is stored in the product's order, so BLAS reads it
+    # untransposed
     left = np.empty((n, dim + 2))
     left[:, :dim] = -2.0 * vertices
     left[:, dim] = sq
     left[:, dim + 1] = 1.0
-    right = np.empty((others.shape[0], dim + 2))
-    right[:, :dim] = others
-    right[:, dim] = 1.0
-    right[:, dim + 1] = others_sq
-    d2 = np.matmul(left, right.T, out=out)
+    right = np.empty((dim + 2, others.shape[0]))
+    right[:dim] = others.T
+    right[dim] = 1.0
+    right[dim + 1] = others_sq
+    d2 = np.matmul(left, right, out=out)
     if others is vertices:
         np.fill_diagonal(d2, 0.0)
-    # cancellation can leave tiny negative entries, as on the diagonal;
-    # a min is cheaper than the clamp, which leaves a table without them
-    # unchanged
-    if d2.min() < 0.0:
-        np.maximum(d2, 0.0, out=d2)
     return d2
 
 

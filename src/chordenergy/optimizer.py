@@ -187,11 +187,16 @@ class _ChordBand:
 
     def tabulate(self, v: np.ndarray) -> float:
         """Fill the chord table of the vertices v; return the squared
-        distance of their closest pair."""
+        distance of their closest pair.  Only the band is read, and it is
+        clamped at zero when round-off left it a negative entry."""
         half = self.band.shape[1]
         squared_chord_matrix(v, np.concatenate((v, v[:half])),
                              out=self.table)
-        return float(self.band.min())
+        closest = float(self.band.min())
+        if closest < 0.0:
+            np.maximum(self.band, 0.0, out=self.band)
+            return 0.0
+        return closest
 
     def power_mean(self, p: float) -> float:
         """Weigh the tabulated chords by w = d2^((p-2)/2) and return the

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from chordenergy import functionals as fn
 from chordenergy import geometry as geo
+from chordenergy import optimizer as opt
 from chordenergy import shape as shp
 from chordenergy.errors import DegenerateCurveError, \
     InvalidDiscretizationError
@@ -389,17 +391,26 @@ class TestGramTable:
     @pytest.mark.parametrize("n", [8, 256])
     def test_negative_round_off_is_clamped(self, n):
         # far from the origin the distance of a vertex to its own copy
-        # cancels to round-off of either sign; the negative entries
-        # become zero and the others keep their bits
+        # cancels to round-off of either sign.  The table keeps it; its
+        # two readers, the optimizer's chord band and avg_chord_p, turn
+        # the negative entries they read into zero, and the others keep
+        # their bits.  Each vertex appears twice, so the copies are
+        # pairs of the band (offset n of 2n) and off the diagonal
         v = 1e4 + np.random.default_rng(n).normal(size=(n, 2))
-        others = v.copy()
-        sq = np.einsum("id,id->i", v, v)
-        left = np.column_stack((-2.0 * v, sq, np.ones(n)))
-        right = np.column_stack((others, np.ones(n), sq))
-        raw = left @ right.T
-        assert raw.min() < 0
-        d2 = geo.squared_chord_matrix(v, others)
-        assert np.array_equal(d2, np.maximum(raw, 0.0))
+        twice = np.concatenate((v, v))
+        band = opt._ChordBand(2 * n)
+        raw = geo.squared_chord_matrix(twice, np.concatenate((twice, v)))
+        raw_band = opt._band_view(raw, n)
+        assert raw_band.min() < 0
+        assert band.tabulate(twice) == 0.0
+        assert np.array_equal(band.band, np.maximum(raw_band, 0.0))
+
+        d2 = geo.squared_chord_matrix(twice)
+        assert d2.min() < 0
+        np.maximum(d2, 0.0, out=d2)
+        top = d2.max()
+        expected = np.mean((d2 / top) ** 1.5) ** (1 / 3) * np.sqrt(top)
+        assert fn.avg_chord_p(geo.PolyCurve(twice), 3.0) == expected
 
 
 class TestOffsetKernel:

@@ -7,8 +7,9 @@ offset k = j - i alone, and offsets k and N - k hold the same chords, so
 the sums over pairs walk the offsets k = 1..N/2 of the exact-difference
 chord table of geometry.offset_chord_blocks, a block of offsets at a
 time; only avg_chord_p reads the Gram table, squared_chord_matrix, and it
-clamps that table's negative round-off itself.  The circle reference values come from a fixed Gauss-Legendre rule on
-geometrically graded panels of the corresponding closed-form integrals.
+clamps that table's negative round-off itself.  The circle reference
+values come from a fixed Gauss-Legendre rule on geometrically graded
+panels of the corresponding closed-form integrals.
 """
 
 from __future__ import annotations

@@ -43,7 +43,9 @@ def _require_number(name: str, value, kinds: tuple) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of a sweep/figures run, round-trippable as JSON.  Making
-    one checks every field and builds options, its OptimizeOptions."""
+    one checks every field, the exponents p_min, p_max and fine_grid
+    against the range maximize admits (optimizer._require_exponent), and
+    builds options, its OptimizeOptions."""
 
     p_min: float = 1.0
     p_max: float = 4.0
@@ -65,6 +67,15 @@ class ExperimentConfig:
         object.__setattr__(self, "fine_grid", tuple(self.fine_grid))
         for p in self.fine_grid:
             _require_number("fine_grid", p, (int, float))
+        # the exponents maximize admits, checked here so that a refused
+        # grid stops a run before it writes anything
+        for name, p in ([("p_min", self.p_min), ("p_max", self.p_max)]
+                        + [("fine_grid", p) for p in self.fine_grid]):
+            try:
+                opt._require_exponent(p)
+            except ParameterDomainError as exc:
+                raise ParameterDomainError(
+                    f"config field {name}: {exc}") from exc
         if not self.p_step > 0:
             raise ParameterDomainError(
                 f"need a positive p_step, got {self.p_step}")

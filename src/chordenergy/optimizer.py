@@ -13,21 +13,25 @@ tangent space of closure (geometry._angle_gradient).  The flat metric on the
 angles damps vertex mode k by about 1/k^2, so stiff high-frequency
 curvature does not force tiny steps.  Start curves reach the manifold
 by geometry.resample_arclength, and their angles are read off their
-edges.  Each iteration searches along the limited-memory BFGS
-direction of the last few angle steps with positive curvature
-(_lbfgs_direction), from the full step, and backtracks by safeguarded
-quadratic interpolation.  A search fails when a trial's vertices equal
-the iterate's, or once a backtracked step's predicted gain is below a
-few ulps of the value, which no comparison can resolve; a failed
-quasi-Newton search forgets its curvature pairs and searches once more
-along the gradient before the ascent stops.  The stop test reads the
-vertex gradient's part tangent to the edge-length constraints
-(geometry._tangent_part, one tridiagonal solve).  The pairwise work,
-the chord powers behind the value and the gradient, visits each
-unordered vertex pair once, through a band of the Gram chord table
-(_ChordBand).  Past the critical exponent the circle loses its
-maximality and the iterates stretch into ovals, so initial curves carry
-an explicit mode-2 perturbation to break the rotational symmetry.
+edges.  Each iteration searches along the limited-memory BFGS direction
+of the last few angle steps with positive curvature (_lbfgs_direction),
+from the full step, and backtracks by safeguarded quadratic
+interpolation.  Its initial matrix comes from the regular n-gon's
+spectrum (_ngon_scales) when the n-gon is a strict local maximizer,
+below the critical exponent; there the first iteration is already a
+quasi-Newton one.  Above it the initial matrix is gamma I.  A search
+fails when a trial's vertices equal the iterate's, or once a backtracked
+step's predicted gain is below a few ulps of the value, which no
+comparison can resolve; a failed quasi-Newton search forgets its
+curvature pairs and searches once more along the gradient before the
+ascent stops.  The stop test reads the vertex gradient's part tangent to
+the edge-length constraints (geometry._tangent_part, one tridiagonal
+solve).  The pairwise work, the chord powers behind the value and the
+gradient, visits each unordered vertex pair once, through a band of the
+Gram chord table (_ChordBand).  Past the critical exponent the circle
+loses its maximality and the iterates stretch into ovals, so initial
+curves carry an explicit mode-2 perturbation to break the rotational
+symmetry.
 """
 
 from __future__ import annotations
@@ -72,6 +76,10 @@ ROUNDOFF_ULPS = 4
 BACKTRACK_MIN = 0.1
 BACKTRACK_MAX = 0.5
 
+#: step of the forward difference along one edge angle that reads the
+#: regular n-gon's Hessian column (_ngon_scales)
+SPECTRUM_STEP = 1e-4
+
 #: the largest exponent the ascent admits, 303: every chord of a curve
 #: of perimeter 2*pi is at most pi, so the vertex and angle gradients,
 #: and the differences of two in the L-BFGS sums, have norms below
@@ -84,6 +92,11 @@ _MAX_EXPONENT = math.floor((0.5 * math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class OptimizeOptions:
+    """The settings of a run.  tol_grad bounds the absolute norm of the
+    projected vertex gradient, which grows like p A_p^p: in practice no
+    solve above p of about 5 gets below it, and those end
+    LINE_SEARCH_STALLED at the round-off floor."""
+
     n: int = 256
     max_iters: int = 2000
     tol_grad: float = 1e-7
@@ -308,14 +321,51 @@ def _remember(pairs: list, s: np.ndarray, y: np.ndarray) -> list:
     return (pairs + [(s, y, 1.0 / sy)])[-MEMORY:]
 
 
-def _lbfgs_direction(ascent: np.ndarray, pairs: list) -> np.ndarray:
+def _ngon_scales(band: _ChordBand, p: float, h: float):
+    """The inverse of the regular n-gon's second variation of -A_p^p in
+    the edge angles, one scale per np.fft.rfft mode, or None unless
+    every mode m >= 2 has positive curvature, that is unless the n-gon
+    is a strict local maximizer (p below the critical exponent).
+
+    The n-gon is invariant under an index shift, so that Hessian is
+    circulant and its eigenvalues are the rfft of one column.  The
+    column is one forward difference of the tangent angle gradient
+    along e_0, at SPECTRUM_STEP: the trial angles are closed
+    (_close_angles) and evaluated on band, whose table and weights it
+    leaves to the caller to overwrite.  The n-gon's own gradient is zero
+    by symmetry, and the second-order term of the difference is odd
+    under the n-gon's reflection, so it lands in the imaginary part of
+    the rfft, which is dropped.  Modes 0 and 1, the rotation and the
+    closure normals, carry no curvature; they get the smallest of the
+    other scales.
+    """
+    n = band.band.shape[0]
+    theta = h * np.arange(n)
+    theta[0] += SPECTRUM_STEP
+    theta, v = _close_angles(theta, h)
+    band.tabulate(v)
+    band.power_mean(p)
+    column = _angle_gradient(theta, band.gradient(v, p), h)
+    curvature = np.fft.rfft(column).real / -SPECTRUM_STEP
+    if not curvature[2:].min() > 0:
+        return None
+    scales = 1.0 / curvature
+    scales[:2] = scales[2:].min()
+    return scales
+
+
+def _lbfgs_direction(ascent: np.ndarray, pairs: list,
+                     scales: np.ndarray | None = None) -> np.ndarray:
     """The L-BFGS ascent direction H ascent in the edge angles, by the
     two-loop recursion (Nocedal, Math. Comp. 1980).
 
     H is the inverse-BFGS approximation of the Hessian of -A_p^p built
     from pairs, oldest first, each (s, y, 1 / <s, y>) with s a change of
     the angles and y the change of the tangent angle gradient of -A_p^p
-    over it, and <s, y> > 0; it starts from H0 = gamma I with gamma the
+    over it, and <s, y> > 0.  Given scales, the regular n-gon's inverse
+    spectrum (_ngon_scales), it starts from the circulant H0 that
+    multiplies rfft mode m by scales[m], applied by one rfft/irfft pair,
+    and pairs may be empty; otherwise from H0 = gamma I with gamma the
     newest pair's <s, y> / <y, y> (Liu & Nocedal, Math. Prog. 1989).
     """
     # numpy sums, not BLAS dots, whose round-off depends on the thread count
@@ -325,8 +375,11 @@ def _lbfgs_direction(ascent: np.ndarray, pairs: list) -> np.ndarray:
         alpha = rho * (s * q).sum()
         q -= alpha * y
         alphas.append(alpha)
-    _, y, rho = pairs[-1]
-    r = q / (rho * (y * y).sum())
+    if scales is None:
+        _, y, rho = pairs[-1]
+        r = q / (rho * (y * y).sum())
+    else:
+        r = np.fft.irfft(np.fft.rfft(q) * scales, q.shape[0])
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         r += (alpha - rho * (y * r).sum()) * s
     return r
@@ -387,18 +440,24 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     the edge angles.
 
     The start is init placed on the manifold by project; its edge angles
-    are read off its edges and closed (_close_angles).  Each iteration
-    reads the tangent gradient in the angles (_angle_gradient) and turns
-    it into the L-BFGS direction of the last MEMORY pairs with positive
-    curvature (_lbfgs_direction); with no pair stored it searches along
-    the unit gradient from STEP0.  A quasi-Newton search tries the full
-    step first, its length capped at MAX_STEP_FACTOR * STEP0.  Each trial
-    closes its angles and builds its vertices (_close_angles).  A trial
-    that lowers the functional is followed by the maximizer of the
-    quadratic through F(0), F'(0) and the trial's F, with F = A_p^p,
-    clamped to [BACKTRACK_MIN, BACKTRACK_MAX] times the step
-    (_backtrack); a trial whose angles do not close, or one with two
-    vertices closer than MIN_PAIR_DISTANCE, halves the step.  The first
+    are read off its edges and closed (_close_angles).  Once per solve
+    _ngon_scales reads the regular n-gon's spectrum, from one closed
+    trial and one chord table.  Each iteration reads the tangent
+    gradient in the angles (_angle_gradient) and turns it into the
+    L-BFGS direction of the last MEMORY pairs with positive curvature
+    (_lbfgs_direction).  When every mode m >= 2 of the spectrum has
+    positive curvature (p below the critical exponent) its inverse is
+    the initial matrix H0, and the first iteration searches along H0
+    times the gradient; otherwise H0 = gamma I, and with no pair stored
+    the search is along the unit gradient from STEP0.  A quasi-Newton
+    search tries the full step first, its length capped at
+    MAX_STEP_FACTOR * STEP0.  Each trial closes its angles and builds
+    its vertices (_close_angles).  A trial that lowers the functional is
+    followed by the maximizer of the quadratic through F(0), F'(0) and
+    the trial's F, with F = A_p^p, clamped to [BACKTRACK_MIN,
+    BACKTRACK_MAX] times the step (_backtrack); a trial whose angles do
+    not close, or one with two vertices closer than MIN_PAIR_DISTANCE,
+    halves the step.  The first
     trial whose value does not decrease is accepted.  A search fails
     after 60 trials, as soon as a trial's vertices equal the iterate's,
     or once a backtracked step's predicted gain is below ROUNDOFF_ULPS
@@ -409,13 +468,14 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     accepted trial's weights give the next gradient.  The stop test
     reads the projected gradient in the vertices, from one LAPACK solve
     per iteration.  Terminates when that norm falls below opts.tol_grad,
-    when the line search finds no ascent, or after opts.max_iters
-    iterations; result.reason says which, and result.history holds an
-    IterationRecord per iteration.  _band, a _ChordBand for init.n, lends
-    its buffers to the solve; sweep passes one to all its solves.  p
-    must be positive and at most _MAX_EXPONENT, 303, above which the
-    squared gradient norms overflow; other exponents raise
-    ParameterDomainError.
+    an absolute bound that in practice no solve above p of about 5
+    reaches, when the line search finds no ascent, or after
+    opts.max_iters iterations; result.reason says which, and
+    result.history holds an IterationRecord per iteration.  _band, a
+    _ChordBand for init.n, lends its buffers to the solve; sweep passes
+    one to all its solves.  p must be positive and at most
+    _MAX_EXPONENT, 303, above which the squared gradient norms overflow;
+    other exponents raise ParameterDomainError.
     """
     _require_exponent(p)
     if init.dim != 2:
@@ -427,6 +487,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     # solve: the accepted candidate's weights give the next gradient,
     # which is read before the next line search overwrites them
     band = _band if _band is not None else _ChordBand(v.shape[0])
+    scales = _ngon_scales(band, p, h)
     _require_regular_gradient(band.tabulate(v), p)
     value = band.power_mean(p)
     history = [IterationRecord(0, value, float("nan"), 0)]
@@ -453,8 +514,8 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
         if last is not None:
             pairs = _remember(pairs, theta - last[0], last[1] - ascent)
         trials, found = 0, None
-        if pairs:
-            direction = _lbfgs_direction(ascent, pairs)
+        if pairs or scales is not None:
+            direction = _lbfgs_direction(ascent, pairs, scales)
             length = math.sqrt((direction * direction).sum())
             trials, found = _line_search(
                 band, p, h, theta, v, value, direction,

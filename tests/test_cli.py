@@ -215,14 +215,20 @@ class TestErrorPaths:
 
     def test_figures_rejects_bad_config_before_writing(self, capsys,
                                                        tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text('{"p_min": "x"}')
-        out_dir = tmp_path / "figures"
-        code, out, err = run(capsys, "figures", "--out", str(out_dir),
-                             "--config", str(config))
-        assert code == cli.EXIT_PRECONDITION
-        assert out == "" and "p_min" in err
-        assert not out_dir.exists()
+        # a wrong type, and exponents the optimizer refuses: chord powers
+        # that overflow, and a zero exponent
+        for i, (text, field_name) in enumerate([
+                ('{"p_min": "x"}', "p_min"),
+                ('{"p_min": 300, "p_max": 400}', "p_max"),
+                ('{"p_min": 0}', "p_min")]):
+            config = tmp_path / f"config{i}.json"
+            config.write_text(text)
+            out_dir = tmp_path / f"figures{i}"
+            code, out, err = run(capsys, "figures", "--out", str(out_dir),
+                                 "--config", str(config))
+            assert code == cli.EXIT_PRECONDITION
+            assert out == "" and field_name in err
+            assert not out_dir.exists()
 
     def test_sweep_rejects_zero_step(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--p-min", "2", "--p-max", "3",

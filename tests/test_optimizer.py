@@ -440,29 +440,43 @@ class TestMaximize:
         assert result.history[-1].trials == len(searches[-1])
         # nothing accepted: the result is the iterate
         assert result.value == result.history[-2].value
-        assert len(searches) == result.iterations
+        # the first gradient is the n-gon spectrum's, before any search
+        assert searches[0] == []
+        assert len(searches) == result.iterations + 1
 
-    def test_trial_at_the_iterate_ends_the_search(self, monkeypatch):
-        # every trial closes back onto the start: the first one ends the
-        # search, and nothing is accepted
+    @staticmethod
+    def _trials_at_the_iterate(monkeypatch, p, searches):
+        """Every trial closes back onto the start: the first one ends
+        each of the given number of searches, and nothing is accepted.
+        The closures of the start curve and of the n-gon spectrum's
+        trial are the real ones."""
         real_close = opt._close_angles
         calls = []
 
         def close(theta, h):
-            if not calls:
+            if len(calls) < 2:
                 calls.append(real_close(theta, h))
-                return calls[0]
+                return calls[-1]
             calls.append(theta)
             return calls[0][0].copy(), calls[0][1].copy()
 
         monkeypatch.setattr(opt, "_close_angles", close)
         init = opt.perturb_mode2(geo.make_circle(64), 0.05)
-        result = opt.maximize(4.0, init, opt.OptimizeOptions(n=64))
+        result = opt.maximize(p, init, opt.OptimizeOptions(n=64))
         assert result.reason is opt.Termination.LINE_SEARCH_STALLED
-        assert result.iterations == 1 and len(calls) == 2
-        assert result.history[-1].trials == 1
+        assert result.iterations == 1 and len(calls) == 2 + searches
+        assert result.history[-1].trials == searches
         assert result.value == result.history[0].value
         assert np.array_equal(result.curve.vertices, calls[0][1])
+
+    def test_trial_at_the_iterate_ends_the_search(self, monkeypatch):
+        self._trials_at_the_iterate(monkeypatch, 4.0, 1)
+
+    def test_trial_at_the_iterate_ends_the_metric_search_and_its_restart(
+            self, monkeypatch):
+        # below the critical exponent the first search is along the n-gon
+        # metric, so it fails and its restart along the gradient follows
+        self._trials_at_the_iterate(monkeypatch, 3.0, 2)
 
     def test_history_counts_the_trials(self, monkeypatch):
         calls = []
@@ -470,7 +484,8 @@ class TestMaximize:
         real_close = opt._close_angles
         real_search = opt._line_search
         real_gradient = opt._ChordBand.gradient
-        iteration = [0]
+        # the n-gon spectrum's gradient comes before the first iteration's
+        iteration = [-1]
 
         def gradient(band, v, p):
             iteration[0] += 1
@@ -492,8 +507,9 @@ class TestMaximize:
         assert [rec.iteration for rec in result.history] \
             == list(range(result.iterations + 1))
         assert result.history[0].trials == 0
-        # every closure but the start curve's is a trial
-        assert sum(rec.trials for rec in result.history) == len(calls) - 1
+        # every closure but the start curve's and the n-gon spectrum's is
+        # a trial
+        assert sum(rec.trials for rec in result.history) == len(calls) - 2
         # a restart's trials count in the record of its iteration
         for rec in result.history[1:]:
             assert rec.trials == sum(t for i, t in searches
@@ -551,9 +567,9 @@ class TestMaximize:
         real_search = opt._line_search
         real_direction = opt._lbfgs_direction
 
-        def direction(ascent, pairs):
+        def direction(ascent, pairs, scales):
             memory.append(len(pairs))
-            return real_direction(ascent, pairs)
+            return real_direction(ascent, pairs, scales)
 
         def search(band, p, h, theta, v, value, direction, slope, step):
             quasi_newton = len(memory) > sum(c[4] for c in calls)
@@ -569,11 +585,10 @@ class TestMaximize:
         monkeypatch.setattr(opt, "_line_search", search)
         return calls, memory
 
-    def test_failed_quasi_newton_search_restarts_from_the_gradient(
-            self, monkeypatch):
+    def _restart_after_a_failed_quasi_newton_search(self, monkeypatch, p):
         calls, memory = self._failing_searches(monkeypatch, False)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
-        result = opt.maximize(4.0, init, opt.OptimizeOptions(n=128))
+        result = opt.maximize(p, init, opt.OptimizeOptions(n=128))
         # the failed search is followed by one along the unit gradient
         # from the same angles and STEP0, within the same iteration
         first = next(i for i, c in enumerate(calls) if c[4])
@@ -589,7 +604,18 @@ class TestMaximize:
         values = [rec.value for rec in result.history]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_quasi_newton_step_is_capped(self, monkeypatch):
+    def test_failed_quasi_newton_search_restarts_from_the_gradient(
+            self, monkeypatch):
+        self._restart_after_a_failed_quasi_newton_search(monkeypatch, 4.0)
+
+    def test_failed_metric_search_restarts_from_the_gradient(
+            self, monkeypatch):
+        # below the critical exponent the first search, the first
+        # iteration's, is the quasi-Newton one, along the n-gon metric
+        self._restart_after_a_failed_quasi_newton_search(monkeypatch, 3.0)
+
+    @staticmethod
+    def _capped_first_step(monkeypatch, p):
         # a direction far longer than MAX_STEP_FACTOR * STEP0 is first
         # tried at that length, not at its full step
         starts = []  # (direction, step) of each line search
@@ -603,26 +629,41 @@ class TestMaximize:
 
         monkeypatch.setattr(opt, "_line_search", search)
         monkeypatch.setattr(opt, "_lbfgs_direction",
-                            lambda ascent, pairs: 1e9 * real_direction(
-                                ascent, pairs))
+                            lambda ascent, pairs, scales: 1e9 * real_direction(
+                                ascent, pairs, scales))
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
-        opt.maximize(4.0, init, opt.OptimizeOptions(n=128, max_iters=3))
+        opt.maximize(p, init, opt.OptimizeOptions(n=128, max_iters=3))
         direction, step = next(c for c in starts if np.linalg.norm(c[0]) > 1e3)
         assert step * np.linalg.norm(direction) == pytest.approx(
             opt.MAX_STEP_FACTOR * opt.STEP0, rel=1e-14)
         assert opt.MAX_STEP_FACTOR * opt.STEP0 == 1e3
 
-    def test_failed_gradient_search_after_a_restart_stalls(self,
-                                                           monkeypatch):
+    def test_quasi_newton_step_is_capped(self, monkeypatch):
+        self._capped_first_step(monkeypatch, 4.0)
+
+    def test_metric_step_is_capped(self, monkeypatch):
+        # the first iteration's search below the critical exponent, along
+        # the n-gon metric, is capped the same way
+        self._capped_first_step(monkeypatch, 3.0)
+
+    def _stall_after_a_failed_restart(self, monkeypatch, p):
         calls, memory = self._failing_searches(monkeypatch, True)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
-        result = opt.maximize(4.0, init, opt.OptimizeOptions(n=128))
+        result = opt.maximize(p, init, opt.OptimizeOptions(n=128))
         assert result.reason is opt.Termination.LINE_SEARCH_STALLED
         # the quasi-Newton search and its restart, in the last iteration
         assert len(memory) == 1
         assert [c[4] for c in calls[-2:]] == [True, False]
         assert calls[-1][0] is calls[-2][0]
         assert result.value == result.history[-2].value
+
+    def test_failed_gradient_search_after_a_restart_stalls(self,
+                                                           monkeypatch):
+        self._stall_after_a_failed_restart(monkeypatch, 4.0)
+
+    def test_failed_gradient_search_after_a_metric_search_stalls(
+            self, monkeypatch):
+        self._stall_after_a_failed_restart(monkeypatch, 3.0)
 
     def test_round_off_stop(self, monkeypatch):
         # the circle maximizes A_1.5, so every trial lowers the value;
@@ -691,6 +732,62 @@ class TestMaximize:
         opts = opt.OptimizeOptions(n=128, max_iters=500)
         result = opt.maximize(2.0, geo.make_ellipse(1.5, 128), opts)
         assert result.value == pytest.approx(np.sqrt(2), abs=1e-3)
+
+    def test_first_search_follows_the_ngon_metric_below_the_critical_exponent(
+            self, monkeypatch):
+        # below p_c the first iteration searches along H0 ascent from the
+        # full step; above it along the unit gradient from STEP0
+        starts, directions = [], []
+        real_search = opt._line_search
+        real_direction = opt._lbfgs_direction
+
+        def search(band, p, h, theta, v, value, direction, slope, step):
+            starts.append((direction, step))
+            return real_search(band, p, h, theta, v, value, direction, slope,
+                               step)
+
+        def direction(ascent, pairs, scales):
+            directions.append((len(pairs), scales))
+            return real_direction(ascent, pairs, scales)
+
+        monkeypatch.setattr(opt, "_line_search", search)
+        monkeypatch.setattr(opt, "_lbfgs_direction", direction)
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        opt.maximize(3.0, init, opt.OptimizeOptions(n=128, max_iters=1))
+        assert len(directions) == 1 and directions[0][0] == 0
+        assert directions[0][1] is not None
+        first, step = starts[0]
+        assert np.linalg.norm(first) < opt.MAX_STEP_FACTOR * opt.STEP0
+        assert step == 1.0
+        starts.clear()
+        directions.clear()
+        opt.maximize(4.0, init, opt.OptimizeOptions(n=128, max_iters=1))
+        assert directions == []
+        first, step = starts[0]
+        assert np.linalg.norm(first) == pytest.approx(1.0, rel=1e-14)
+        assert step == opt.STEP0
+
+    def test_chord_tables_are_the_trials_plus_two(self, monkeypatch):
+        # one table per trial, one for the start curve and one for the
+        # n-gon spectrum's trial; none is read twice
+        tables = []
+        real_table = opt.squared_chord_matrix
+        monkeypatch.setattr(opt, "squared_chord_matrix",
+                            lambda *args, **kwargs: tables.append(1) or
+                            real_table(*args, **kwargs))
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
+        result = opt.maximize(3.0, init, opt.OptimizeOptions(n=128))
+        assert result.reason is opt.Termination.GRAD_TOL
+        assert len(tables) == sum(rec.trials for rec in result.history) + 2
+
+    def test_above_the_critical_exponent_the_ascent_is_unchanged(self):
+        # criterion 10: past p_c the n-gon metric is not used, and the
+        # solve is the gamma I ascent's, bit for bit
+        init = opt.perturb_mode2(geo.make_circle(256), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(n=256))
+        assert result.iterations == 39
+        assert result.reason is opt.Termination.LINE_SEARCH_STALLED
+        assert result.value == 1.5973587432527518
 
     def test_monotone_history(self):
         opts = opt.OptimizeOptions(n=128, max_iters=200)
@@ -955,11 +1052,70 @@ class TestEdgeAngles:
             < 4 * np.finfo(float).eps * np.sum(np.abs(grad))
 
 
-def _dense_inverse_bfgs(pairs, n):
+def _ngon_gradient(n, p, theta):
+    """Tangent angle gradient of -A_p^p at the closure of the angles
+    theta."""
+    h = 2 * np.pi / n
+    band = opt._ChordBand(n)
+    theta, v = geo._close_angles(theta, h)
+    band.tabulate(v)
+    band.power_mean(p)
+    return -geo._angle_gradient(theta, band.gradient(v, p), h)
+
+
+class TestNgonSpectrum:
+    @pytest.mark.parametrize("n", [32, 33])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_matches_dense_reference(self, n, p):
+        # mode m of the circulant Hessian is its Rayleigh quotient along
+        # cos(m phi), here from a central difference of the gradient
+        h = 2 * np.pi / n
+        scales = opt._ngon_scales(opt._ChordBand(n), p, h)
+        theta = h * np.arange(n)
+        t = 1e-4
+        for m in range(2, n // 2 + 1):
+            u = np.cos(m * theta)
+            hu = (_ngon_gradient(n, p, theta + t * u)
+                  - _ngon_gradient(n, p, theta - t * u)) / (2 * t)
+            reference = np.sum(hu * u) / np.sum(u * u)
+            assert 1.0 / scales[m] == pytest.approx(reference, rel=1e-5)
+        # modes 0 and 1 get the smallest of the others
+        assert scales[0] == scales[1] == scales[2:].min()
+
+    @pytest.mark.parametrize("n, critical", [(32, 3.456294),
+                                             (64, 3.462166),
+                                             (256, 3.463981)])
+    def test_present_below_and_absent_above_the_critical_exponent(
+            self, n, critical):
+        h = 2 * np.pi / n
+        band = opt._ChordBand(n)
+        scales = opt._ngon_scales(band, critical - 0.003, h)
+        assert scales.shape == (n // 2 + 1,) and np.all(scales > 0)
+        assert opt._ngon_scales(band, critical + 0.003, h) is None
+
+    def test_regular_ngon_gradient_vanishes(self):
+        # the column's forward difference leaves out the n-gon's own
+        # gradient, which is zero by symmetry
+        for n in (32, 33, 256):
+            grad = _ngon_gradient(n, 3.0, 2 * np.pi / n * np.arange(n))
+            assert np.abs(grad).max() < 1e-15
+
+
+def _circulant(scales, n):
+    """The dense matrix that multiplies rfft mode m by scales[m]."""
+    return np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * scales[:, None],
+                        n, axis=0)
+
+
+def _dense_inverse_bfgs(pairs, n, start=None):
     """Reference: the inverse-BFGS matrix of pairs (s, y), oldest first,
-    from H0 = gamma I with gamma the newest pair's <s, y> / <y, y>."""
-    s, y = pairs[-1]
-    hess = np.sum(s * y) / np.sum(y * y) * np.eye(n)
+    from the matrix start, or from H0 = gamma I with gamma the newest
+    pair's <s, y> / <y, y>."""
+    if start is None:
+        s, y = pairs[-1]
+        hess = np.sum(s * y) / np.sum(y * y) * np.eye(n)
+    else:
+        hess = start
     for s, y in pairs:
         rho = 1.0 / np.sum(s * y)
         left = np.eye(n) - rho * np.outer(s, y)
@@ -986,6 +1142,22 @@ class TestLbfgsDirection:
         ascent = rng.normal(size=n)
         expected = _dense_inverse_bfgs(pairs, n) @ ascent
         direction = opt._lbfgs_direction(ascent, stored)
+        assert np.abs(direction - expected).max() \
+            < 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_circulant_start_matches_dense_inverse_bfgs(self, count):
+        rng = np.random.default_rng(20 + count)
+        n = 40
+        scales = rng.uniform(0.5, 2.0, size=n // 2 + 1)
+        pairs = _curvature_pairs(rng, n, count)
+        stored = []
+        for s, y in pairs:
+            stored = opt._remember(stored, s, y)
+        ascent = rng.normal(size=n)
+        start = _circulant(scales, n)
+        expected = _dense_inverse_bfgs(pairs, n, start) @ ascent
+        direction = opt._lbfgs_direction(ascent, stored, scales)
         assert np.abs(direction - expected).max() \
             < 1e-12 * np.abs(expected).max()
 

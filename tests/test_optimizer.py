@@ -1256,6 +1256,25 @@ class TestSweep:
         assert events[0] == "bind" and events.count("bind") == 1
         assert records[0].seconds > 0
 
+    def test_numpy_fft_is_loaded_before_the_first_clock(self):
+        # numpy imports np.fft at its first use, which the n-gon spectrum
+        # of the first solve below p_c would otherwise hold; a fresh
+        # process, since this one has loaded it already
+        src = os.path.dirname(os.path.dirname(os.path.abspath(opt.__file__)))
+        probe = ("import sys, time, types; "
+                 "from chordenergy import optimizer as opt; "
+                 "seen = []; "
+                 "opt.time = types.SimpleNamespace(perf_counter=lambda: "
+                 "seen.append('numpy.fft' in sys.modules) "
+                 "or time.perf_counter()); "
+                 "opt.sweep([2.0], opt.OptimizeOptions(n=32, max_iters=2)); "
+                 "print(seen[0], 'numpy.fft' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "True"]
+
     def test_one_chord_band_per_sweep(self, monkeypatch):
         # the solves share the buffers of one band, not one band each
         bands = []

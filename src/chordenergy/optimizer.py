@@ -547,9 +547,8 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     perturbation of amplitude opts.perturb so the circle branch can
     destabilize.  Failures become flagged rows; the sweep continues.
     Each record's seconds is the wall time of its perturbation and
-    solve; LAPACK is bound and numpy.fft, which numpy imports at its
-    first use, is loaded before the first clock starts, so no record
-    holds their one-off imports.  The solves share one _ChordBand, whose
+    solve; LAPACK is bound before the first clock starts, so no record
+    holds its one-off import.  The solves share one _ChordBand, whose
     buffers fault in once per sweep, not once per solve.  An exponent
     that maximize refuses raises ParameterDomainError before the first
     solve.
@@ -559,9 +558,9 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
         raise ParameterDomainError("p_grid must be sorted ascending")
     for p in p_grid:
         _require_exponent(p)
+    # scipy.linalg also loads numpy.fft, which numpy would otherwise
+    # import at _ngon_scales' first rfft
     _bind_lapack()
-    # numpy imports np.fft, which _ngon_scales uses, at its first use
-    import numpy.fft  # noqa: F401
     records = []
     current = make_circle(opts.n)
     band = _ChordBand(opts.n)

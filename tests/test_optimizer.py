@@ -603,16 +603,22 @@ class TestMaximize:
         assert result.reason is not opt.Termination.MAX_ITERS
         values = [rec.value for rec in result.history]
         assert all(b >= a for a, b in zip(values, values[1:]))
+        return calls
 
     def test_failed_quasi_newton_search_restarts_from_the_gradient(
             self, monkeypatch):
-        self._restart_after_a_failed_quasi_newton_search(monkeypatch, 4.0)
+        calls = self._restart_after_a_failed_quasi_newton_search(
+            monkeypatch, 4.0)
+        # with no pair stored, the first iteration searches the gradient
+        assert not calls[0][4]
 
     def test_failed_metric_search_restarts_from_the_gradient(
             self, monkeypatch):
         # below the critical exponent the first search, the first
         # iteration's, is the quasi-Newton one, along the n-gon metric
-        self._restart_after_a_failed_quasi_newton_search(monkeypatch, 3.0)
+        calls = self._restart_after_a_failed_quasi_newton_search(
+            monkeypatch, 3.0)
+        assert calls[0][4]
 
     @staticmethod
     def _capped_first_step(monkeypatch, p):
@@ -1255,25 +1261,6 @@ class TestSweep:
         records = opt.sweep([2.0], opt.OptimizeOptions(n=64, max_iters=5))
         assert events[0] == "bind" and events.count("bind") == 1
         assert records[0].seconds > 0
-
-    def test_numpy_fft_is_loaded_before_the_first_clock(self):
-        # numpy imports np.fft at its first use, which the n-gon spectrum
-        # of the first solve below p_c would otherwise hold; a fresh
-        # process, since this one has loaded it already
-        src = os.path.dirname(os.path.dirname(os.path.abspath(opt.__file__)))
-        probe = ("import sys, time, types; "
-                 "from chordenergy import optimizer as opt; "
-                 "seen = []; "
-                 "opt.time = types.SimpleNamespace(perf_counter=lambda: "
-                 "seen.append('numpy.fft' in sys.modules) "
-                 "or time.perf_counter()); "
-                 "opt.sweep([2.0], opt.OptimizeOptions(n=32, max_iters=2)); "
-                 "print(seen[0], 'numpy.fft' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", probe],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["True", "True"]
 
     def test_one_chord_band_per_sweep(self, monkeypatch):
         # the solves share the buffers of one band, not one band each

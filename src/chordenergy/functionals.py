@@ -6,8 +6,11 @@ integrand is singular.  The arc of a vertex pair depends on its grid
 offset k = j - i alone, and offsets k and N - k hold the same chords, so
 the sums over pairs walk the offsets k = 1..N/2 of the exact-difference
 chord table of geometry.offset_chord_blocks, a block of offsets at a
-time; only avg_chord_p reads the Gram table, squared_chord_matrix, and it
-clamps that table's negative round-off itself.  The circle reference
+time.  The energy walk (_energy_walk) also keeps each offset's smallest
+squared chord and its sum of squared chords, from which the harness
+reads the distortion bounds and the direct deficit without a second
+walk.  Only avg_chord_p reads the Gram table, squared_chord_matrix, and
+it clamps that table's negative round-off itself.  The circle reference
 values come from a fixed Gauss-Legendre rule on geometrically graded
 panels of the corresponding closed-form integrals.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .errors import (
 from .geometry import (
     TWO_PI,
     PolyCurve,
+    grid_offsets,
     half_offsets,
     lambda_chord,
     offset_arcs,
@@ -150,7 +154,9 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     from np.sqrt, a product with x and a reciprocal, with no libm pow
     call, within 4e-16 relative of np.power; exponent 1 returns x itself,
     not a copy; every other exponent is np.power, which takes its own
-    fast paths at -1, 1/2 and 2."""
+    fast paths at -1, 1/2 and 2.  The energy walk takes its chord powers
+    at j = 1 and 2 and its row sums at p = 3/2 and 2 without it
+    (_energy_walk, _row_power_sums)."""
     if e == 1:
         return x
     if abs(e) not in (0.5, 1.5):
@@ -163,24 +169,54 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
+def _row_power_sums(x: np.ndarray, p: float) -> np.ndarray:
+    """Row sums of x ** p for x >= 0.  At p = 2 and 3/2 they are one
+    product reduction of x with x or with np.sqrt(x), with no array of
+    the powers; every other p sums _power(x, p)."""
+    if p == 2:
+        return np.einsum("ij,ij->i", x, x)
+    if p == 1.5:
+        return np.einsum("ij,ij->i", x, np.sqrt(x))
+    return np.sum(_power(x, p), axis=1)
+
+
+class EnergyWalk(NamedTuple):
+    """What one walk of a curve's offset chord table gives: for each
+    EnergyParams, energy_Ejp; the distortion; and, for each offset
+    k = 1..N/2, its smallest squared chord and the sum of its squared
+    chords."""
+
+    energies: list
+    distortion: float
+    min_d2: np.ndarray
+    chord_sums: np.ndarray
+
+
 def energy_Ejp(curve: PolyCurve, params: EnergyParams) -> float:
     """Discrete chord/arc energy sum (2pi/N)^2 sum_{i!=k}
     (chord^-j - arc^-j)^p."""
     return _energy_walk(curve, [params])[0][0]
 
 
-def _energy_walk(curve: PolyCurve, params_seq) -> tuple[list[float], float]:
-    """energy_Ejp of one curve for each EnergyParams of params_seq, and
-    the curve's distortion, from one walk of its offset chord table.
+def _energy_walk(curve: PolyCurve, params_seq) -> EnergyWalk:
+    """energy_Ejp of one curve for each EnergyParams of params_seq, the
+    curve's distortion, and each offset's smallest squared chord and sum
+    of squared chords, from one walk of its offset chord table.
 
     Per block, the clipped chord/arc difference is built once for each
-    distinct j and raised to each p of that j, both powers by _power, so
-    the verify grid (j in {1, 2}, p in {1, 1.5, 2}) makes no libm pow
-    call.  A pair's value does not
-    depend on the other pairs: it is energy_Ejp(curve, params) bit for
-    bit.  Each block's row minima serve both the embedding check and the
-    distortion, which equals distortion(curve) bit for bit.  Every pair
-    is checked for convergence before the walk."""
+    distinct j and raised to each p of that j.  1/d^2 is one reciprocal
+    and 1/d its np.sqrt, whenever j is 1 or 2, whatever the other pairs;
+    the row sums at p = 3/2 and 2 are product reductions
+    (_row_power_sums); every other power is _power.  So the verify grid
+    (j in {1, 2}, p in {1, 1.5, 2}) makes no libm pow call.  A pair's
+    value does not depend on the other pairs: it is energy_Ejp(curve,
+    params) bit for bit.  The difference is clipped at zero only in a
+    block whose min is negative.  Each block's row minima serve both the
+    embedding check and the distortion, which equals distortion(curve)
+    bit for bit; the minima at offsets ks, with _distortion_ratios, equal
+    distortion_at(curve, ks) bit for bit, and the chord sums are
+    deficit_direct's.  Every pair is checked for convergence before the
+    walk."""
     for params in params_seq:
         params.require_convergent()
     n = curve.n
@@ -193,23 +229,31 @@ def _energy_walk(curve: PolyCurve, params_seq) -> tuple[list[float], float]:
     arc_terms = {j: arcs ** -j for j in by_j}
     totals = [0.0] * len(params_seq)
     min_d2 = np.empty(ks.shape)
+    chord_sums = np.empty(ks.shape)
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
         min_d2[rows] = d2.min(axis=1)
         _check_embedded(d2, ks[rows], min_d2[rows])
+        chord_sums[rows] = d2.sum(axis=1)
+        # chord^-j as a new array, never d2 itself; 1/d is taken before
+        # j = 2 subtracts its arc term from 1/d^2 in place
+        if 1 in by_j or 2 in by_j:
+            inverse = np.divide(1.0, d2)
+            root = np.sqrt(inverse) if 1 in by_j else None
         for j, positions in by_j.items():
-            # -j/2 < 0, so this is a new array, never d2 itself
-            integrand = _power(d2, -j / 2.0)
+            integrand = root if j == 1 else inverse if j == 2 \
+                else _power(d2, -j / 2.0)
             integrand -= arc_terms[j][rows, None]
             # chord <= arc, so the integrand is nonnegative up to
-            # round-off; clip keeps fractional powers real at the
+            # round-off; clipping keeps fractional powers real at the
             # adjacent-edge zeros
-            np.maximum(integrand, 0.0, out=integrand)
+            if integrand.min() < 0.0:
+                np.maximum(integrand, 0.0, out=integrand)
             for pos in positions:
-                totals[pos] += weights[rows] @ np.sum(
-                    _power(integrand, params_seq[pos].p), axis=1)
+                totals[pos] += weights[rows] @ _row_power_sums(
+                    integrand, params_seq[pos].p)
     worst_ratio = float(_distortion_ratios(arcs, min_d2, ks).max())
-    return ([float((TWO_PI / n) ** 2 * total) for total in totals],
-            worst_ratio)
+    return EnergyWalk([float((TWO_PI / n) ** 2 * total) for total in totals],
+                      worst_ratio, min_d2, chord_sums)
 
 
 def renorm_energy(curve: PolyCurve, kernel: ChordKernel) -> float:
@@ -358,11 +402,12 @@ def segment_avg_chord(p: float) -> float:
 def distortion_at(curve: PolyCurve, k):
     """Worst arc/chord ratio at grid separation k (arclength 2*pi*k/N).
 
-    k is an int, giving a float, or an int array, giving an array.  The
-    ratio is the infinity sentinel where some chord vanishes at positive
-    arc distance (non-embedded curve), and 0 at k = 0 mod N."""
+    k is an int, giving a float, or an int array, giving an array; any
+    other k raises ParameterDomainError.  The ratio is the infinity
+    sentinel where some chord vanishes at positive arc distance
+    (non-embedded curve), and 0 at k = 0 mod N."""
     n = curve.n
-    ks = np.atleast_1d(np.asarray(k)) % n
+    ks = grid_offsets(k, n)
     min_d2 = np.empty(ks.shape)
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
         min_d2[rows] = d2.min(axis=1)
@@ -381,9 +426,10 @@ def chord_average(curve: PolyCurve, k,
     """Mean of f(squared chord) at grid separation k:
     (1/N) sum_i f(|c_{i+k} - c_i|^2).
 
-    k is an int, giving a float, or an int array, giving an array.  f is
-    applied elementwise to a block of offsets at a time."""
-    ks = np.atleast_1d(np.asarray(k))
+    k is an int, giving a float, or an int array, giving an array; any
+    other k raises ParameterDomainError.  f is applied elementwise to a
+    block of offsets at a time."""
+    ks = grid_offsets(k, curve.n)
     means = np.empty(ks.shape)
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
         means[rows] = np.mean(f(d2), axis=1)

@@ -29,7 +29,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DegenerateCurveError, InvalidDiscretizationError
+from .errors import (
+    DegenerateCurveError,
+    InvalidDiscretizationError,
+    ParameterDomainError,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -166,6 +170,17 @@ def half_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2 == 0:
         weights[-1] = 1.0
     return ks, weights
+
+
+def grid_offsets(k, n: int) -> np.ndarray:
+    """k, an int or an array of ints, as a 1-D intp array of offsets in
+    0..n-1.  An empty k, of any dtype, gives an empty array; any other k
+    that is not of an integer dtype raises ParameterDomainError."""
+    ks = np.atleast_1d(np.asarray(k))
+    if ks.size and ks.dtype.kind not in "iu":
+        raise ParameterDomainError(
+            f"grid offsets must be integers, got {ks.dtype} ({k!r})")
+    return (ks % n).astype(np.intp, copy=False)
 
 
 def offset_arcs(n: int, ks) -> np.ndarray:
@@ -530,11 +545,14 @@ def _harmonics(t: np.ndarray, K: int) -> np.ndarray:
     """cos(k t) and sin(k t) for k = 1..K as one (len(t), 2K) array, row
     i holding cos t_i, sin t_i, cos 2t_i, sin 2t_i, ...: the real and
     imaginary parts of the powers z^k of z = exp(i t), from one complex
-    exponential and K - 1 complex products (np.cumprod), not 2K
+    exponential and K - 1 complex products, z^k = z^(k-1) z, not 2K
     trigonometric calls per point."""
     z = np.exp(1j * t)
-    return np.cumprod(np.broadcast_to(z[:, None], (z.size, K)),
-                      axis=1).view(float)
+    out = np.empty((z.size, K), dtype=complex)
+    out[:, 0] = z
+    for k in range(1, K):
+        np.multiply(out[:, k - 1], z, out=out[:, k])
+    return out.view(float)
 
 
 @lru_cache(maxsize=8)

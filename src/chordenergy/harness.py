@@ -131,13 +131,17 @@ class VerificationReport:
 
     add() credits a check with the time since the previous add(), or
     since the report was made: the work done between two checks belongs
-    to the second.  verify_all walks each curve's chord table once for
-    all four energies and the distortion, before its first energy check,
-    so that check carries the whole walk, the distortion of every curve,
-    the curve set-up and, in a fresh process, circle_bound's
-    Gauss-Legendre nodes (about 6 ms).  The other three energy checks
-    carry only their circle bounds, and the "distortion >= pi/2" check
-    only the minimum over the planar curves' distortions."""
+    to the second.  verify_all walks each curve's chord table once, for
+    all four energies, the distortion, each offset's smallest squared
+    chord and each offset's sum of squared chords, before its first
+    energy check, so that check carries the whole walk, the curve set-up
+    and, in a fresh process, circle_bound's Gauss-Legendre nodes (about
+    6 ms).  The other three energy checks carry only their circle
+    bounds; the "distortion >= pi/2" check only the minimum over the
+    planar curves' distortions; the "distortion_at >= s/lambda(s)" check
+    only the ratios read off the walk's minima; and the deficit checks
+    only the DFT series and the deficits read off the walk's chord
+    sums."""
 
     checks: list = field(default_factory=list)
     _mark: float = field(default_factory=time.perf_counter, init=False,
@@ -177,13 +181,14 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
                for i in range(max(1, n_curves // 10))]
 
     # circle minimality of the chord/arc energies: one chord-table walk
-    # per curve for all four and the distortion, then the worst curve of
-    # each
+    # per curve for all four, the distortion and the per-offset minima
+    # and chord sums that the distortion and deficit checks read, then
+    # the worst curve of each
     params_seq = [fn.EnergyParams(j, p)
                   for (j, p) in [(2, 1), (1, 1), (1, 2), (2, 1.5)]]
     walks = [fn._energy_walk(c, params_seq) for c in curves + curves3]
-    energies = np.array([walk[0] for walk in walks])
-    distortions = [walk[1] for walk in walks[:n_curves]]
+    energies = np.array([walk.energies for walk in walks])
+    distortions = [walk.distortion for walk in walks[:n_curves]]
     for params, worst in zip(params_seq, energies.min(axis=0)):
         bound = fn.circle_bound(params)
         report.add(f"energy({params.j},{params.p}) >= circle bound",
@@ -212,20 +217,22 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     s = geo.offset_arcs(n, ks)
     bound_at = s / fn.lambda_chord(s)
     worst_at = np.inf
-    for c in curves[: min(10, n_curves)]:
-        worst_at = min(worst_at,
-                       float((fn.distortion_at(c, ks) - bound_at).min()))
+    for walk in walks[: min(10, n_curves)]:
+        # fn.distortion_at(c, ks) bit for bit: every ks is <= n/2
+        ratios = fn._distortion_ratios(s, walk.min_d2[ks - 1], ks)
+        worst_at = min(worst_at, float((ratios - bound_at).min()))
     report.add("distortion_at >= s/lambda(s)", worst_at >= -disc_tol,
                worst_at, 0.0, disc_tol)
 
     # Wirtinger deficit: series nonnegativity and oracle agreement
     worst_rho = np.inf
     worst_agree = 0.0
-    for c in curves[: min(20, n_curves)]:
+    for c, walk in zip(curves[: min(20, n_curves)], walks):
         fc = spec.analyze(c)
         prof = spec.deficit(fc)
         worst_rho = min(worst_rho, prof.rho.min())
-        direct = spec.deficit_direct(c, np.arange(1, n))
+        # spec.deficit_direct(c, np.arange(1, n)) bit for bit
+        direct = spec._mirrored_deficit(c, np.arange(1, n), walk.chord_sums)
         scale = max(1.0, 4.0 * fc.derivative_energy())
         worst_agree = max(worst_agree,
                           float(np.abs(direct - prof.rho).max()) / scale)

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .geometry import TWO_PI, PolyCurve, lambda_chord, offset_chord_blocks
+from .geometry import (
+    TWO_PI,
+    PolyCurve,
+    grid_offsets,
+    lambda_chord,
+    offset_chord_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -112,23 +118,40 @@ def deficit(fc: FourierCurve, n: int | None = None) -> DeficitProfile:
     return DeficitProfile(s=s, rho=8 * np.pi * rho)
 
 
+def _mirrored_deficit(curve: PolyCurve, ks: np.ndarray,
+                      half_sums: np.ndarray) -> np.ndarray:
+    """deficit_direct at the offsets ks in 0..n-1, from half_sums, whose
+    entry m - 1 sums the squared chords of offset m, for m = 1..n/2 (the
+    entries of offsets that no min(k, n - k) names are not read).
+    Offset n - k holds the chords of offset k, so it takes that sum;
+    offset 0 has none."""
+    n = curve.n
+    step = TWO_PI / n
+    half = np.minimum(ks, n - ks)
+    chord_sums = np.where(half > 0, half_sums[half - 1], 0.0)
+    deriv_energy = float(np.sum(curve.edges() ** 2)) / step
+    return lambda_chord(ks * step) ** 2 * deriv_energy - step * chord_sums
+
+
 def deficit_direct(curve: PolyCurve, k):
     """Deficit at shift s = 2 pi k / n straight from the polygon:
     lambda^2(s) * int |c'|^2 (piecewise-constant derivative) minus the
     Riemann sum of the squared chords.
 
-    k is an int, giving a float, or an int array, giving an array.  The
-    chords are exact vertex differences, independent of the DFT that
-    the series side rests on.
+    k is an int, giving a float, or an int array, giving an array; any
+    other k raises ParameterDomainError.  The chords are exact vertex
+    differences, independent of the DFT that the series side rests on.
+    The chord table is walked once at each offset min(k, n - k) that k
+    names, and offset n - k reads the sum of offset k (_mirrored_deficit).
     """
     n = curve.n
-    step = TWO_PI / n
-    ks = np.atleast_1d(np.asarray(k)) % n
-    deriv_energy = float(np.sum(curve.edges() ** 2)) / step
-    chord_sums = np.empty(ks.shape)
-    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
-        chord_sums[rows] = d2.sum(axis=1)
-    rho = lambda_chord(ks * step) ** 2 * deriv_energy - step * chord_sums
+    ks = grid_offsets(k, n)
+    walked = np.unique(np.minimum(ks, n - ks))
+    walked = walked[walked > 0]
+    half_sums = np.empty(n // 2)
+    for rows, d2 in offset_chord_blocks(curve.vertices, walked):
+        half_sums[walked[rows] - 1] = d2.sum(axis=1)
+    rho = _mirrored_deficit(curve, ks, half_sums)
     return float(rho[0]) if np.ndim(k) == 0 else rho
 
 

@@ -20,7 +20,7 @@ from chordenergy import harness
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
 from chordenergy import spectral as spec
-from chordenergy.errors import ChordEnergyError
+from chordenergy.errors import ChordEnergyError, ParameterDomainError
 
 PACKAGE = os.path.dirname(os.path.abspath(chordenergy.__file__))
 
@@ -114,3 +114,35 @@ def test_bad_sweep_header_raises_a_package_error(tmp_path):
     path.write_text("p,q\n1,2\n")
     with pytest.raises(ChordEnergyError, match="header"):
         harness.read_sweep_csv(path)
+
+
+#: the public functions that take grid offsets k, each called as
+#: call(curve, k)
+OFFSET_CALLS = {
+    "distortion_at": fn.distortion_at,
+    "chord_average": lambda curve, k: fn.chord_average(curve, k, np.sqrt),
+    "deficit_direct": spec.deficit_direct,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFFSET_CALLS))
+def test_offsets_must_be_integers(name):
+    call = OFFSET_CALLS[name]
+    curve = geo.random_closed_curve(1, n=64)
+    for k in (2.5, 2.0, [1.0, 2.0], [1, 2.5], np.array([1.5]), "3",
+              2 ** 70):
+        with pytest.raises(ParameterDomainError):
+            call(curve, k)
+    # integer scalars, lists and arrays of any integer dtype, and an
+    # empty k, still work
+    expected = call(curve, np.arange(1, 64))
+    for k in (3, np.int32(3), np.uint8(67), -61):
+        value = call(curve, k)
+        assert isinstance(value, float)
+        assert value == pytest.approx(expected[2], rel=1e-13, abs=1e-13)
+    for ks in ([1, 2, 3], np.arange(1, 64, dtype=np.uint16)):
+        values = call(curve, ks)
+        assert np.allclose(values, expected[: len(values)], rtol=1e-13,
+                           atol=1e-13)
+    assert call(curve, []).shape == (0,)
+    assert call(curve, np.array([], dtype=int)).shape == (0,)

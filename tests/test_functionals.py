@@ -227,6 +227,43 @@ class TestSharedEnergyWalk:
         assert fn._energy_walk(curve, params)[0] \
             == [fn.energy_Ejp(curve, q) for q in params]
 
+    @pytest.mark.parametrize("pairs", [
+        PAIRS, [(1.5, 1.25), (0.5, 3), (1, 0.5)]],
+        ids=["verify_grid", "off_grid"])
+    @pytest.mark.parametrize("which", ["random2d", "random3d", "circle"])
+    def test_matches_dense_power_reference(self, pairs, which):
+        curve = {"random2d": geo.random_closed_curve(6, n=128),
+                 "random3d": geo.random_closed_curve(7, n=129, dim=3),
+                 "circle": geo.make_circle(128)}[which]
+        walk = fn._energy_walk(curve, [fn.EnergyParams(j, p)
+                                       for j, p in pairs])
+        v = curve.vertices
+        n = len(v)
+        # row k - 1 holds |v_{i+k} - v_i|^2 for every i, k = 1..n-1, from
+        # exact differences summed coordinate by coordinate
+        ks = np.arange(1, n)
+        diff = v[(np.arange(n) + ks[:, None]) % n] - v
+        d2 = diff[..., 0] ** 2
+        for d in range(1, curve.dim):
+            d2 += diff[..., d] ** 2
+        # the arc of offset k is that of min(k, n - k), which the walk
+        # reads; 2 pi - s is not always 2 pi (n - k) / n exactly
+        arcs = geo.offset_arcs(n, np.minimum(ks, n - ks))
+        # an equal-edge polygon's adjacent chords equal their arcs, so the
+        # integrand there is round-off, which p < 1 magnifies: chord^-j
+        # is taken from 1/chord^2, as the walk takes it
+        inverse = np.power(d2, -1.0)
+        for (j, p), energy in zip(pairs, walk.energies):
+            integrand = np.maximum(np.power(inverse, j / 2)
+                                   - np.power(arcs, -j)[:, None], 0.0)
+            reference = (2 * np.pi / n) ** 2 * np.sum(
+                np.power(integrand, p))
+            assert energy == pytest.approx(reference, rel=1e-14), (j, p)
+        half = d2[: n // 2]
+        assert np.array_equal(walk.min_d2, half.min(axis=1))
+        assert np.abs(walk.chord_sums / half.sum(axis=1) - 1).max() \
+            <= 1e-14
+
     def test_degenerate_curve_rejected(self, double_segment512):
         params = [fn.EnergyParams(j, p) for j, p in self.PAIRS]
         with pytest.raises(DegenerateCurveError):
@@ -266,12 +303,12 @@ class TestWalkDistortion:
     def test_equals_distortion(self, n, dim):
         curve = geo.random_closed_curve(n, n=n, dim=dim)
         params = [fn.EnergyParams(j, p) for j, p in self.PAIRS]
-        _, distortion = fn._energy_walk(curve, params)
-        assert distortion == fn.distortion(curve)
+        assert fn._energy_walk(curve, params).distortion \
+            == fn.distortion(curve)
 
     def test_circle(self, circle256):
-        _, distortion = fn._energy_walk(circle256, [fn.EnergyParams(2, 1)])
-        assert distortion == fn.distortion(circle256)
+        walk = fn._energy_walk(circle256, [fn.EnergyParams(2, 1)])
+        assert walk.distortion == fn.distortion(circle256)
 
     @pytest.mark.parametrize("n,i,k", [(257, 17, 200), (256, 3, 131),
                                        (512, 0, 256), (300, 290, 5)])

@@ -276,6 +276,16 @@ class TestHarmonics:
         assert np.abs(table[:, 0::2] - np.cos(phase)).max() <= 1e-14
         assert np.abs(table[:, 1::2] - np.sin(phase)).max() <= 1e-14
 
+    @pytest.mark.parametrize("K", [1, 6])
+    def test_is_the_cumprod_form(self, K):
+        t = np.concatenate([
+            TWO_PI * np.arange(512) / 512,
+            np.random.default_rng(K).uniform(-0.1, TWO_PI + 0.1, 4096)])
+        z = np.exp(1j * t)
+        cumprod = np.cumprod(np.broadcast_to(z[:, None], (z.size, K)),
+                             axis=1).view(float)
+        assert np.array_equal(geo._harmonics(t, K), cumprod)
+
     def test_table_is_the_recurrence_on_the_grid(self):
         geo._harmonic_table.cache_clear()
         for m, K in ((64, 6), (geo.SPEED_GRID, 3)):

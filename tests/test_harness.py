@@ -3,10 +3,12 @@ import time
 import numpy as np
 import pytest
 
+from chordenergy import functionals as fn
 from chordenergy import geometry as geo
 from chordenergy import harness
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
+from chordenergy import spectral as spec
 from chordenergy.errors import ParameterDomainError
 
 
@@ -91,48 +93,76 @@ class TestVerifyAll:
         assert check.seconds == 0.0
 
     def test_distortion_read_off_the_energy_walk(self, monkeypatch):
-        from chordenergy import functionals as fn
         n, n_curves = 64, 3
         full = fn.half_offsets(n)[0]
-        counts = {"distortion": 0}
+        counts = {"distortion": 0, "distortion_at": 0, "deficit_direct": 0}
         full_walks = {}  # id of the vertices -> full half-offset walks
-        state = {"per_offset": False}
         real_blocks = fn.offset_chord_blocks
         real_distortion = fn.distortion
-        real_distortion_at = fn.distortion_at
 
-        def distortion(curve):
-            counts["distortion"] += 1
-            return real_distortion(curve)
-
-        def distortion_at(curve, k):
-            # the per-offset check walks its own offsets; at n = 64 they
-            # happen to be all of them
-            state["per_offset"] = True
-            try:
-                return real_distortion_at(curve, k)
-            finally:
-                state["per_offset"] = False
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            return call
 
         def blocks(vertices, ks):
-            if not state["per_offset"] and np.array_equal(
-                    np.asarray(ks) % len(vertices), full):
+            if np.array_equal(np.asarray(ks) % len(vertices), full):
                 key = id(vertices)
                 full_walks[key] = full_walks.get(key, 0) + 1
             return real_blocks(vertices, ks)
 
-        monkeypatch.setattr(fn, "distortion", distortion)
-        monkeypatch.setattr(fn, "distortion_at", distortion_at)
+        for module, name in ((fn, "distortion"), (fn, "distortion_at"),
+                             (spec, "deficit_direct")):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
         monkeypatch.setattr(fn, "offset_chord_blocks", blocks)
+        monkeypatch.setattr(spec, "offset_chord_blocks", blocks)
         report = harness.verify_all(seed=1, n_curves=n_curves, n=n)
         assert report.passed, report.summary()
-        assert counts["distortion"] == 0
+        assert counts == {"distortion": 0, "distortion_at": 0,
+                          "deficit_direct": 0}
         # the planar curves and the one space curve, one walk each
         assert sorted(full_walks.values()) == [1] * (n_curves + 1)
         check = {c.name: c for c in report.checks}["distortion >= pi/2"]
         curves = [geo.random_closed_curve(1 + i, n=n)
                   for i in range(n_curves)]
         assert check.measured == min(real_distortion(c) for c in curves)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_walk_reads_equal_the_public_functions(self, n, monkeypatch):
+        n_curves = 12
+        ratios, deficits = [], []
+        real_ratios = fn._distortion_ratios
+        real_deficit = spec._mirrored_deficit
+
+        def distortion_ratios(arcs, min_d2, ks):
+            ratios.append((ks, real_ratios(arcs, min_d2, ks)))
+            return ratios[-1][1]
+
+        def mirrored_deficit(curve, ks, half_sums):
+            deficits.append((curve, real_deficit(curve, ks, half_sums)))
+            return deficits[-1][1]
+
+        monkeypatch.setattr(fn, "_distortion_ratios", distortion_ratios)
+        monkeypatch.setattr(spec, "_mirrored_deficit", mirrored_deficit)
+        harness.verify_all(seed=2, n_curves=n_curves, n=n)
+        monkeypatch.undo()
+        curves = [geo.random_closed_curve(2 + i, n=n)
+                  for i in range(n_curves)]
+        # the walks' own distortions come first, one per curve, then the
+        # distortion_at check's ratios of the first ten curves
+        checked = ratios[-10:]
+        assert len(ratios) == n_curves + 1 + 10
+        ks = np.arange(1, n // 2 + 1, max(1, n // 128))
+        for curve, (read_ks, read) in zip(curves, checked):
+            assert np.array_equal(read_ks, ks)
+            assert np.array_equal(read, fn.distortion_at(curve, ks))
+        assert len(deficits) == n_curves
+        for curve, (read_curve, read) in zip(curves, deficits):
+            assert np.array_equal(read_curve.vertices, curve.vertices)
+            assert np.array_equal(
+                read, spec.deficit_direct(curve, np.arange(1, n)))
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):

@@ -29,11 +29,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import (
-    DegenerateCurveError,
-    InvalidDiscretizationError,
-    ParameterDomainError,
-)
+from .errors import (DegenerateCurveError, InvalidDiscretizationError,
+                     ParameterDomainError)
 
 TWO_PI = 2.0 * np.pi
 

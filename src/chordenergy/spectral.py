@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .geometry import (
-    TWO_PI,
-    PolyCurve,
-    grid_offsets,
-    lambda_chord,
-    offset_chord_blocks,
-)
+from .geometry import (TWO_PI, PolyCurve, grid_offsets, lambda_chord,
+                       offset_chord_blocks)
 
 
 @dataclass(frozen=True)

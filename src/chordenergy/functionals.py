@@ -9,10 +9,11 @@ chord table of geometry.offset_chord_blocks, a block of offsets at a
 time.  The energy walk (_energy_walk) also keeps each offset's smallest
 squared chord and its sum of squared chords, from which the harness
 reads the distortion bounds and the direct deficit without a second
-walk.  Only avg_chord_p reads the Gram table, squared_chord_matrix, and
-it clamps that table's negative round-off itself.  The circle reference
-values come from a fixed Gauss-Legendre rule on geometrically graded
-panels of the corresponding closed-form integrals.
+walk.  The power mean avg_chord_p walks the same table, and
+chord_average walks the offsets it is given, once for any number of
+test functions (_chord_averages); nothing here builds an N x N table.
+The circle reference values come from a fixed Gauss-Legendre rule on
+geometrically graded panels of the corresponding closed-form integrals.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from .geometry import (
     lambda_chord,
     offset_arcs,
     offset_chord_blocks,
-    squared_chord_matrix,
 )
+# not called here: perfbench's tracer and tests/test_benchmark_bindings.py
+# count the Gram table through this module's binding of it
+from .geometry import squared_chord_matrix  # noqa: F401
 
 #: distinguished return value for the distortion of non-embedded curves
 INFINITE_DISTORTION = math.inf
@@ -342,25 +345,31 @@ def circle_bound(params: EnergyParams) -> float:
 def avg_chord_p(curve: PolyCurve, p: float) -> float:
     """L^p mean of the chord length over all parameter pairs,
     ((1/N^2) sum |c_i - c_k|^p)^(1/p); the diagonal contributes zero.
-    The powers are taken of the squared chords divided by the largest,
-    so they are at most 1, and the mean is scaled back: neither the
-    powers nor their sum overflow, and the value is finite at every
-    finite p > 0 (on the circle it nears the diameter, about 2).  The
-    squared chords come from the Gram table, squared_chord_matrix, whose
-    negative round-off at coincident vertices is clamped to zero here,
-    and only when the table's min is negative."""
+    The sum walks the offsets k = 1..N/2 of the exact-difference chord
+    table (offset_chord_blocks), a block at a time, so only O(N) floats
+    per block are live.  The powers are taken of the squared chords
+    divided by the largest one seen so far, so they are at most 1, and
+    the running sum is scaled by (old/new)^(p/2) whenever a larger one
+    appears: neither the powers nor their sum overflow, and the value is
+    finite at every finite p > 0 (on the circle it nears the diameter,
+    about 2)."""
     require_finite_exponent(p)
-    d2 = squared_chord_matrix(curve.vertices)
-    # coincident vertices can leave negative round-off in the table
-    if d2.min() < 0.0:
-        np.maximum(d2, 0.0, out=d2)
-    top = float(d2.max())
+    n = curve.n
+    ks, weights = half_offsets(n)
+    total, top = 0.0, 0.0
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        block_top = float(d2.max())
+        if block_top > top:
+            total *= (top / block_top) ** (p / 2.0)
+            top = block_top
+        if top == 0.0:
+            continue
+        d2 /= top
+        total += weights[rows] @ _row_power_sums(d2, p / 2.0)
     if top == 0.0:
         # every vertex at one point
         return 0.0
-    d2 /= top
-    d2 **= p / 2.0
-    return float(np.mean(d2) ** (1.0 / p) * math.sqrt(top))
+    return float((total / n**2) ** (1.0 / p) * math.sqrt(top))
 
 
 def _closed_form_mean(p: float, mean_power) -> float:
@@ -421,6 +430,19 @@ def distortion(curve: PolyCurve) -> float:
     return float(distortion_at(curve, half_offsets(curve.n)[0]).max())
 
 
+def _chord_averages(curve: PolyCurve, ks, fs) -> np.ndarray:
+    """chord_average(curve, ks, f) for each f of fs, from one walk of
+    the offsets ks: row m holds the means of fs[m], equal to
+    chord_average's bit for bit.  Each f reads the same block of squared
+    chords, so none may write into its argument."""
+    ks = grid_offsets(ks, curve.n)
+    means = np.empty((len(fs), len(ks)))
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        for row, f in zip(means, fs):
+            row[rows] = np.mean(f(d2), axis=1)
+    return means
+
+
 def chord_average(curve: PolyCurve, k,
                   f: Callable[[np.ndarray], np.ndarray]):
     """Mean of f(squared chord) at grid separation k:
@@ -429,8 +451,5 @@ def chord_average(curve: PolyCurve, k,
     k is an int, giving a float, or an int array, giving an array; any
     other k raises ParameterDomainError.  f is applied elementwise to a
     block of offsets at a time."""
-    ks = grid_offsets(k, curve.n)
-    means = np.empty(ks.shape)
-    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
-        means[rows] = np.mean(f(d2), axis=1)
+    means = _chord_averages(curve, k, [f])[0]
     return float(means[0]) if np.ndim(k) == 0 else means

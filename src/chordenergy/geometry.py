@@ -124,9 +124,9 @@ def squared_chord_matrix(vertices: np.ndarray, others=None,
     written into out when it is given.  others defaults to the vertices
     themselves, and then the diagonal is exactly zero.  Cancellation can
     leave round-off of either sign where two points (nearly) coincide;
-    the table is not clamped, so a reader that takes roots or fractional
-    powers clamps what it reads (optimizer._ChordBand.tabulate,
-    functionals.avg_chord_p)."""
+    the table is not clamped, so its one reader,
+    optimizer._ChordBand.tabulate, clamps what it reads.  Every other
+    chord sum walks the exact differences of offset_chord_blocks."""
     n, dim = vertices.shape
     sq = np.einsum("id,id->i", vertices, vertices)
     if others is None:
@@ -181,8 +181,14 @@ def grid_offsets(k, n: int) -> np.ndarray:
 
 
 def offset_arcs(n: int, ks) -> np.ndarray:
-    """Arc distance min(s, 2*pi - s), s = 2*pi*k/n, for each offset k."""
-    s = (np.asarray(ks) % n) * (TWO_PI / n)
+    """Arc distance min(s, 2*pi - s), s = m * (2*pi/n), for each offset
+    k, where m = min(k mod n, n - k mod n) counts the grid steps the
+    short way round.  Offsets k and n - k get the same arc bit for bit,
+    and a short arc keeps the low bits that 2*pi - s would lose at
+    k > n/2.  The outer min moves only m = n/2, to the bits the offsets
+    up to n/2 have always had."""
+    k = np.asarray(ks) % n
+    s = np.minimum(k, n - k) * (TWO_PI / n)
     return np.minimum(s, TWO_PI - s)
 
 
@@ -235,9 +241,14 @@ def _next(a: np.ndarray) -> np.ndarray:
 def _edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge vectors v_{i+1} - v_i of a closed polygon and their lengths."""
     edges = _next(v) - v
-    # summed coordinate by coordinate, in the order of np.linalg.norm:
-    # its lengths bit for bit (an einsum sum differs in 3-D)
-    return edges, np.sqrt(sum((edges * edges).T))
+    return edges, _row_norms(edges)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a, summed coordinate by coordinate
+    in the order of np.linalg.norm(a, axis=1): its values bit for bit
+    (an einsum sum differs in 3-D), without its per-call overhead."""
+    return np.sqrt(sum((a * a).T))
 
 
 def _equal_arclength(lengths: np.ndarray, columns, m: int) -> list:
@@ -603,8 +614,7 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
         def trace(t, coef=coef):
             return _harmonics(t, K) @ coef
 
-        speed = np.linalg.norm(_harmonic_table(SPEED_GRID, K) @ dcoef,
-                               axis=1)
+        speed = _row_norms(_harmonic_table(SPEED_GRID, K) @ dcoef)
         if speed.min() < 0.35 * speed.mean():
             continue
         try:

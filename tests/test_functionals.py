@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,16 @@ def _longdouble_energy(v, j, p):
         arc = np.longdouble(min(k, n - k) * step)
         total += np.sum(np.maximum(chord ** -j - arc ** -j, 0) ** p)
     return np.longdouble(step) ** 2 * total
+
+
+def _dense_power_mean(v, p):
+    """A_p from the dense table of exact vertex differences, the powers
+    taken of the table divided by its largest entry: the reference for
+    avg_chord_p's offset walk."""
+    diff = v[:, None, :] - v[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    top = d2.max()
+    return np.mean((d2 / top) ** (p / 2)) ** (1 / p) * np.sqrt(top)
 
 
 def _roll_distortion_at(v, k):
@@ -416,10 +427,8 @@ class TestChordMeans:
     def test_equals_mean_of_table_power(self, p, random_curves, circle512,
                                         double_segment512):
         for curve in (random_curves[2], circle512, double_segment512):
-            d2 = geo.squared_chord_matrix(curve.vertices)
-            top = d2.max()
-            assert fn.avg_chord_p(curve, p) \
-                == np.mean((d2 / top) ** (p / 2)) ** (1 / p) * np.sqrt(top)
+            assert fn.avg_chord_p(curve, p) == pytest.approx(
+                _dense_power_mean(curve.vertices, p), rel=1e-14)
 
     @pytest.mark.parametrize("p", [300, 344, 620, 621, 2000])
     def test_closed_forms_raise_where_doubles_overflow(self, p):
@@ -464,6 +473,27 @@ class TestChordMeans:
             ref = np.mean(d2 ** np.longdouble(p / 2)) ** (1 / np.longdouble(p))
             assert fn.avg_chord_p(curve, p) == pytest.approx(float(ref),
                                                              rel=1e-13)
+
+    @pytest.mark.parametrize("p", [0.5, 3, 50])
+    def test_matches_long_double_reference_in_space(self, p):
+        curve = geo.random_closed_curve(5, n=128, dim=3)
+        v = curve.vertices.astype(np.longdouble)
+        diff = v[:, None, :] - v[None, :, :]
+        d2 = np.sum(diff * diff, axis=2)
+        ref = np.mean(d2 ** np.longdouble(p / 2)) ** (1 / np.longdouble(p))
+        assert fn.avg_chord_p(curve, p) == pytest.approx(float(ref),
+                                                         rel=1e-13)
+
+    def test_no_pair_table(self):
+        # the n x n Gram table took 128 MB here
+        curve = geo.random_closed_curve(1, n=4096)
+        tracemalloc.start()
+        try:
+            fn.avg_chord_p(curve, 3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_power_mean_monotone(self, random_curves):
         vals = [fn.avg_chord_p(random_curves[0], p)
@@ -541,6 +571,14 @@ class TestDistortion:
         assert fn.distortion(curve) == pytest.approx(float(reference),
                                                      rel=1e-13)
 
+    @pytest.mark.parametrize("n", [511, 512])
+    def test_mirrored_offsets_agree(self, n):
+        curve = geo.random_closed_curve(3, n=n)
+        ks = np.arange(1, n)
+        ratios = fn.distortion_at(curve, ks)
+        assert np.array_equal(ratios, fn.distortion_at(curve, n - ks))
+        assert np.array_equal(ratios, ratios[::-1])
+
     def test_pointwise_bound(self, random_curves):
         curve = random_curves[0]
         n = curve.n
@@ -580,3 +618,12 @@ class TestChordAverage:
         expected = float(np.mean(np.sum(chords**2, axis=1)))
         assert fn.chord_average(curve, k, lambda x: x) == pytest.approx(
             expected, rel=1e-12)
+
+    def test_one_walk_for_several_functions(self, random_curves):
+        curve = random_curves[5]
+        fs = (np.sqrt, np.log, lambda x: x ** 0.4)
+        for ks in (np.arange(1, curve.n, 8), [3, 700, 3]):
+            rows = fn._chord_averages(curve, ks, fs)
+            assert rows.shape == (len(fs), len(ks))
+            for row, f in zip(rows, fs):
+                assert np.array_equal(row, fn.chord_average(curve, ks, f))

@@ -402,10 +402,10 @@ class TestGramTable:
     def test_negative_round_off_is_clamped(self, n):
         # far from the origin the distance of a vertex to its own copy
         # cancels to round-off of either sign.  The table keeps it; its
-        # two readers, the optimizer's chord band and avg_chord_p, turn
-        # the negative entries they read into zero, and the others keep
-        # their bits.  Each vertex appears twice, so the copies are
-        # pairs of the band (offset n of 2n) and off the diagonal
+        # reader, the optimizer's chord band, turns the negative entries
+        # it reads into zero, and the others keep their bits.  Each
+        # vertex appears twice, so the copies are pairs of the band
+        # (offset n of 2n) and off the diagonal
         v = 1e4 + np.random.default_rng(n).normal(size=(n, 2))
         twice = np.concatenate((v, v))
         band = opt._ChordBand(2 * n)
@@ -415,12 +415,15 @@ class TestGramTable:
         assert band.tabulate(twice) == 0.0
         assert np.array_equal(band.band, np.maximum(raw_band, 0.0))
 
-        d2 = geo.squared_chord_matrix(twice)
-        assert d2.min() < 0
-        np.maximum(d2, 0.0, out=d2)
+        # avg_chord_p walks exact differences, in which the copies give
+        # exact zeros
+        diff = twice[:, None, :] - twice[None, :, :]
+        d2 = np.sum(diff * diff, axis=2)
+        assert d2.min() == 0.0
         top = d2.max()
         expected = np.mean((d2 / top) ** 1.5) ** (1 / 3) * np.sqrt(top)
-        assert fn.avg_chord_p(geo.PolyCurve(twice), 3.0) == expected
+        assert fn.avg_chord_p(geo.PolyCurve(twice), 3.0) == pytest.approx(
+            expected, rel=1e-14)
 
 
 class TestOffsetKernel:
@@ -495,10 +498,24 @@ class TestOffsetKernel:
         arcs = geo.offset_arcs(n, np.arange(n))
         assert arcs[0] == 0.0
         assert arcs[n // 2] == pytest.approx(np.pi)
-        assert np.allclose(arcs[1:], arcs[1:][::-1])
+        assert np.array_equal(arcs[1:], arcs[1:][::-1])
         for k in (0, 1, 100, 256, 400, n + 100):
-            s = (k % n) * (TWO_PI / n)
+            s = min(k % n, n - k % n) * (TWO_PI / n)
             assert geo.offset_arcs(n, k) == arcs[k % n] == min(s, TWO_PI - s)
+
+    @pytest.mark.parametrize("n", [511, 512])
+    def test_mirrored_offsets_share_their_arc(self, n):
+        ks = np.arange(1, n)
+        assert np.array_equal(geo.offset_arcs(n, n - ks),
+                              geo.offset_arcs(n, ks))
+
+    def test_offsets_up_to_half_keep_their_bits(self):
+        # the fold to the short way round moves only offsets past n/2,
+        # so the walks over k = 1..n/2 read the arcs they always read
+        for n in range(8, 1100):
+            s = np.arange(n // 2 + 1) * (TWO_PI / n)
+            assert np.array_equal(geo.offset_arcs(n, np.arange(n // 2 + 1)),
+                                  np.minimum(s, TWO_PI - s)), n
 
 
 class TestResample:

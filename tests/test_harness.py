@@ -122,8 +122,10 @@ class TestVerifyAll:
         assert report.passed, report.summary()
         assert counts == {"distortion": 0, "distortion_at": 0,
                           "deficit_direct": 0}
-        # the planar curves and the one space curve, one walk each
-        assert sorted(full_walks.values()) == [1] * (n_curves + 1)
+        # the planar curves and the one space curve, one energy walk
+        # each; the "A_p monotone" check's five power means walk the
+        # first planar curve again
+        assert sorted(full_walks.values()) == [1] * n_curves + [6]
         check = {c.name: c for c in report.checks}["distortion >= pi/2"]
         curves = [geo.random_closed_curve(1 + i, n=n)
                   for i in range(n_curves)]

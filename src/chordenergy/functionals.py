@@ -9,9 +9,10 @@ chord table of geometry.offset_chord_blocks, a block of offsets at a
 time.  The energy walk (_energy_walk) also keeps each offset's smallest
 squared chord and its sum of squared chords, from which the harness
 reads the distortion bounds and the direct deficit without a second
-walk.  The power mean avg_chord_p walks the same table, and
-chord_average walks the offsets it is given, once for any number of
-test functions (_chord_averages); nothing here builds an N x N table.
+walk.  The power mean avg_chord_p walks the same table, once for any
+number of exponents (_power_means), and chord_average walks the
+offsets it is given, once for any number of test functions
+(_chord_averages); nothing here builds an N x N table.
 The circle reference values come from a fixed Gauss-Legendre rule on
 geometrically graded panels of the corresponding closed-form integrals.
 """
@@ -353,23 +354,35 @@ def avg_chord_p(curve: PolyCurve, p: float) -> float:
     appears: neither the powers nor their sum overflow, and the value is
     finite at every finite p > 0 (on the circle it nears the diameter,
     about 2)."""
-    require_finite_exponent(p)
+    return _power_means(curve, [p])[0]
+
+
+def _power_means(curve: PolyCurve, ps) -> list:
+    """avg_chord_p(curve, p) for each p of ps, from one walk of the
+    offset chord table, each equal to avg_chord_p's bit for bit: the
+    largest squared chord seen so far, and so the scaled block, do not
+    depend on p, and no power writes into the block."""
+    for p in ps:
+        require_finite_exponent(p)
     n = curve.n
     ks, weights = half_offsets(n)
-    total, top = 0.0, 0.0
+    totals, top = [0.0] * len(ps), 0.0
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
         block_top = float(d2.max())
         if block_top > top:
-            total *= (top / block_top) ** (p / 2.0)
+            totals = [total * (top / block_top) ** (p / 2.0)
+                      for total, p in zip(totals, ps)]
             top = block_top
         if top == 0.0:
             continue
         d2 /= top
-        total += weights[rows] @ _row_power_sums(d2, p / 2.0)
+        for pos, p in enumerate(ps):
+            totals[pos] += weights[rows] @ _row_power_sums(d2, p / 2.0)
     if top == 0.0:
         # every vertex at one point
-        return 0.0
-    return float((total / n**2) ** (1.0 / p) * math.sqrt(top))
+        return [0.0] * len(ps)
+    return [float((total / n**2) ** (1.0 / p) * math.sqrt(top))
+            for total, p in zip(totals, ps)]
 
 
 def _closed_form_mean(p: float, mean_power) -> float:

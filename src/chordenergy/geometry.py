@@ -169,6 +169,14 @@ def half_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ks, weights
 
 
+def require_integer(name: str, value, error: type) -> None:
+    """Raise error unless value is a Python or numpy integer: a bool, an
+    integral float such as 64.0 and anything else are refused, as
+    grid_offsets refuses 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def grid_offsets(k, n: int) -> np.ndarray:
     """k, an int or an array of ints, as a 1-D intp array of offsets in
     0..n-1.  An empty k, of any dtype, gives an empty array; any other k
@@ -453,8 +461,9 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     already equal-edge curve at fixed m maps to itself, up to its
     centroid.  A collapsed curve, dependent edge constraints or a
     projection that does not converge raise DegenerateCurveError, so the
-    result always has unit speed.
+    result always has unit speed.  m must be an integer.
     """
+    require_integer("m", m, InvalidDiscretizationError)
     if m < MIN_VERTICES:
         raise InvalidDiscretizationError(f"need m >= {MIN_VERTICES}, got {m}")
     closed = np.vstack([curve.vertices, curve.vertices[:1]])
@@ -467,8 +476,10 @@ def make_circle(n: int) -> PolyCurve:
     """Regular n-gon with perimeter exactly 2*pi, centered at the origin.
 
     The circumradius is (pi/n)/sin(pi/n), slightly above 1, so that the
-    inscribed polygon has the full length of the unit circle.
+    inscribed polygon has the full length of the unit circle.  n must
+    be an integer.
     """
+    require_integer("n", n, InvalidDiscretizationError)
     if n < MIN_VERTICES:
         raise InvalidDiscretizationError(f"need n >= {MIN_VERTICES}, got {n}")
     r = (np.pi / n) / np.sin(np.pi / n)
@@ -485,11 +496,14 @@ def make_ellipse(axis_ratio: float, n: int) -> PolyCurve:
     axis.  For axis_ratio > 1 this is the unit-speed reparameterization
     of the elliptical trace, not the uniform-parameter ellipse.  Raises
     InvalidDiscretizationError when the inscribed edges are not equal
-    within EDGE_SPREAD_TOL, as for a stretched ellipse at a small odd n.
+    within EDGE_SPREAD_TOL, as for a stretched ellipse at a small odd n,
+    and before any work when axis_ratio is not a finite number >= 1 or n
+    is not an integer.
     """
-    if axis_ratio < 1:
+    if not 1 <= axis_ratio < math.inf:
         raise InvalidDiscretizationError(
-            f"axis_ratio must be >= 1, got {axis_ratio}")
+            f"axis_ratio must be finite and >= 1, got {axis_ratio}")
+    require_integer("n", n, InvalidDiscretizationError)
 
     def trace(t):
         return np.column_stack([axis_ratio * np.cos(t), np.sin(t)])
@@ -502,7 +516,9 @@ def make_double_segment(n: int) -> PolyCurve:
 
     Runs 0 -> pi -> 0 along the x-axis with n equal steps of 2*pi/n.
     Non-embedded by design: parameters t and 2*pi - t coincide in space.
+    n must be an even integer.
     """
+    require_integer("n", n, InvalidDiscretizationError)
     if n < MIN_VERTICES:
         raise InvalidDiscretizationError(f"need n >= {MIN_VERTICES}, got {n}")
     if n % 2 != 0:
@@ -587,9 +603,16 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
     and on the inscriber's first, uniform pass they come from a small
     read-only cache keyed by grid size and K (_harmonic_table), built by
     the same function, so the vertices are those of the trace bit for
-    bit.  n below MIN_VERTICES, dim other than 2 or 3, and K below 1
-    raise InvalidDiscretizationError before any draw.
+    bit.  K, n and dim must be integers: n below MIN_VERTICES, dim other
+    than 2 or 3, K below 1, and any of them not an integer raise
+    InvalidDiscretizationError before any draw; a seed that is not a
+    non-negative integer raises ParameterDomainError.
     """
+    require_integer("seed", seed, ParameterDomainError)
+    if seed < 0:
+        raise ParameterDomainError(f"need seed >= 0, got {seed}")
+    for name, value in (("K", K), ("n", n), ("dim", dim)):
+        require_integer(name, value, InvalidDiscretizationError)
     if K < 1:
         raise InvalidDiscretizationError(f"need K >= 1, got {K}")
     if n < MIN_VERTICES:

@@ -29,6 +29,10 @@ FLOAT_FMT = "%.17g"
 #: width and height of the SVG figures, in pixels
 SVG_SIZE = 800
 
+#: the most exponents a config's regular grid, p_min to p_max at p_step,
+#: may hold: a tiny p_step would otherwise build an unbounded list
+MAX_GRID_EXPONENTS = 10_000
+
 
 def _require_number(name: str, value, kinds: tuple) -> None:
     """Raise ParameterDomainError unless value, not a bool, is a finite
@@ -44,8 +48,9 @@ def _require_number(name: str, value, kinds: tuple) -> None:
 class ExperimentConfig:
     """Parameters of a sweep/figures run, round-trippable as JSON.  Making
     one checks every field, the exponents p_min, p_max and fine_grid
-    against the range maximize admits (optimizer._require_exponent), and
-    builds options, its OptimizeOptions."""
+    against the range maximize admits (optimizer._require_exponent) and
+    the size of the regular grid against MAX_GRID_EXPONENTS, and builds
+    options, its OptimizeOptions."""
 
     p_min: float = 1.0
     p_max: float = 4.0
@@ -83,6 +88,13 @@ class ExperimentConfig:
             raise ParameterDomainError(
                 f"need p_max >= p_min, got p_min={self.p_min} and "
                 f"p_max={self.p_max}")
+        # p_grid holds round(steps) + 1 regular exponents; steps is a
+        # float, inf for a subnormal p_step, so it is compared as one
+        steps = (self.p_max - self.p_min) / self.p_step
+        if not steps < MAX_GRID_EXPONENTS - 0.5:
+            raise ParameterDomainError(
+                f"p_step {self.p_step} gives more than {MAX_GRID_EXPONENTS} "
+                f"exponents from p_min={self.p_min} to p_max={self.p_max}")
         if not 1 <= self.version <= FORMAT_VERSION:
             raise ParameterDomainError(
                 f"unknown config version {self.version}")
@@ -172,7 +184,9 @@ class VerificationReport:
 
 
 def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationReport:
-    """Run every cross-module inequality suite on seeded random curves."""
+    """Run every cross-module inequality suite on seeded random curves.
+    seed, n_curves and n must be integers."""
+    geo.require_integer("n_curves", n_curves, ParameterDomainError)
     if n_curves < 1:
         raise ParameterDomainError(f"need n_curves >= 1, got {n_curves}")
     report = VerificationReport()
@@ -262,9 +276,10 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     report.add("tetrahedron inequality gap >= 0", worst_tetra >= -1e-12,
                worst_tetra, 0.0, 1e-12)
 
-    # power-mean monotonicity of the chord means
+    # power-mean monotonicity of the chord means, from one walk of the
+    # first curve's chord table for all five exponents
     c = curves[0]
-    vals = [fn.avg_chord_p(c, p) for p in (0.5, 1, 2, 3, 4)]
+    vals = fn._power_means(c, (0.5, 1, 2, 3, 4))
     mono = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     report.add("A_p monotone in p", mono, float(min(np.diff(vals))), 0.0, 1e-12)
     return report

@@ -17,21 +17,22 @@ edges.  Each iteration searches along the limited-memory BFGS direction
 of the last few angle steps with positive curvature (_lbfgs_direction),
 from the full step, and backtracks by safeguarded quadratic
 interpolation.  Its initial matrix comes from the regular n-gon's
-spectrum (_ngon_scales) when the n-gon is a strict local maximizer,
-below the critical exponent; there the first iteration is already a
-quasi-Newton one.  Above it the initial matrix is gamma I.  A search
-fails when a trial's vertices equal the iterate's, or once a backtracked
-step's predicted gain is below a few ulps of the value, which no
-comparison can resolve; a failed quasi-Newton search forgets its
-curvature pairs and searches once more along the gradient before the
-ascent stops.  The stop test reads the vertex gradient's part tangent to
-the edge-length constraints (geometry._tangent_part, one tridiagonal
-solve).  The pairwise work, the chord powers behind the value and the
-gradient, visits each unordered vertex pair once, through a band of the
-Gram chord table (_ChordBand).  Past the critical exponent the circle
-loses its maximality and the iterates stretch into ovals, so initial
-curves carry an explicit mode-2 perturbation to break the rotational
-symmetry.
+spectrum (_ngon_scales, in closed form from one rfft of the n-gon's
+chord weights) when the n-gon is a strict local maximizer, below the
+critical exponent p_c(n) = 2 sqrt(3) - 7.909/n^2 + O(n^-4); there the
+first iteration is already a quasi-Newton one.  Above it the initial
+matrix is gamma I.  A search fails when a trial's vertices equal the
+iterate's, or once a backtracked step's predicted gain is below a few
+ulps of the value, which no comparison can resolve; a failed
+quasi-Newton search forgets its curvature pairs and searches once more
+along the gradient before the ascent stops.  The stop test reads the
+vertex gradient's part tangent to the edge-length constraints
+(geometry._tangent_part, one tridiagonal solve).  The pairwise work,
+the chord powers behind the value and the gradient, visits each
+unordered vertex pair once, through a band of the Gram chord table
+(_ChordBand).  Past the critical exponent the circle loses its
+maximality and the iterates stretch into ovals, so initial curves carry
+an explicit mode-2 perturbation to break the rotational symmetry.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import DegenerateCurveError, InvalidDiscretizationError, \
     ParameterDomainError, SingularGradientError
 from .geometry import TWO_PI, PolyCurve, _angle_gradient, _bind_lapack, \
-    _close_angles, _edges, _tangent_part, make_circle, resample_arclength, \
-    squared_chord_matrix
+    _close_angles, _edges, _tangent_part, make_circle, require_integer, \
+    resample_arclength, squared_chord_matrix
 from .functionals import circle_avg_chord, require_finite_exponent, \
     segment_avg_chord
 from . import shape as shape_mod
@@ -76,10 +77,6 @@ ROUNDOFF_ULPS = 4
 BACKTRACK_MIN = 0.1
 BACKTRACK_MAX = 0.5
 
-#: step of the forward difference along one edge angle that reads the
-#: regular n-gon's Hessian column (_ngon_scales)
-SPECTRUM_STEP = 1e-4
-
 #: the largest exponent the ascent admits, 303: every chord of a curve
 #: of perimeter 2*pi is at most pi, so the vertex and angle gradients,
 #: and the differences of two in the L-BFGS sums, have norms below
@@ -95,7 +92,8 @@ class OptimizeOptions:
     """The settings of a run.  tol_grad bounds the absolute norm of the
     projected vertex gradient, which grows like p A_p^p: in practice no
     solve above p of about 5 gets below it, and those end
-    LINE_SEARCH_STALLED at the round-off floor."""
+    LINE_SEARCH_STALLED at the round-off floor.  n and max_iters must be
+    integers."""
 
     n: int = 256
     max_iters: int = 2000
@@ -103,6 +101,8 @@ class OptimizeOptions:
     perturb: float = 0.05
 
     def __post_init__(self):
+        require_integer("max_iters", self.max_iters, ParameterDomainError)
+        require_integer("n", self.n, InvalidDiscretizationError)
         if self.max_iters < 1:
             raise ParameterDomainError(f"need max_iters > 0: {self.max_iters}")
         if not self.tol_grad > 0:
@@ -321,35 +321,58 @@ def _remember(pairs: list, s: np.ndarray, y: np.ndarray) -> list:
     return (pairs + [(s, y, 1.0 / sy)])[-MEMORY:]
 
 
-def _ngon_scales(band: _ChordBand, p: float, h: float):
-    """The inverse of the regular n-gon's second variation of -A_p^p in
-    the edge angles, one scale per np.fft.rfft mode, or None unless
-    every mode m >= 2 has positive curvature, that is unless the n-gon
-    is a strict local maximizer (p below the critical exponent).
+def _ngon_curvature(p: float, n: int) -> np.ndarray:
+    """The regular n-gon's second variation of -A_p^p in the edge
+    angles, mode by mode: entry m - 2 is the curvature along rfft mode
+    m, for m = 2..n//2.
 
     The n-gon is invariant under an index shift, so that Hessian is
-    circulant and its eigenvalues are the rfft of one column.  The
-    column is one forward difference of the tangent angle gradient
-    along e_0, at SPECTRUM_STEP: the trial angles are closed
-    (_close_angles) and evaluated on band, whose table and weights it
-    leaves to the caller to overwrite.  The n-gon's own gradient is zero
-    by symmetry, and the second-order term of the difference is odd
-    under the n-gon's reflection, so it lands in the imaginary part of
-    the rfft, which is dropped.  Modes 0 and 1, the rotation and the
-    closure normals, carry no curvature; they get the smallest of the
-    other scales.
+    circulant.  Its mode-m eigenvalue, a sum over the chord offsets
+    c = 1..n-1 of the n-gon's chords d_c = h sin(pi c/n) / sin(pi/n),
+    h = 2 pi/n, reduces to cosine sums of the weights w_c = d_c^(p-2),
+    W(k) = sum_c w_c cos(2 pi k c/n), all read off one rfft of w.  With
+    Q(k) = (W(0) - W(k)) / (2 sin^2(pi k/n)) and
+    X(m) = (W(1) - W(m)) / (2 sin(pi (m+1)/n) sin(pi (m-1)/n)), the
+    eigenvalue of the Hessian of A_p^p is
+    lambda_m = (p h^2/n^2) ((p/4) (Q(m+1) + Q(m-1)) - ((p-2)/2) X(m) - Q(1)),
+    and the curvature is -lambda_m.  The n-gon's own angle gradient is
+    zero by symmetry, so the closure constraints add no curvature.  The
+    weights are powers of chords below about 2, so they overflow at no
+    p the ascent admits.  O(n log n) time, O(n) memory.
     """
-    n = band.band.shape[0]
-    theta = h * np.arange(n)
-    theta[0] += SPECTRUM_STEP
-    theta, v = _close_angles(theta, h)
-    band.tabulate(v)
-    band.power_mean(p)
-    column = _angle_gradient(theta, band.gradient(v, p), h)
-    curvature = np.fft.rfft(column).real / -SPECTRUM_STEP
-    if not curvature[2:].min() > 0:
+    h = TWO_PI / n
+    half = n // 2
+    angle = math.pi / n
+    weights = np.zeros(n)
+    weights[1:] = (h / math.sin(angle) * np.sin(angle * np.arange(1, n))) \
+        ** (p - 2.0)
+    # W(k) for k = 0 .. half + 1, the last as W(n - half - 1)
+    cosine_sums = np.fft.rfft(weights).real
+    cosine_sums = np.append(cosine_sums, cosine_sums[n - half - 1])
+    # Q(k) for k = 1 .. half + 1; Q(0) is never read
+    q = np.zeros(half + 2)
+    q[1:] = (cosine_sums[0] - cosine_sums[1:]) / (
+        2.0 * np.sin(angle * np.arange(1, half + 2)) ** 2)
+    m = np.arange(2, half + 1)
+    x = (cosine_sums[1] - cosine_sums[m]) / (
+        2.0 * np.sin(angle * (m + 1)) * np.sin(angle * (m - 1)))
+    return (p * h * h / n ** 2) * (
+        q[1] + ((p - 2.0) / 2.0) * x - (p / 4.0) * (q[m + 1] + q[m - 1]))
+
+
+def _ngon_scales(p: float, n: int):
+    """The inverse of the regular n-gon's second variation of -A_p^p in
+    the edge angles (_ngon_curvature), one scale per np.fft.rfft mode,
+    or None unless every mode m >= 2 has positive curvature, that is
+    unless the n-gon is a strict local maximizer (p below the critical
+    exponent).  Modes 0 and 1, the rotation and the closure normals,
+    carry no curvature; they get the smallest of the other scales.
+    """
+    curvature = _ngon_curvature(p, n)
+    if not curvature.min() > 0:
         return None
-    scales = 1.0 / curvature
+    scales = np.empty(n // 2 + 1)
+    scales[2:] = 1.0 / curvature
     scales[:2] = scales[2:].min()
     return scales
 
@@ -441,8 +464,8 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
 
     The start is init placed on the manifold by project; its edge angles
     are read off its edges and closed (_close_angles).  Once per solve
-    _ngon_scales reads the regular n-gon's spectrum, from one closed
-    trial and one chord table.  Each iteration reads the tangent
+    _ngon_scales gives the regular n-gon's spectrum in closed form, from
+    one rfft of its chord weights.  Each iteration reads the tangent
     gradient in the angles (_angle_gradient) and turns it into the
     L-BFGS direction of the last MEMORY pairs with positive curvature
     (_lbfgs_direction).  When every mode m >= 2 of the spectrum has
@@ -465,11 +488,12 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     searches once more along the unit gradient from STEP0; a failed
     gradient search stops the ascent.  Each trial writes its chord table
     and its weights into the solve's _ChordBand, over n^2/2 pairs; the
-    accepted trial's weights give the next gradient.  The stop test
-    reads the projected gradient in the vertices, from one LAPACK solve
-    per iteration.  Terminates when that norm falls below opts.tol_grad,
-    an absolute bound that in practice no solve above p of about 5
-    reaches, when the line search finds no ascent, or after
+    accepted trial's weights give the next gradient, so a solve makes
+    one chord table more than its trials, for the start curve.  The
+    stop test reads the projected gradient in the vertices, from one
+    LAPACK solve per iteration.  Terminates when that norm falls below
+    opts.tol_grad, an absolute bound that in practice no solve above p
+    of about 5 reaches, when the line search finds no ascent, or after
     opts.max_iters iterations; result.reason says which, and
     result.history holds an IterationRecord per iteration.  _band, a
     _ChordBand for init.n, lends its buffers to the solve; sweep passes
@@ -483,11 +507,11 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     h = TWO_PI / init.n
     edges = _edges(project(init).vertices)[0]
     theta, v = _close_angles(np.arctan2(edges[:, 1], edges[:, 0]), h)
+    scales = _ngon_scales(p, v.shape[0])
     # one chord table and one power of it per curve, in buffers of the
     # solve: the accepted candidate's weights give the next gradient,
     # which is read before the next line search overwrites them
     band = _band if _band is not None else _ChordBand(v.shape[0])
-    scales = _ngon_scales(band, p, h)
     _require_regular_gradient(band.tabulate(v), p)
     value = band.power_mean(p)
     history = [IterationRecord(0, value, float("nan"), 0)]

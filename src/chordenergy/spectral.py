@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import InvalidDiscretizationError, ParameterDomainError
 from .geometry import (TWO_PI, PolyCurve, grid_offsets, lambda_chord,
-                       offset_chord_blocks)
+                       offset_chord_blocks, require_integer)
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,13 @@ def analyze(curve: PolyCurve, K: int | None = None) -> FourierCurve:
     """DFT of the vertex samples in the normalization
     c(t) = sum a_k e^{ikt}, truncated at |k| <= K (default floor(n/2)-1).
 
-    K must lie in [0, (n-1)//2]: beyond it harmonics k and k - n read the
-    same DFT bin, so the truncated series would count them twice."""
+    K must be an integer in [0, (n-1)//2]: beyond it harmonics k and
+    k - n read the same DFT bin, so the truncated series would count
+    them twice."""
     n = curve.n
     if K is None:
         K = n // 2 - 1
+    require_integer("K", K, ParameterDomainError)
     if not 0 <= K <= (n - 1) // 2:
         raise ParameterDomainError(
             f"need 0 <= K <= {(n - 1) // 2} at n = {n}, got {K}")
@@ -98,7 +100,8 @@ def deficit(fc: FourierCurve, n: int | None = None) -> DeficitProfile:
     FFT, O(n log n), with no (K-1) x (n-1) table.  The fold keeps an n
     below 2K + 1 correct.  n must be a positive integer."""
     n = n or fc.n
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    require_integer("shift grid size", n, ParameterDomainError)
+    if n < 1:
         raise ParameterDomainError(
             f"need a positive integer shift grid size, got {n}")
     s = TWO_PI * np.arange(1, n) / n
@@ -185,7 +188,9 @@ def ellipse_uniform_parameter(a0, a, b, n: int) -> PolyCurve:
 
     This is the extremal family of the chord-square inequality: the
     mapping matters, so no arclength resampling is applied and the
-    result generally violates the equal-edge invariant."""
+    result generally violates the equal-edge invariant.  n must be an
+    integer."""
+    require_integer("n", n, InvalidDiscretizationError)
     t = TWO_PI * np.arange(n) / n
     a0, a, b = (np.asarray(v, dtype=float) for v in (a0, a, b))
     pts = a0 + np.outer(np.cos(t), a) + np.outer(np.sin(t), b)

@@ -5,6 +5,7 @@ import pytest
 
 from chordenergy import cli
 from chordenergy import geometry as geo
+from chordenergy import harness
 
 
 @pytest.fixture()
@@ -110,7 +111,6 @@ class TestOptimizationCommands:
                          "--p-max", "2.5", "--step", "0.5",
                          "--max-iters", "100", "--out", str(out_path))
         assert code == cli.EXIT_OK
-        from chordenergy import harness
         assert len(harness.read_sweep_csv(out_path)) == 2
 
     def test_verify_small(self, capsys):
@@ -235,6 +235,20 @@ class TestErrorPaths:
                            "--step", "0", "--out", str(tmp_path / "s.csv"))
         assert code == cli.EXIT_PRECONDITION
         assert "error" in err
+
+    def test_sweep_rejects_a_runaway_grid(self, capsys, tmp_path,
+                                          monkeypatch):
+        # a step of 1e-300 asked for about 3e300 exponents; the grid must
+        # be refused before it is built
+        monkeypatch.setattr(harness.ExperimentConfig, "p_grid",
+                            lambda self: pytest.fail("grid built"))
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(capsys, "--n", "64", "sweep", "--p-min", "1",
+                             "--p-max", "4", "--step", "1e-300",
+                             "--out", str(out_csv))
+        assert code == cli.EXIT_PRECONDITION
+        assert out == "" and "exponents" in err
+        assert not out_csv.exists()
 
     def test_sweep_rejects_empty_range(self, capsys, tmp_path):
         # p_max < p_min used to write a header-only CSV and exit 0

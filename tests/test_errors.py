@@ -20,7 +20,8 @@ from chordenergy import harness
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
 from chordenergy import spectral as spec
-from chordenergy.errors import ChordEnergyError, ParameterDomainError
+from chordenergy.errors import ChordEnergyError, \
+    InvalidDiscretizationError, ParameterDomainError
 
 PACKAGE = os.path.dirname(os.path.abspath(chordenergy.__file__))
 
@@ -146,3 +147,43 @@ def test_offsets_must_be_integers(name):
                            atol=1e-13)
     assert call(curve, []).shape == (0,)
     assert call(curve, np.array([], dtype=int)).shape == (0,)
+
+
+def _circle64():
+    return geo.make_circle(64)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: geo.make_circle(64.5), InvalidDiscretizationError),
+    (lambda: geo.make_circle(64.0), InvalidDiscretizationError),
+    (lambda: geo.resample_arclength(_circle64(), 64.5),
+     InvalidDiscretizationError),
+    (lambda: geo.make_ellipse(1.5, 64.0), InvalidDiscretizationError),
+    (lambda: geo.make_ellipse(math.nan, 64), InvalidDiscretizationError),
+    (lambda: geo.make_ellipse(math.inf, 64), InvalidDiscretizationError),
+    (lambda: geo.make_double_segment(64.0), InvalidDiscretizationError),
+    (lambda: geo.random_closed_curve(-1), ParameterDomainError),
+    (lambda: geo.random_closed_curve(1.5), ParameterDomainError),
+    (lambda: geo.random_closed_curve(1, K=2.5), InvalidDiscretizationError),
+    (lambda: geo.random_closed_curve(1, n=64.5), InvalidDiscretizationError),
+    (lambda: geo.random_closed_curve(1, n=64, dim=2.0),
+     InvalidDiscretizationError),
+    (lambda: opt.OptimizeOptions(max_iters=2.5), ParameterDomainError),
+    (lambda: opt.OptimizeOptions(n=64.0), InvalidDiscretizationError),
+    (lambda: harness.verify_all(n_curves=2.5), ParameterDomainError),
+    (lambda: harness.verify_all(seed=1.5, n_curves=1, n=64),
+     ParameterDomainError),
+    (lambda: spec.analyze(_circle64(), K=2.5), ParameterDomainError),
+    (lambda: spec.ellipse_uniform_parameter([0, 0], [1, 0], [0, 1], 64.5),
+     InvalidDiscretizationError),
+], ids=["make_circle_fraction", "make_circle_float", "resample_arclength",
+        "make_ellipse_n", "make_ellipse_nan", "make_ellipse_inf",
+        "make_double_segment", "random_seed_negative", "random_seed_float",
+        "random_K", "random_n", "random_dim", "options_max_iters_float",
+        "options_n_float", "verify_n_curves", "verify_seed", "analyze_K",
+        "ellipse_uniform_parameter"])
+def test_counts_must_be_integers(call, error):
+    # an integral float is refused too: it used to give a curve with the
+    # wrong vertex count or fail later with a TypeError or IndexError
+    with pytest.raises(error, match="integer|seed|axis_ratio"):
+        call()

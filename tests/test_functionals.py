@@ -430,6 +430,13 @@ class TestChordMeans:
             assert fn.avg_chord_p(curve, p) == pytest.approx(
                 _dense_power_mean(curve.vertices, p), rel=1e-14)
 
+    def test_one_walk_for_several_exponents(self, random_curves, circle512):
+        # any order of exponents, one large enough to rescale the sums
+        ps = (4, 0.5, 1, 2, 3, 7.3, 1020)
+        for curve in (random_curves[2], circle512):
+            assert fn._power_means(curve, ps) \
+                == [fn.avg_chord_p(curve, p) for p in ps]
+
     @pytest.mark.parametrize("p", [300, 344, 620, 621, 2000])
     def test_closed_forms_raise_where_doubles_overflow(self, p):
         # the circle's Gamma values overflow from p = 342 on, the

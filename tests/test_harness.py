@@ -60,6 +60,21 @@ class TestExperimentConfig:
         with pytest.raises(ParameterDomainError):
             harness.ExperimentConfig(p_step=step)
 
+    @pytest.mark.parametrize("p_max, step", [(4.0, 1e-300), (4.0, 5e-324),
+                                             (4.0, 3.0 / 10_000),
+                                             (301.0, 0.03)])
+    def test_runaway_grid_rejected(self, p_max, step, monkeypatch):
+        # refused before any exponent is built
+        monkeypatch.setattr(harness.ExperimentConfig, "p_grid",
+                            lambda self: pytest.fail("grid built"))
+        with pytest.raises(ParameterDomainError, match="exponents"):
+            harness.ExperimentConfig(p_max=p_max, p_step=step)
+
+    def test_largest_grid_accepted(self):
+        config = harness.ExperimentConfig(
+            p_min=1.0, p_max=4.0, p_step=3.0 / (harness.MAX_GRID_EXPONENTS - 1))
+        assert len(config.p_grid()) == harness.MAX_GRID_EXPONENTS
+
 
 class TestVerifyAll:
     def test_small_run_passes(self):
@@ -124,8 +139,8 @@ class TestVerifyAll:
                           "deficit_direct": 0}
         # the planar curves and the one space curve, one energy walk
         # each; the "A_p monotone" check's five power means walk the
-        # first planar curve again
-        assert sorted(full_walks.values()) == [1] * n_curves + [6]
+        # first planar curve once more
+        assert sorted(full_walks.values()) == [1] * n_curves + [2]
         check = {c.name: c for c in report.checks}["distortion >= pi/2"]
         curves = [geo.random_closed_curve(1 + i, n=n)
                   for i in range(n_curves)]

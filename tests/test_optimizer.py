@@ -440,21 +440,19 @@ class TestMaximize:
         assert result.history[-1].trials == len(searches[-1])
         # nothing accepted: the result is the iterate
         assert result.value == result.history[-2].value
-        # the first gradient is the n-gon spectrum's, before any search
-        assert searches[0] == []
-        assert len(searches) == result.iterations + 1
+        # one gradient per iteration, each before its searches
+        assert len(searches) == result.iterations
 
     @staticmethod
     def _trials_at_the_iterate(monkeypatch, p, searches):
         """Every trial closes back onto the start: the first one ends
         each of the given number of searches, and nothing is accepted.
-        The closures of the start curve and of the n-gon spectrum's
-        trial are the real ones."""
+        The closure of the start curve is the real one."""
         real_close = opt._close_angles
         calls = []
 
         def close(theta, h):
-            if len(calls) < 2:
+            if not calls:
                 calls.append(real_close(theta, h))
                 return calls[-1]
             calls.append(theta)
@@ -464,7 +462,7 @@ class TestMaximize:
         init = opt.perturb_mode2(geo.make_circle(64), 0.05)
         result = opt.maximize(p, init, opt.OptimizeOptions(n=64))
         assert result.reason is opt.Termination.LINE_SEARCH_STALLED
-        assert result.iterations == 1 and len(calls) == 2 + searches
+        assert result.iterations == 1 and len(calls) == 1 + searches
         assert result.history[-1].trials == searches
         assert result.value == result.history[0].value
         assert np.array_equal(result.curve.vertices, calls[0][1])
@@ -484,8 +482,8 @@ class TestMaximize:
         real_close = opt._close_angles
         real_search = opt._line_search
         real_gradient = opt._ChordBand.gradient
-        # the n-gon spectrum's gradient comes before the first iteration's
-        iteration = [-1]
+        # each iteration reads its gradient first
+        iteration = [0]
 
         def gradient(band, v, p):
             iteration[0] += 1
@@ -507,9 +505,8 @@ class TestMaximize:
         assert [rec.iteration for rec in result.history] \
             == list(range(result.iterations + 1))
         assert result.history[0].trials == 0
-        # every closure but the start curve's and the n-gon spectrum's is
-        # a trial
-        assert sum(rec.trials for rec in result.history) == len(calls) - 2
+        # every closure but the start curve's is a trial
+        assert sum(rec.trials for rec in result.history) == len(calls) - 1
         # a restart's trials count in the record of its iteration
         for rec in result.history[1:]:
             assert rec.trials == sum(t for i, t in searches
@@ -773,9 +770,9 @@ class TestMaximize:
         assert np.linalg.norm(first) == pytest.approx(1.0, rel=1e-14)
         assert step == opt.STEP0
 
-    def test_chord_tables_are_the_trials_plus_two(self, monkeypatch):
-        # one table per trial, one for the start curve and one for the
-        # n-gon spectrum's trial; none is read twice
+    def test_chord_tables_are_the_trials_plus_one(self, monkeypatch):
+        # one table per trial and one for the start curve; the n-gon
+        # spectrum reads none, and no table is read twice
         tables = []
         real_table = opt.squared_chord_matrix
         monkeypatch.setattr(opt, "squared_chord_matrix",
@@ -784,7 +781,7 @@ class TestMaximize:
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(3.0, init, opt.OptimizeOptions(n=128))
         assert result.reason is opt.Termination.GRAD_TOL
-        assert len(tables) == sum(rec.trials for rec in result.history) + 2
+        assert len(tables) == sum(rec.trials for rec in result.history) + 1
 
     def test_above_the_critical_exponent_the_ascent_is_unchanged(self):
         # criterion 10: past p_c the n-gon metric is not used, and the
@@ -1069,6 +1066,43 @@ def _ngon_gradient(n, p, theta):
     return -geo._angle_gradient(theta, band.gradient(v, p), h)
 
 
+def _dense_ngon_curvature(p, n):
+    """Reference: the n-gon's curvature of -A_p^p along modes 2..n//2,
+    an O(n^2) sum over the chord offsets c of
+    p (p-2) d_c^(p-4) |b_c|^2 + p d_c^(p-2) ((h^2/2) (s_{m+1}^2 + s_{m-1}^2)
+    - d_c^2), divided by -n^2, where d_c is the n-gon's chord, h = 2 pi/n,
+    s_k(c) = sin(pi k c/n) / sin(pi k/n) and
+    |b_c|^2 = (h^2 d_c^2/4) (s_{m+1} - s_{m-1})^2."""
+    h = 2 * np.pi / n
+    c = np.arange(1, n)
+    d = h * np.sin(np.pi * c / n) / np.sin(np.pi / n)
+
+    def s(k):
+        return np.sin(np.pi * k * c / n) / np.sin(np.pi * k / n)
+
+    out = []
+    for m in range(2, n // 2 + 1):
+        up, down = s(m + 1), s(m - 1)
+        b2 = h * h * d * d / 4 * (up - down) ** 2
+        out.append(-np.sum(p * (p - 2) * d ** (p - 4) * b2 + p * d ** (p - 2)
+                           * (h * h / 2 * (up ** 2 + down ** 2) - d * d))
+                   / n ** 2)
+    return np.array(out)
+
+
+def _critical_exponent(n):
+    """The exponent where the n-gon's mode-2 curvature changes sign, by
+    bisection on [3, 4]."""
+    lo, hi = 3.0, 4.0
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if opt._ngon_curvature(mid, n)[0] > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestNgonSpectrum:
     @pytest.mark.parametrize("n", [32, 33])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -1076,7 +1110,7 @@ class TestNgonSpectrum:
         # mode m of the circulant Hessian is its Rayleigh quotient along
         # cos(m phi), here from a central difference of the gradient
         h = 2 * np.pi / n
-        scales = opt._ngon_scales(opt._ChordBand(n), p, h)
+        scales = opt._ngon_scales(p, n)
         theta = h * np.arange(n)
         t = 1e-4
         for m in range(2, n // 2 + 1):
@@ -1088,20 +1122,60 @@ class TestNgonSpectrum:
         # modes 0 and 1 get the smallest of the others
         assert scales[0] == scales[1] == scales[2:].min()
 
+    @pytest.mark.parametrize("n", [32, 33, 256])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_matches_the_chord_sum(self, n, p):
+        reference = _dense_ngon_curvature(p, n)
+        assert np.abs(opt._ngon_curvature(p, n) / reference - 1).max() \
+            < 1e-12
+
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_matches_the_kernel_forward_difference(self, n, p):
+        # the Hessian column along e_0 from one forward difference of the
+        # chord kernel's angle gradient; its rfft is the spectrum, to
+        # O(eps), and the odd second-order term is imaginary
+        h = 2 * np.pi / n
+        theta = h * np.arange(n)
+        eps = 1e-4
+        theta[0] += eps
+        fd = np.fft.rfft(_ngon_gradient(n, p, theta)).real / eps
+        scales = opt._ngon_scales(p, n)
+        assert np.abs(fd[2:] * scales[2:] - 1).max() < 1e-8
+
+    @pytest.mark.parametrize("n, critical", [(32, 3.456294),
+                                             (64, 3.462166),
+                                             (256, 3.463981)])
+    def test_critical_exponent(self, n, critical):
+        assert _critical_exponent(n) == pytest.approx(critical, abs=1e-6)
+
+    def test_critical_exponent_tends_to_two_sqrt_three(self):
+        # p_c(n) = 2 sqrt(3) - C/n^2 + O(n^-4): one Richardson step in
+        # 1/n^2 cancels the second term
+        limit = (4 * _critical_exponent(4096) - _critical_exponent(2048)) / 3
+        assert limit == pytest.approx(2 * math.sqrt(3), abs=1e-9)
+
     @pytest.mark.parametrize("n, critical", [(32, 3.456294),
                                              (64, 3.462166),
                                              (256, 3.463981)])
     def test_present_below_and_absent_above_the_critical_exponent(
             self, n, critical):
-        h = 2 * np.pi / n
-        band = opt._ChordBand(n)
-        scales = opt._ngon_scales(band, critical - 0.003, h)
+        scales = opt._ngon_scales(critical - 0.003, n)
         assert scales.shape == (n // 2 + 1,) and np.all(scales > 0)
-        assert opt._ngon_scales(band, critical + 0.003, h) is None
+        assert opt._ngon_scales(critical + 0.003, n) is None
+
+    @pytest.mark.parametrize("n", [32, 33, 256, 1024])
+    def test_extreme_exponents_raise_no_warning(self, n):
+        # the weights are powers of chords below 2, so neither the
+        # smallest exponent tried nor the largest the ascent admits
+        # overflows or divides by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert opt._ngon_scales(0.05, n) is not None
+            assert opt._ngon_scales(float(opt._MAX_EXPONENT), n) is None
 
     def test_regular_ngon_gradient_vanishes(self):
-        # the column's forward difference leaves out the n-gon's own
-        # gradient, which is zero by symmetry
+        # so the closure constraints add no curvature at the n-gon
         for n in (32, 33, 256):
             grad = _ngon_gradient(n, 3.0, 2 * np.pi / n * np.arange(n))
             assert np.abs(grad).max() < 1e-15

@@ -498,12 +498,14 @@ def make_ellipse(axis_ratio: float, n: int) -> PolyCurve:
     InvalidDiscretizationError when the inscribed edges are not equal
     within EDGE_SPREAD_TOL, as for a stretched ellipse at a small odd n,
     and before any work when axis_ratio is not a finite number >= 1 or n
-    is not an integer.
+    is not an integer of at least MIN_VERTICES.
     """
     if not 1 <= axis_ratio < math.inf:
         raise InvalidDiscretizationError(
             f"axis_ratio must be finite and >= 1, got {axis_ratio}")
     require_integer("n", n, InvalidDiscretizationError)
+    if n < MIN_VERTICES:
+        raise InvalidDiscretizationError(f"need n >= {MIN_VERTICES}, got {n}")
 
     def trace(t):
         return np.column_stack([axis_ratio * np.cos(t), np.sin(t)])

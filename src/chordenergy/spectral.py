@@ -98,8 +98,10 @@ def deficit(fc: FourierCurve, n: int | None = None) -> DeficitProfile:
     (sum_k w_k - sum_k w_k cos(k s)) / 2, and on this grid the cosine
     sum is the real part of the length-n DFT of w folded modulo n: one
     FFT, O(n log n), with no (K-1) x (n-1) table.  The fold keeps an n
-    below 2K + 1 correct.  n must be a positive integer."""
-    n = n or fc.n
+    below 2K + 1 correct.  n, by default fc.n, must be a positive
+    integer."""
+    if n is None:
+        n = fc.n
     require_integer("shift grid size", n, ParameterDomainError)
     if n < 1:
         raise ParameterDomainError(

@@ -161,6 +161,7 @@ def _circle64():
     (lambda: geo.make_ellipse(1.5, 64.0), InvalidDiscretizationError),
     (lambda: geo.make_ellipse(math.nan, 64), InvalidDiscretizationError),
     (lambda: geo.make_ellipse(math.inf, 64), InvalidDiscretizationError),
+    (lambda: geo.make_ellipse(1.5, 0), InvalidDiscretizationError),
     (lambda: geo.make_double_segment(64.0), InvalidDiscretizationError),
     (lambda: geo.random_closed_curve(-1), ParameterDomainError),
     (lambda: geo.random_closed_curve(1.5), ParameterDomainError),
@@ -178,6 +179,7 @@ def _circle64():
      InvalidDiscretizationError),
 ], ids=["make_circle_fraction", "make_circle_float", "resample_arclength",
         "make_ellipse_n", "make_ellipse_nan", "make_ellipse_inf",
+        "make_ellipse_no_vertices",
         "make_double_segment", "random_seed_negative", "random_seed_float",
         "random_K", "random_n", "random_dim", "options_max_iters_float",
         "options_n_float", "verify_n_curves", "verify_seed", "analyze_K",
@@ -185,5 +187,5 @@ def _circle64():
 def test_counts_must_be_integers(call, error):
     # an integral float is refused too: it used to give a curve with the
     # wrong vertex count or fail later with a TypeError or IndexError
-    with pytest.raises(error, match="integer|seed|axis_ratio"):
+    with pytest.raises(error, match="integer|seed|axis_ratio|need n"):
         call()

@@ -137,7 +137,7 @@ class TestDeficitSeries:
             assert rho.shape == (grid - 1,)
             assert float(error) <= 1e-15 * scale
 
-    @pytest.mark.parametrize("grid", [-5, 2.5, 64.0])
+    @pytest.mark.parametrize("grid", [-5, 0, False, 2.5, 64.0])
     def test_grid_must_be_a_positive_integer(self, circle256, grid):
         # the table form returned an empty or truncated profile here
         with pytest.raises(ParameterDomainError):

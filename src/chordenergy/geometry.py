@@ -125,8 +125,10 @@ def squared_chord_matrix(vertices: np.ndarray, others=None,
     themselves, and then the diagonal is exactly zero.  Cancellation can
     leave round-off of either sign where two points (nearly) coincide;
     the table is not clamped, so its one reader,
-    optimizer._ChordBand.tabulate, clamps what it reads.  Every other
-    chord sum walks the exact differences of offset_chord_blocks."""
+    optimizer._ChordBand.power_mean, which fills the chord table one
+    block of rows at a time, clamps each block's band when its minimum
+    is negative.  Every other chord sum walks the exact differences of
+    offset_chord_blocks."""
     n, dim = vertices.shape
     sq = np.einsum("id,id->i", vertices, vertices)
     if others is None:

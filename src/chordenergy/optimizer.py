@@ -30,9 +30,11 @@ vertex gradient's part tangent to the edge-length constraints
 (geometry._tangent_part, one tridiagonal solve).  The pairwise work,
 the chord powers behind the value and the gradient, visits each
 unordered vertex pair once, through a band of the Gram chord table
-(_ChordBand).  Past the critical exponent the circle loses its
-maximality and the iterates stretch into ovals, so initial curves carry
-an explicit mode-2 perturbation to break the rotational symmetry.
+(_ChordBand), filled and reduced in cache-sized blocks of rows
+(BAND_BLOCK) in one pass, so no solve holds a whole table.  Past the
+critical exponent the circle loses its maximality and the iterates
+stretch into ovals, so initial curves carry an explicit mode-2
+perturbation to break the rotational symmetry.
 """
 
 from __future__ import annotations
@@ -160,74 +162,101 @@ def _require_exponent(p: float) -> None:
             f"{_MAX_EXPONENT}, got {p}")
 
 
-def _require_regular_gradient(closest: float, p: float) -> None:
-    if p < 2 and closest < MIN_PAIR_DISTANCE ** 2:
-        raise SingularGradientError(
-            "coincident vertices make the chord-power gradient singular "
-            f"for p = {p} < 2")
-
-
-def _band_view(table: np.ndarray, half: int) -> np.ndarray:
-    """(n, half) view of an (n, n + half) table: its row i holds the
-    table's entries i+1 .. i+half of row i."""
+def _band_view(table: np.ndarray, half: int, start: int = 0) -> np.ndarray:
+    """(rows, half) view of a (rows, width) table: its row i holds the
+    table's entries start+i+1 .. start+i+half of row i."""
     row, item = table.strides
-    return as_strided(table[:, 1:], (table.shape[0], half),
+    return as_strided(table[:, start + 1:], (table.shape[0], half),
                       (row + item, item))
+
+
+#: entries of _ChordBand's chord scratch buffer, 512 KB of doubles, about
+#: the size of an L2 cache: the chord table is filled in blocks of rows
+#: that fit it (two rows at least), each reduced while it is still in
+#: cache, so no solve holds a whole table.  n <= 209 fits one block
+BAND_BLOCK = 1 << 16
 
 
 class _ChordBand:
     """The chord-power kernel of one solve: every unordered vertex pair
     once, in buffers reused by every curve of the solve.
 
-    The table holds the squared distances of the n vertices to the
+    The chord table holds the squared distances of the n vertices to the
     vertices extended by their first n // 2 rows, so its row i, columns
     i+1 .. i+n//2, holds the chords of vertex i at the offsets
-    1 .. n//2.  That band, an (n, n//2) view, holds each unordered pair
+    1 .. n//2.  That band, n rows of n//2, holds each unordered pair
     once, except that at even n it holds each pair at offset n/2 twice;
-    their weights are halved.  The weights w = d2^((p-2)/2) go into the
-    same band of a zeroed buffer whose other entries stay zero, so the
-    gradient is two products of that buffer with the vertices.
+    their weights are halved.  The table is never held whole: power_mean
+    fills it in equal blocks of rows, each in one scratch buffer of at
+    most BAND_BLOCK entries (or two rows), and writes the weights
+    w = d2^((p-2)/2) of a block's band into the same band of a zeroed
+    (n, n + n//2) buffer whose other entries stay zero, so the gradient
+    is two products of that buffer with the vertices.  The block views
+    are built once, here.
     """
 
-    __slots__ = ("table", "weights", "band", "band_weights")
+    __slots__ = ("weights", "band_weights", "sums", "blocks")
 
     def __init__(self, n: int):
         half = n // 2
-        self.table = np.empty((n, n + half))
-        self.weights = np.zeros((n, n + half))
-        self.band = _band_view(self.table, half)
+        width = n + half
+        self.weights = np.zeros((n, width))
         self.band_weights = _band_view(self.weights, half)
+        self.sums = np.empty(n)
+        count = -(-n // max(1, BAND_BLOCK // width))
+        rows = -(-n // count)
+        # numpy takes a product of one row through gemv, whose round-off
+        # is not gemm's, so a block of one row also tabulates a neighbour
+        scratch = np.empty(max(rows, 2) * width)
+        # per block: the vertex rows it tabulates, its chord table, its
+        # band, and the rows of the weights and the row sums it fills
+        self.blocks = []
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            first = max(0, min(start, stop - 2))
+            end = max(stop, first + 2)
+            table = scratch[:(end - first) * width].reshape(-1, width)
+            band = table[start - first:stop - first]
+            self.blocks.append((
+                slice(first, end), table, _band_view(band, half, start),
+                self.band_weights[start:stop], self.sums[start:stop]))
 
-    def tabulate(self, v: np.ndarray) -> float:
-        """Fill the chord table of the vertices v; return the squared
-        distance of their closest pair.  Only the band is read, and it is
-        clamped at zero when round-off left it a negative entry."""
-        half = self.band.shape[1]
-        squared_chord_matrix(v, np.concatenate((v, v[:half])),
-                             out=self.table)
-        closest = float(self.band.min())
-        if closest < 0.0:
-            np.maximum(self.band, 0.0, out=self.band)
-            return 0.0
-        return closest
+    def power_mean(self, v: np.ndarray, p: float, floor: float = 0.0):
+        """One pass over the chords of the vertices v, block by block:
+        return (closest, value), the squared distance of their closest
+        pair and the power mean ((1/N^2) sum_{i,k} |v_i - v_k|^p)^(1/p),
+        with its weights w = d2^((p-2)/2) in the weight buffer.
 
-    def power_mean(self, p: float) -> float:
-        """Weigh the tabulated chords by w = d2^((p-2)/2) and return the
-        power mean ((1/N^2) sum_{i,k} |v_i - v_k|^p)^(1/p) they give."""
-        n, half = self.band.shape
-        np.power(self.band, (p - 2.0) / 2.0, out=self.band_weights)
-        if n % 2 == 0:
-            self.band_weights[:, -1] *= 0.5
-        # row sums, then their sum: unlike a BLAS dot the same round-off
-        # at every BLAS thread count
-        total = np.einsum("ij,ij->i", self.band_weights, self.band).sum()
-        return float((2.0 * total / n ** 2) ** (1.0 / p))
+        A block's band is clamped at zero when round-off left it a
+        negative entry.  Once a block's closest pair is below floor the
+        pass stops before powering that block and returns (its closest,
+        None); the weights are then partly overwritten.  floor 0.0 stops
+        no pass."""
+        n, half = self.band_weights.shape
+        ext = np.concatenate((v, v[:half]))
+        closest = math.inf
+        for rows, table, band, band_weights, sums in self.blocks:
+            squared_chord_matrix(v[rows], ext, out=table)
+            least = float(band.min())
+            if least < 0.0:
+                np.maximum(band, 0.0, out=band)
+                least = 0.0
+            if least < floor:
+                return least, None
+            closest = min(closest, least)
+            np.power(band, (p - 2.0) / 2.0, out=band_weights)
+            if n % 2 == 0:
+                band_weights[:, -1] *= 0.5
+            # row sums, then their sum: unlike a BLAS dot the same
+            # round-off at every BLAS thread count and block shape
+            np.einsum("ij,ij->i", band_weights, band, out=sums)
+        return closest, float((2.0 * self.sums.sum() / n ** 2) ** (1.0 / p))
 
     def gradient(self, v: np.ndarray, p: float) -> np.ndarray:
         """objective_grad at the vertices v from the weights of the last
-        power_mean, which must be those of v."""
+        power_mean, which must be a whole pass over v."""
         n, dim = v.shape
-        half = self.band.shape[1]
+        half = self.band_weights.shape[1]
         ext = np.empty((n + half, dim + 1))
         ext[:n, :dim] = v
         ext[n:, :dim] = v[:half]
@@ -244,6 +273,20 @@ class _ChordBand:
         return (2.0 * p / n ** 2) * (sums[:, dim:] * v - sums[:, :dim])
 
 
+def _start_value(band: _ChordBand, v: np.ndarray, p: float) -> float:
+    """The power mean of the vertices v by band's pass, which also fills
+    its weights; below p = 2 a pair closer than MIN_PAIR_DISTANCE makes
+    the chord-power gradient singular and raises SingularGradientError
+    before its block is powered."""
+    floor = MIN_PAIR_DISTANCE ** 2 if p < 2 else 0.0
+    value = band.power_mean(v, p, floor)[1]
+    if value is None:
+        raise SingularGradientError(
+            "coincident vertices make the chord-power gradient singular "
+            f"for p = {p} < 2")
+    return value
+
+
 def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
     """Gradient of the power sum (1/N^2) sum_{i,k} |v_i - v_k|^p with
     respect to the vertices: row m is
@@ -251,8 +294,7 @@ def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
     positive and at most _MAX_EXPONENT, 303."""
     _require_exponent(p)
     band = _ChordBand(curve.n)
-    _require_regular_gradient(band.tabulate(curve.vertices), p)
-    band.power_mean(p)
+    _start_value(band, curve.vertices, p)
     return band.gradient(curve.vertices, p)
 
 
@@ -445,12 +487,14 @@ def _line_search(band: _ChordBand, p: float, h: float, theta: np.ndarray,
         if cand is not None and np.array_equal(cand, v):
             # the step no longer moves the iterate
             break
-        if cand is None or band.tabulate(cand) < MIN_PAIR_DISTANCE ** 2:
+        # no value for angles that do not close, nor for a crowded pair
+        new_value = None if cand is None else \
+            band.power_mean(cand, p, MIN_PAIR_DISTANCE ** 2)[1]
+        if new_value is None:
             step *= 0.5
+        elif new_value >= value:
+            return trials, (cand_theta, cand, new_value)
         else:
-            new_value = band.power_mean(p)
-            if new_value >= value:
-                return trials, (cand_theta, cand, new_value)
             step = _backtrack(step, slope, power - new_value ** p)
         if step * slope < floor:
             break
@@ -486,12 +530,15 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     or once a backtracked step's predicted gain is below ROUNDOFF_ULPS
     ulps of F.  A failed quasi-Newton search clears the pairs and
     searches once more along the unit gradient from STEP0; a failed
-    gradient search stops the ascent.  Each trial writes its chord table
-    and its weights into the solve's _ChordBand, over n^2/2 pairs; the
-    accepted trial's weights give the next gradient, so a solve makes
-    one chord table more than its trials, for the start curve.  The
-    stop test reads the projected gradient in the vertices, from one
-    LAPACK solve per iteration.  Terminates when that norm falls below
+    gradient search stops the ascent.  Each trial makes one pass of the
+    solve's _ChordBand over its n^2/2 pairs: it fills the chord table in
+    blocks of at most BAND_BLOCK entries, each powered into the weight
+    buffer and summed before the next, and stops before powering a block
+    with a pair closer than MIN_PAIR_DISTANCE.  The accepted trial's
+    weights give the next gradient, so a solve makes one chord table
+    more than its trials, for the start curve.  The stop test reads the
+    projected gradient in the vertices, from one LAPACK solve per
+    iteration.  Terminates when that norm falls below
     opts.tol_grad, an absolute bound that in practice no solve above p
     of about 5 reaches, when the line search finds no ascent, or after
     opts.max_iters iterations; result.reason says which, and
@@ -512,8 +559,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     # solve: the accepted candidate's weights give the next gradient,
     # which is read before the next line search overwrites them
     band = _band if _band is not None else _ChordBand(v.shape[0])
-    _require_regular_gradient(band.tabulate(v), p)
-    value = band.power_mean(p)
+    value = _start_value(band, v, p)
     history = [IterationRecord(0, value, float("nan"), 0)]
     reason = Termination.MAX_ITERS
     iters = 0

@@ -405,15 +405,18 @@ class TestGramTable:
         # reader, the optimizer's chord band, turns the negative entries
         # it reads into zero, and the others keep their bits.  Each
         # vertex appears twice, so the copies are pairs of the band
-        # (offset n of 2n) and off the diagonal
+        # (offset n of 2n) and off the diagonal.  At p = 4 the band's
+        # weights d2^1 are the clamped band, with offset n at half weight
         v = 1e4 + np.random.default_rng(n).normal(size=(n, 2))
         twice = np.concatenate((v, v))
         band = opt._ChordBand(2 * n)
         raw = geo.squared_chord_matrix(twice, np.concatenate((twice, v)))
         raw_band = opt._band_view(raw, n)
         assert raw_band.min() < 0
-        assert band.tabulate(twice) == 0.0
-        assert np.array_equal(band.band, np.maximum(raw_band, 0.0))
+        assert band.power_mean(twice, 4.0)[0] == 0.0
+        clamped = np.maximum(raw_band, 0.0)
+        clamped[:, -1] *= 0.5
+        assert np.array_equal(band.band_weights, clamped)
 
         # avg_chord_p walks exact differences, in which the copies give
         # exact zeros

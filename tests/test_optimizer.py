@@ -116,8 +116,7 @@ class TestChordBand:
         curve = opt.perturb_mode2(geo.make_ellipse(1.5, n), 0.05)
         v = curve.vertices
         band = opt._ChordBand(n)
-        closest = band.tabulate(v)
-        value = band.power_mean(p)
+        closest, value = band.power_mean(v, p)
         grad = band.gradient(v, p)
         ref_value, ref_grad, ref_closest = _dense_power_sum(v, p)
         assert value == pytest.approx(ref_value, rel=1e-14, abs=0)
@@ -144,6 +143,86 @@ class TestChordBand:
         with pytest.raises(SingularGradientError):
             opt.objective_grad(curve, 1.5)
         assert np.all(np.isfinite(opt.objective_grad(curve, 2.5)))
+
+    @staticmethod
+    def _block_entries(n, blocks):
+        """A BAND_BLOCK that splits the chord table of n vertices into
+        the given number of row blocks: 1, 2 or n."""
+        rows = {1: n, 2: -(-n // 2), n: 1}[blocks]
+        return rows * (n + n // 2)
+
+    @pytest.mark.parametrize("n", [33, 64, 256])
+    def test_block_count_changes_no_bits(self, monkeypatch, n):
+        # each Gram entry is the same dot product in every block shape,
+        # one row included, and the row sums are summed in one order
+        curve = opt.perturb_mode2(geo.make_ellipse(1.5, n), 0.05)
+        v = curve.vertices
+        init = opt.perturb_mode2(geo.make_circle(n), 0.05)
+        runs = []
+        for blocks in (1, 2, n):
+            monkeypatch.setattr(opt, "BAND_BLOCK",
+                                self._block_entries(n, blocks))
+            band = opt._ChordBand(n)
+            assert len(band.blocks) == blocks
+            closest, value = band.power_mean(v, 3.0)
+            result = opt.maximize(4.0, init, opt.OptimizeOptions(
+                n=n, max_iters=10))
+            runs.append((closest, value, band.gradient(v, 3.0),
+                         opt.objective_grad(curve, 1.5), result))
+        for closest, value, grad, low_grad, result in runs[1:]:
+            assert closest == runs[0][0]
+            assert value == runs[0][1]
+            assert np.array_equal(grad, runs[0][2])
+            assert np.array_equal(low_grad, runs[0][3])
+            first = runs[0][4]
+            assert result.history[1:] == first.history[1:]
+            assert result.history[0].value == first.history[0].value
+            assert result.reason is first.reason
+            assert np.array_equal(result.curve.vertices,
+                                  first.curve.vertices)
+
+    def test_crowded_last_block_is_not_powered(self, monkeypatch):
+        # two coincident dyadic vertices give an exactly zero chord in
+        # the last block, whose power at p < 2 would divide by zero
+        n = 64
+        monkeypatch.setattr(opt, "BAND_BLOCK", self._block_entries(n, 2))
+        v = opt.perturb_mode2(geo.make_circle(n), 0.05).vertices.copy()
+        v[60] = v[61] = (0.5, 0.25)
+        band = opt._ChordBand(n)
+        last = slice(n // 2, n)
+        floor = opt.MIN_PAIR_DISTANCE ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert band.power_mean(v, 1.5, floor) == (0.0, None)
+            with pytest.raises(SingularGradientError):
+                opt.objective_grad(geo.PolyCurve(v), 1.5)
+        assert np.all(band.band_weights[:last.start] > 0)
+        assert not band.band_weights[last].any()
+        # with no floor the block is powered, and the zero chord warns
+        with pytest.warns(RuntimeWarning):
+            band.power_mean(v, 1.5)
+        assert band.band_weights[last].any()
+
+    def test_no_whole_chord_table_is_held(self):
+        # the weight buffer and a scratch of at most BAND_BLOCK entries;
+        # views of them count once, through the array that owns them
+        n = 1024
+        band = opt._ChordBand(n)
+        owners = {}
+
+        def own(obj):
+            if isinstance(obj, (list, tuple)):
+                for item in obj:
+                    own(item)
+            elif isinstance(obj, np.ndarray):
+                while getattr(obj, "base", None) is not None:
+                    obj = obj.base
+                owners[id(obj)] = obj
+
+        for name in band.__slots__:
+            own(getattr(band, name))
+        held = sum(array.nbytes for array in owners.values())
+        assert held <= 8 * (n * (n + n // 2) + opt.BAND_BLOCK)
 
 
 class TestProjection:
@@ -677,8 +756,7 @@ class TestMaximize:
         h = 2 * np.pi / n
         theta, v = _closed_angles(geo.make_circle(n))
         band = opt._ChordBand(n)
-        band.tabulate(v)
-        value = band.power_mean(p)
+        value = band.power_mean(v, p)[1]
         field = np.sin(2 * theta)
         field -= geo._closure_normal(np.cos(theta), np.sin(theta),
                                      _closure_derivative(theta, field))
@@ -846,7 +924,6 @@ class TestMaximize:
         inside = []  # the helper of maximize being run, if any
         real_normal = geo._edge_normal
         real_tangent_part = opt._tangent_part
-        real_tabulate = opt._ChordBand.tabulate
         real_power_mean = opt._ChordBand.power_mean
 
         def normal(u, c):
@@ -866,19 +943,17 @@ class TestMaximize:
                     inside.pop()
             return wrapper
 
-        def tabulate(band, v):
+        def power_mean(band, v, p, floor=0.0):
+            # one table per pass, powered unless a crowded pair ends it
             counts["tables"] += 1
-            return real_tabulate(band, v)
-
-        def power_mean(band, p):
-            counts["powers"] += 1
-            return real_power_mean(band, p)
+            closest, value = real_power_mean(band, v, p, floor)
+            counts["powers"] += value is not None
+            return closest, value
 
         monkeypatch.setattr(geo, "_edge_normal", normal)
         monkeypatch.setattr(opt, "_tangent_part", tangent_part)
         monkeypatch.setattr(opt, "project", marked(opt.project))
         monkeypatch.setattr(opt, "_close_angles", marked(opt._close_angles))
-        monkeypatch.setattr(opt._ChordBand, "tabulate", tabulate)
         monkeypatch.setattr(opt._ChordBand, "power_mean", power_mean)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
@@ -1061,8 +1136,7 @@ def _ngon_gradient(n, p, theta):
     h = 2 * np.pi / n
     band = opt._ChordBand(n)
     theta, v = geo._close_angles(theta, h)
-    band.tabulate(v)
-    band.power_mean(p)
+    band.power_mean(v, p)
     return -geo._angle_gradient(theta, band.gradient(v, p), h)
 
 

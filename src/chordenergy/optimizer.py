@@ -223,18 +223,15 @@ class _ChordBand:
 
     def power_mean(self, v: np.ndarray, p: float, floor: float = 0.0):
         """One pass over the chords of the vertices v, block by block:
-        return (closest, value), the squared distance of their closest
-        pair and the power mean ((1/N^2) sum_{i,k} |v_i - v_k|^p)^(1/p),
+        return their power mean ((1/N^2) sum_{i,k} |v_i - v_k|^p)^(1/p),
         with its weights w = d2^((p-2)/2) in the weight buffer.
 
         A block's band is clamped at zero when round-off left it a
         negative entry.  Once a block's closest pair is below floor the
-        pass stops before powering that block and returns (its closest,
-        None); the weights are then partly overwritten.  floor 0.0 stops
-        no pass."""
+        pass stops before powering that block and returns None; the
+        weights are then partly overwritten.  floor 0.0 stops no pass."""
         n, half = self.band_weights.shape
         ext = np.concatenate((v, v[:half]))
-        closest = math.inf
         for rows, table, band, band_weights, sums in self.blocks:
             squared_chord_matrix(v[rows], ext, out=table)
             least = float(band.min())
@@ -242,15 +239,14 @@ class _ChordBand:
                 np.maximum(band, 0.0, out=band)
                 least = 0.0
             if least < floor:
-                return least, None
-            closest = min(closest, least)
+                return None
             np.power(band, (p - 2.0) / 2.0, out=band_weights)
             if n % 2 == 0:
                 band_weights[:, -1] *= 0.5
             # row sums, then their sum: unlike a BLAS dot the same
             # round-off at every BLAS thread count and block shape
             np.einsum("ij,ij->i", band_weights, band, out=sums)
-        return closest, float((2.0 * self.sums.sum() / n ** 2) ** (1.0 / p))
+        return float((2.0 * self.sums.sum() / n ** 2) ** (1.0 / p))
 
     def gradient(self, v: np.ndarray, p: float) -> np.ndarray:
         """objective_grad at the vertices v from the weights of the last
@@ -279,7 +275,7 @@ def _start_value(band: _ChordBand, v: np.ndarray, p: float) -> float:
     the chord-power gradient singular and raises SingularGradientError
     before its block is powered."""
     floor = MIN_PAIR_DISTANCE ** 2 if p < 2 else 0.0
-    value = band.power_mean(v, p, floor)[1]
+    value = band.power_mean(v, p, floor)
     if value is None:
         raise SingularGradientError(
             "coincident vertices make the chord-power gradient singular "
@@ -489,7 +485,7 @@ def _line_search(band: _ChordBand, p: float, h: float, theta: np.ndarray,
             break
         # no value for angles that do not close, nor for a crowded pair
         new_value = None if cand is None else \
-            band.power_mean(cand, p, MIN_PAIR_DISTANCE ** 2)[1]
+            band.power_mean(cand, p, MIN_PAIR_DISTANCE ** 2)
         if new_value is None:
             step *= 0.5
         elif new_value >= value:
@@ -501,8 +497,8 @@ def _line_search(band: _ChordBand, p: float, h: float, theta: np.ndarray,
     return trials, None
 
 
-def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
-             _band: _ChordBand | None = None) -> OptimizeResult:
+def maximize(p: float, init: PolyCurve,
+             opts: OptimizeOptions) -> OptimizeResult:
     """Monotone projected L-BFGS ascent on the p-th chord-power mean, in
     the edge angles.
 
@@ -542,9 +538,8 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     opts.tol_grad, an absolute bound that in practice no solve above p
     of about 5 reaches, when the line search finds no ascent, or after
     opts.max_iters iterations; result.reason says which, and
-    result.history holds an IterationRecord per iteration.  _band, a
-    _ChordBand for init.n, lends its buffers to the solve; sweep passes
-    one to all its solves.  p must be positive and at most
+    result.history holds an IterationRecord per iteration.  p must be
+    positive and at most
     _MAX_EXPONENT, 303, above which the squared gradient norms overflow;
     other exponents raise ParameterDomainError.
     """
@@ -558,7 +553,7 @@ def maximize(p: float, init: PolyCurve, opts: OptimizeOptions, *,
     # one chord table and one power of it per curve, in buffers of the
     # solve: the accepted candidate's weights give the next gradient,
     # which is read before the next line search overwrites them
-    band = _band if _band is not None else _ChordBand(v.shape[0])
+    band = _ChordBand(v.shape[0])
     value = _start_value(band, v, p)
     history = [IterationRecord(0, value, float("nan"), 0)]
     reason = Termination.MAX_ITERS
@@ -618,8 +613,7 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     destabilize.  Failures become flagged rows; the sweep continues.
     Each record's seconds is the wall time of its perturbation and
     solve; LAPACK is bound before the first clock starts, so no record
-    holds its one-off import.  The solves share one _ChordBand, whose
-    buffers fault in once per sweep, not once per solve.  An exponent
+    holds its one-off import.  An exponent
     that maximize refuses raises ParameterDomainError before the first
     solve.
     """
@@ -633,12 +627,11 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     _bind_lapack()
     records = []
     current = make_circle(opts.n)
-    band = _ChordBand(opts.n)
     for p in p_grid:
         start = time.perf_counter()
         try:
             init = perturb_mode2(current, opts.perturb)
-            result = maximize(p, init, opts, _band=band)
+            result = maximize(p, init, opts)
             seconds = time.perf_counter() - start
             current = result.curve
             canon = canonicalize(result.curve)

@@ -413,10 +413,13 @@ class TestGramTable:
         raw = geo.squared_chord_matrix(twice, np.concatenate((twice, v)))
         raw_band = opt._band_view(raw, n)
         assert raw_band.min() < 0
-        assert band.power_mean(twice, 4.0)[0] == 0.0
+        assert band.power_mean(twice, 4.0) is not None
         clamped = np.maximum(raw_band, 0.0)
         clamped[:, -1] *= 0.5
         assert np.array_equal(band.band_weights, clamped)
+        # the clamped closest pair is exactly zero: below any floor
+        assert band.band_weights.min() == 0.0
+        assert opt._ChordBand(2 * n).power_mean(twice, 4.0, 5e-324) is None
 
         # avg_chord_p walks exact differences, in which the copies give
         # exact zeros

@@ -116,15 +116,18 @@ class TestChordBand:
         curve = opt.perturb_mode2(geo.make_ellipse(1.5, n), 0.05)
         v = curve.vertices
         band = opt._ChordBand(n)
-        closest, value = band.power_mean(v, p)
+        value = band.power_mean(v, p)
         grad = band.gradient(v, p)
         ref_value, ref_grad, ref_closest = _dense_power_sum(v, p)
         assert value == pytest.approx(ref_value, rel=1e-14, abs=0)
         scale = max(1.0, np.abs(ref_grad).max())
         assert np.abs(grad - ref_grad).max() / scale < 1e-12
         assert np.array_equal(opt.objective_grad(curve, p), grad)
-        # the Gram form costs short chords their relative precision
-        assert abs(closest - ref_closest) < 1e-14
+        # the floor reads the closest pair, which the Gram form costs its
+        # relative precision: a floor 1e-14 below it passes, 1e-14 above
+        # it stops the pass
+        assert band.power_mean(v, p, ref_closest - 1e-14) == value
+        assert band.power_mean(v, p, ref_closest + 1e-14) is None
 
     def test_space_curve(self):
         curve = geo.random_closed_curve(2, n=33, dim=3)
@@ -164,17 +167,16 @@ class TestChordBand:
                                 self._block_entries(n, blocks))
             band = opt._ChordBand(n)
             assert len(band.blocks) == blocks
-            closest, value = band.power_mean(v, 3.0)
+            value = band.power_mean(v, 3.0)
             result = opt.maximize(4.0, init, opt.OptimizeOptions(
                 n=n, max_iters=10))
-            runs.append((closest, value, band.gradient(v, 3.0),
+            runs.append((value, band.gradient(v, 3.0),
                          opt.objective_grad(curve, 1.5), result))
-        for closest, value, grad, low_grad, result in runs[1:]:
-            assert closest == runs[0][0]
-            assert value == runs[0][1]
-            assert np.array_equal(grad, runs[0][2])
-            assert np.array_equal(low_grad, runs[0][3])
-            first = runs[0][4]
+        for value, grad, low_grad, result in runs[1:]:
+            assert value == runs[0][0]
+            assert np.array_equal(grad, runs[0][1])
+            assert np.array_equal(low_grad, runs[0][2])
+            first = runs[0][3]
             assert result.history[1:] == first.history[1:]
             assert result.history[0].value == first.history[0].value
             assert result.reason is first.reason
@@ -193,7 +195,7 @@ class TestChordBand:
         floor = opt.MIN_PAIR_DISTANCE ** 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert band.power_mean(v, 1.5, floor) == (0.0, None)
+            assert band.power_mean(v, 1.5, floor) is None
             with pytest.raises(SingularGradientError):
                 opt.objective_grad(geo.PolyCurve(v), 1.5)
         assert np.all(band.band_weights[:last.start] > 0)
@@ -756,7 +758,7 @@ class TestMaximize:
         h = 2 * np.pi / n
         theta, v = _closed_angles(geo.make_circle(n))
         band = opt._ChordBand(n)
-        value = band.power_mean(v, p)[1]
+        value = band.power_mean(v, p)
         field = np.sin(2 * theta)
         field -= geo._closure_normal(np.cos(theta), np.sin(theta),
                                      _closure_derivative(theta, field))
@@ -946,9 +948,9 @@ class TestMaximize:
         def power_mean(band, v, p, floor=0.0):
             # one table per pass, powered unless a crowded pair ends it
             counts["tables"] += 1
-            closest, value = real_power_mean(band, v, p, floor)
+            value = real_power_mean(band, v, p, floor)
             counts["powers"] += value is not None
-            return closest, value
+            return value
 
         monkeypatch.setattr(geo, "_edge_normal", normal)
         monkeypatch.setattr(opt, "_tangent_part", tangent_part)
@@ -1409,21 +1411,6 @@ class TestSweep:
         records = opt.sweep([2.0], opt.OptimizeOptions(n=64, max_iters=5))
         assert events[0] == "bind" and events.count("bind") == 1
         assert records[0].seconds > 0
-
-    def test_one_chord_band_per_sweep(self, monkeypatch):
-        # the solves share the buffers of one band, not one band each
-        bands = []
-        real_band = opt._ChordBand
-
-        def band(n):
-            bands.append(n)
-            return real_band(n)
-
-        monkeypatch.setattr(opt, "_ChordBand", band)
-        records = opt.sweep([2.0, 3.0, 4.0],
-                            opt.OptimizeOptions(n=64, max_iters=20))
-        assert all(np.isfinite(rec.value) for rec in records)
-        assert bands == [64]
 
     def test_high_leg_is_the_same_at_one_and_two_blas_threads(self):
         # a verdict must not depend on the BLAS thread count; the sweep

@@ -11,9 +11,9 @@ The ascent reads the gradient of the p-th power mean of the chord
 lengths, pulled back to the angles by one cumsum and projected onto the
 tangent space of closure (geometry._angle_gradient).  The flat metric on the
 angles damps vertex mode k by about 1/k^2, so stiff high-frequency
-curvature does not force tiny steps.  Start curves reach the manifold
-by geometry.resample_arclength, and their angles are read off their
-edges.  Each iteration searches along the limited-memory BFGS direction
+curvature does not force tiny steps.  Every curve of a solve lives in
+that chart: the start curve's angles are read off its own edges and
+closed like a trial's, with no resample.  Each iteration searches along the limited-memory BFGS direction
 of the last few angle steps with positive curvature (_lbfgs_direction),
 from the full step, and backtracks by safeguarded quadratic
 interpolation.  Its initial matrix comes from the regular n-gon's
@@ -297,9 +297,10 @@ def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
 def project(curve: PolyCurve) -> PolyCurve:
     """Place a curve on the feasible manifold: equal edges, perimeter
     2*pi, centroid at the origin, by resample_arclength at the curve's
-    own vertex count.  maximize uses it for its start curve only;
-    line-search trials go through _close_angles.  A collapsed curve,
-    or one whose edges the projection cannot equalize, raises
+    own vertex count.  perturb_mode2 returns its bumped curve through
+    it; maximize does not use it, since it closes the edge angles of its
+    start as it closes every trial's (_close_angles).  A collapsed
+    curve, or one whose edges the projection cannot equalize, raises
     DegenerateCurveError."""
     return resample_arclength(curve, curve.n)
 
@@ -502,8 +503,9 @@ def maximize(p: float, init: PolyCurve,
     """Monotone projected L-BFGS ascent on the p-th chord-power mean, in
     the edge angles.
 
-    The start is init placed on the manifold by project; its edge angles
-    are read off its edges and closed (_close_angles).  Once per solve
+    The start is init's own edge angles, read off its edges and closed
+    (_close_angles), as every trial's are; init's edge lengths, scale
+    and position are not read, so it needs no resample.  Once per solve
     _ngon_scales gives the regular n-gon's spectrum in closed form, from
     one rfft of its chord weights.  Each iteration reads the tangent
     gradient in the angles (_angle_gradient) and turns it into the
@@ -547,7 +549,7 @@ def maximize(p: float, init: PolyCurve,
     if init.dim != 2:
         raise InvalidDiscretizationError("maximize needs a planar curve")
     h = TWO_PI / init.n
-    edges = _edges(project(init).vertices)[0]
+    edges = _edges(init.vertices)[0]
     theta, v = _close_angles(np.arctan2(edges[:, 1], edges[:, 0]), h)
     scales = _ngon_scales(p, v.shape[0])
     # one chord table and one power of it per curve, in buffers of the

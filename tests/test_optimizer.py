@@ -16,6 +16,7 @@ from chordenergy import functionals as fn
 from chordenergy import geometry as geo
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
+from chordenergy import spectral as spec
 from chordenergy.errors import DegenerateCurveError, ParameterDomainError, \
     SingularGradientError
 
@@ -865,12 +866,31 @@ class TestMaximize:
 
     def test_above_the_critical_exponent_the_ascent_is_unchanged(self):
         # criterion 10: past p_c the n-gon metric is not used, and the
-        # solve is the gamma I ascent's, bit for bit
+        # solve is the gamma I ascent's, bit for bit.  The start's angles
+        # are read off its own edges, not off a second resample of them,
+        # which moved the iterates at round-off: 39 iterations then
         init = opt.perturb_mode2(geo.make_circle(256), 0.05)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(n=256))
-        assert result.iterations == 39
+        assert result.iterations == 40
         assert result.reason is opt.Termination.LINE_SEARCH_STALLED
         assert result.value == 1.5973587432527518
+
+    def test_start_is_closed_from_its_own_edge_angles(self, monkeypatch):
+        # a start with unequal edges is not resampled: its edge angles
+        # are closed like a trial's, and the ascent reaches the n-gon
+        def refuse(*args):
+            raise AssertionError("maximize resampled or retracted a curve")
+
+        monkeypatch.setattr(opt, "resample_arclength", refuse)
+        monkeypatch.setattr(geo, "_retract", refuse)
+        init = spec.ellipse_uniform_parameter([0.3, -1], [3, 0], [0, 1], 64)
+        lengths = init.edge_lengths()
+        assert lengths.max() > 2 * lengths.min()
+        result = opt.maximize(2.0, init, opt.OptimizeOptions(n=64))
+        assert result.reason is opt.Termination.GRAD_TOL
+        result.curve.validate()
+        assert result.value == pytest.approx(
+            fn.avg_chord_p(geo.make_circle(64), 2.0), rel=1e-12)
 
     def test_monotone_history(self):
         opts = opt.OptimizeOptions(n=128, max_iters=200)
@@ -912,10 +932,10 @@ class TestMaximize:
         monkeypatch.setattr(opt, "_close_angles", close)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
             n=128, max_iters=50))
-        # the resampler places the start curve only; every trial goes
-        # through the closure, and each one that moves the iterate gets
-        # one chord table, as does the start curve
-        assert counts["projections"] == 1
+        # no curve of the solve is resampled: the start and every trial
+        # go through the closure, and each one that moves the iterate
+        # gets one chord table
+        assert counts["projections"] == 0
         assert counts["closed"] > result.iterations
         assert counts["tables"] == counts["moved"]
 
@@ -952,21 +972,21 @@ class TestMaximize:
             counts["powers"] += value is not None
             return value
 
+        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         monkeypatch.setattr(geo, "_edge_normal", normal)
         monkeypatch.setattr(opt, "_tangent_part", tangent_part)
         monkeypatch.setattr(opt, "project", marked(opt.project))
         monkeypatch.setattr(opt, "_close_angles", marked(opt._close_angles))
         monkeypatch.setattr(opt._ChordBand, "power_mean", power_mean)
-        init = opt.perturb_mode2(geo.make_circle(128), 0.05)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(
             n=128, max_iters=50))
         # the stop test's projection, one normal field per iteration;
-        # the closures solve for none, and the start curve's projection
-        # for at most a few
+        # the closures solve for none, and no curve of the solve is
+        # projected in the vertices
         assert counts["tangent_parts"] == result.iterations
         assert counts["loop"] == result.iterations
         assert counts["_close_angles"] == 0
-        assert counts["project"] <= 3
+        assert counts["project"] == 0
         # the start curve's table and one per accepted trial at least
         assert counts["tables"] > result.iterations
         assert counts["powers"] == counts["tables"]
@@ -1411,6 +1431,21 @@ class TestSweep:
         records = opt.sweep([2.0], opt.OptimizeOptions(n=64, max_iters=5))
         assert events[0] == "bind" and events.count("bind") == 1
         assert records[0].seconds > 0
+
+    def test_one_resample_per_solve(self, monkeypatch):
+        # perturb_mode2 places each start curve; maximize places none
+        calls = []
+        real_resample = opt.resample_arclength
+
+        def resample(curve, m):
+            calls.append(m)
+            return real_resample(curve, m)
+
+        monkeypatch.setattr(opt, "resample_arclength", resample)
+        records = opt.sweep([2.0, 3.0, 4.0],
+                            opt.OptimizeOptions(n=64, max_iters=20))
+        assert all(np.isfinite(rec.value) for rec in records)
+        assert calls == [64, 64, 64]
 
     def test_high_leg_is_the_same_at_one_and_two_blas_threads(self):
         # a verdict must not depend on the BLAS thread count; the sweep

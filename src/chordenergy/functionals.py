@@ -153,35 +153,18 @@ def _distortion_ratios(arcs: np.ndarray, min_d2: np.ndarray,
     return ratio
 
 
-def _power(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e for x >= 0.  The half-odd exponents +-1/2 and +-3/2 come
-    from np.sqrt, a product with x and a reciprocal, with no libm pow
-    call, within 4e-16 relative of np.power; exponent 1 returns x itself,
-    not a copy; every other exponent is np.power, which takes its own
-    fast paths at -1, 1/2 and 2.  The energy walk takes its chord powers
-    at j = 1 and 2 and its row sums at p = 3/2 and 2 without it
-    (_energy_walk, _row_power_sums)."""
-    if e == 1:
-        return x
-    if abs(e) not in (0.5, 1.5):
-        return np.power(x, e)
-    out = np.sqrt(x)
-    if abs(e) == 1.5:
-        out *= x
-    if e < 0:
-        np.divide(1.0, out, out=out)
-    return out
-
-
 def _row_power_sums(x: np.ndarray, p: float) -> np.ndarray:
     """Row sums of x ** p for x >= 0.  At p = 2 and 3/2 they are one
     product reduction of x with x or with np.sqrt(x), with no array of
-    the powers; every other p sums _power(x, p)."""
+    the powers; at p = 1 the row sums of x; every other p sums
+    np.power(x, p)."""
     if p == 2:
         return np.einsum("ij,ij->i", x, x)
     if p == 1.5:
         return np.einsum("ij,ij->i", x, np.sqrt(x))
-    return np.sum(_power(x, p), axis=1)
+    if p == 1:
+        return np.sum(x, axis=1)
+    return np.sum(np.power(x, p), axis=1)
 
 
 class EnergyWalk(NamedTuple):
@@ -211,7 +194,7 @@ def _energy_walk(curve: PolyCurve, params_seq) -> EnergyWalk:
     distinct j and raised to each p of that j.  1/d^2 is one reciprocal
     and 1/d its np.sqrt, whenever j is 1 or 2, whatever the other pairs;
     the row sums at p = 3/2 and 2 are product reductions
-    (_row_power_sums); every other power is _power.  So the verify grid
+    (_row_power_sums); every other power is np.power.  So the verify grid
     (j in {1, 2}, p in {1, 1.5, 2}) makes no libm pow call.  A pair's
     value does not depend on the other pairs: it is energy_Ejp(curve,
     params) bit for bit.  The difference is clipped at zero only in a
@@ -245,7 +228,7 @@ def _energy_walk(curve: PolyCurve, params_seq) -> EnergyWalk:
             root = np.sqrt(inverse) if 1 in by_j else None
         for j, positions in by_j.items():
             integrand = root if j == 1 else inverse if j == 2 \
-                else _power(d2, -j / 2.0)
+                else np.power(d2, -j / 2.0)
             integrand -= arc_terms[j][rows, None]
             # chord <= arc, so the integrand is nonnegative up to
             # round-off; clipping keeps fractional powers real at the

@@ -534,16 +534,15 @@ def make_double_segment(n: int) -> PolyCurve:
     return PolyCurve(np.column_stack([x, np.zeros(n)]))
 
 
-def _inscribe_equal_chords(trace, n: int, start=None) -> np.ndarray:
+def _inscribe_equal_chords(trace, n: int) -> np.ndarray:
     """Place n points exactly on a smooth closed trace t -> R^d so that
     consecutive chords are equal, then scale to perimeter 2*pi.
 
     Keeping the vertices on the analytic trace (rather than on its
     chords) preserves the exponential decay of the DFT spectrum, which
-    the Fourier-side checks rely on.  start, when given, is the trace on
-    the uniform grid t_i = 2*pi*i/n: the points of the first pass.  The
-    passes stop by _settle on the edge spread; its failures raise
-    InvalidDiscretizationError.
+    the Fourier-side checks rely on.  The first pass evaluates the trace
+    on the uniform grid t_i = 2*pi*i/n.  The passes stop by _settle on
+    the edge spread; its failures raise InvalidDiscretizationError.
     """
     def measured(t, pts):
         lengths = _edges(pts)[1]
@@ -556,7 +555,7 @@ def _inscribe_equal_chords(trace, n: int, start=None) -> np.ndarray:
 
     t = TWO_PI * np.arange(n) / n
     _, pts, lengths, _ = _settle(
-        measured(t, trace(t) if start is None else start), respace,
+        measured(t, trace(t)), respace,
         INSCRIBE_TOL, INSCRIBE_MAX_PASSES, InvalidDiscretizationError,
         "equal-chord inscription: edge spread")
     return pts * (TWO_PI / lengths.sum())
@@ -586,8 +585,8 @@ def _harmonics(t: np.ndarray, K: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _harmonic_table(m: int, K: int) -> np.ndarray:
     """_harmonics on the uniform grid t_i = 2*pi*i/m, read-only.  It
-    depends on no curve, so random_closed_curve reads it from here on
-    every draw."""
+    depends on no curve, so random_closed_curve reads its speed grid
+    from here on every draw."""
     table = _harmonics(TWO_PI * np.arange(m) / m, K)
     table.flags.writeable = False
     return table
@@ -604,13 +603,12 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
     inscriber rejects (a perimeter below 1e-6, or unequal edges), fall
     through to the next substream.  The trace takes cos(kt) and sin(kt)
     from the powers of exp(it) (_harmonics); on the SPEED_GRID speed grid
-    and on the inscriber's first, uniform pass they come from a small
-    read-only cache keyed by grid size and K (_harmonic_table), built by
-    the same function, so the vertices are those of the trace bit for
-    bit.  K, n and dim must be integers: n below MIN_VERTICES, dim other
-    than 2 or 3, K below 1, and any of them not an integer raise
-    InvalidDiscretizationError before any draw; a seed that is not a
-    non-negative integer raises ParameterDomainError.
+    they come from a small read-only cache keyed by grid size and K
+    (_harmonic_table), built by the same function.  K, n and dim must be
+    integers: n below MIN_VERTICES, dim other than 2 or 3, K below 1,
+    and any of them not an integer raise InvalidDiscretizationError
+    before any draw; a seed that is not a non-negative integer raises
+    ParameterDomainError.
     """
     require_integer("seed", seed, ParameterDomainError)
     if seed < 0:
@@ -645,8 +643,7 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
         if speed.min() < 0.35 * speed.mean():
             continue
         try:
-            return PolyCurve(_inscribe_equal_chords(
-                trace, n, start=_harmonic_table(n, K) @ coef))
+            return PolyCurve(_inscribe_equal_chords(trace, n))
         except (DegenerateCurveError, InvalidDiscretizationError):
             continue
     raise DegenerateCurveError(

@@ -416,26 +416,57 @@ class TestChordMeans:
             assert fn._power_means(curve, ps) \
                 == [fn.avg_chord_p(curve, p) for p in ps]
 
+    # A_p of the circle and of the doubly covered segment to 20 digits,
+    # from their closed forms in 800-digit arithmetic (mpmath)
+    REFERENCE = {
+        1e-300: (1.0, 0.70098407191662119982),
+        1e-12: (1.0000000000004112335, 0.70098407191705931486),
+        1e-4: (1.000041121192218734, 0.7010278821615856607),
+        0.000999: (1.0004106068814894834, 0.70142162319049096014),
+        0.001001: (1.0004114284854400116, 0.70142249891705092121),
+        0.5: (1.1636049136346839721, 0.89360857702109674338),
+        300: (1.9795815041394961208, 3.0312707433407100146),
+        344: (1.9817878522890922619, 3.0427519094227647115),
+        620: (1.9889305713470387449, 3.080521930851038583),
+        621: (1.9889457684199698441, 3.0806033619196770451),
+        2000: (1.9959776826081846797, 3.1188826331989905867),
+        1e300: (2.0, 3.1415926535897932385),
+    }
+
     @pytest.mark.parametrize("p", [300, 344, 620, 621, 2000])
-    def test_closed_forms_raise_where_doubles_overflow(self, p):
-        # the circle's Gamma values overflow from p = 342 on, the
-        # segment's pi^p from p = 620 on
-        for closed_form, first_overflow in ((fn.circle_avg_chord, 342),
-                                            (fn.segment_avg_chord, 620)):
-            if p < first_overflow:
-                assert math.isfinite(closed_form(p))
-            else:
-                with pytest.raises(ParameterDomainError, match="overflow"):
-                    closed_form(p)
+    def test_closed_forms_finite_where_direct_forms_overflow(self, p):
+        # the direct forms overflowed, and raised, from p = 342 on for
+        # the circle's Gamma values and p = 620 for the segment's pi^p;
+        # in log space both stay finite, below the diameter 2 and the
+        # length pi they tend to
+        circle, segment = self.REFERENCE[p]
+        assert fn.circle_avg_chord(p) == pytest.approx(circle, rel=1e-15)
+        assert fn.segment_avg_chord(p) == pytest.approx(segment, rel=1e-15)
+        assert 1.97 < fn.circle_avg_chord(p) < 2.0
+        assert 3.0 < fn.segment_avg_chord(p) < math.pi
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-12, 1e-4, 0.000999, 0.001001,
+                                   0.5, 1e300])
+    def test_closed_forms_at_extreme_exponents(self, p):
+        # the circle's A_p tends to the geometric mean of its chords, 1,
+        # the segment's to pi e^(-3/2); the direct forms gave 0.0 and
+        # 1.0 at p = 1e-300 and were wrong by about 1e-4 at p = 1e-12.
+        # The circle's series ends at CIRCLE_SERIES_CUT, 1e-3
+        circle, segment = self.REFERENCE[p]
+        assert fn.circle_avg_chord(p) == pytest.approx(circle, rel=1e-12)
+        assert fn.segment_avg_chord(p) == pytest.approx(segment, rel=1e-15)
 
     def test_closed_forms_at_p300_are_the_formulas(self):
+        # the log-space forms agree with the direct formulas where those
+        # are finite, to the direct forms' own round-off
         p = 300
         integral = math.sqrt(math.pi) * math.gamma((p + 1) / 2) \
             / math.gamma(p / 2 + 1)
-        assert fn.circle_avg_chord(p) \
-            == ((2.0 ** p / math.pi) * integral) ** (1.0 / p)
-        assert fn.segment_avg_chord(p) \
-            == (2.0 * math.pi ** p / ((p + 1) * (p + 2))) ** (1.0 / p)
+        assert fn.circle_avg_chord(p) == pytest.approx(
+            ((2.0 ** p / math.pi) * integral) ** (1.0 / p), rel=4e-16)
+        assert fn.segment_avg_chord(p) == pytest.approx(
+            (2.0 * math.pi ** p / ((p + 1) * (p + 2))) ** (1.0 / p),
+            rel=4e-16)
 
     @pytest.mark.parametrize("p", [1020, 1023, 1024])
     def test_finite_where_chord_powers_overflow(self, p):

@@ -115,7 +115,12 @@ def _point_polyline_dist(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 
 def hausdorff(curve_a: PolyCurve, curve_b: PolyCurve) -> float:
-    """Symmetric vertex-to-polyline Hausdorff distance."""
+    """Symmetric vertex-to-polyline Hausdorff distance.  Curves of
+    different dimensions raise InvalidDiscretizationError."""
+    if curve_a.dim != curve_b.dim:
+        raise InvalidDiscretizationError(
+            f"hausdorff needs curves of one dimension, got {curve_a.dim} "
+            f"and {curve_b.dim}")
     da = _point_polyline_dist(curve_a.vertices, curve_b.vertices)
     db = _point_polyline_dist(curve_b.vertices, curve_a.vertices)
     return float(max(da.max(), db.max()))

@@ -170,8 +170,13 @@ def tetra_check(A, B, C, D):
 
     The points are arrays of shape (..., dim): single points give floats,
     stacked points give arrays of the stack shape.  The gap vanishes
-    exactly when AB and DC are parallel as vectors (same direction)."""
+    exactly when AB and DC are parallel as vectors (same direction).
+    Points of different dimensions raise InvalidDiscretizationError."""
     A, B, C, D = (np.asarray(P, dtype=float) for P in (A, B, C, D))
+    dims = [P.shape[-1:] for P in (A, B, C, D)]
+    if len(set(dims)) != 1:
+        raise InvalidDiscretizationError(
+            f"tetra_check needs points of one dimension, got {dims}")
     def d(P, Q):
         # a stacked dot product runs the BLAS dot of np.linalg.norm on
         # one vector, so each distance is the per-point norm bit for bit
@@ -191,9 +196,13 @@ def ellipse_uniform_parameter(a0, a, b, n: int) -> PolyCurve:
     This is the extremal family of the chord-square inequality: the
     mapping matters, so no arclength resampling is applied and the
     result generally violates the equal-edge invariant.  n must be an
-    integer."""
+    integer, and a0, a and b vectors of one length."""
     require_integer("n", n, InvalidDiscretizationError)
     t = TWO_PI * np.arange(n) / n
     a0, a, b = (np.asarray(v, dtype=float) for v in (a0, a, b))
+    if not a0.shape == a.shape == b.shape:
+        raise InvalidDiscretizationError(
+            "ellipse_uniform_parameter needs vectors of one length, got "
+            f"shapes {a0.shape}, {a.shape} and {b.shape}")
     pts = a0 + np.outer(np.cos(t), a) + np.outer(np.sin(t), b)
     return PolyCurve(pts)

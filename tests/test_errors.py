@@ -110,6 +110,22 @@ def test_bad_input_raises_a_package_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: shp.hausdorff(geo.make_circle(64),
+                          geo.random_closed_curve(1, n=64, dim=3)),
+    lambda: spec.tetra_check([0, 0], [1, 0], [1, 1], [0, 1, 0]),
+    lambda: spec.tetra_check(np.zeros((5, 3)), np.ones((5, 2)),
+                             np.ones((5, 3)), np.ones((5, 3))),
+    lambda: spec.ellipse_uniform_parameter([0, 0, 0], [1, 0], [0, 1], 64),
+    lambda: spec.ellipse_uniform_parameter([0, 0], [1, 0, 0], [0, 1], 64),
+], ids=["hausdorff", "tetra_check", "tetra_check_stacked",
+        "ellipse_uniform_parameter_a0", "ellipse_uniform_parameter_a"])
+def test_mixed_dimensions_raise_a_package_error(call):
+    # numpy's broadcast ValueError used to escape
+    with pytest.raises(InvalidDiscretizationError, match="one "):
+        call()
+
+
 def test_bad_sweep_header_raises_a_package_error(tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text("p,q\n1,2\n")

@@ -9,14 +9,15 @@ weight 2*pi/N.
 
 Two routines make the edges equal.  An analytic trace (make_ellipse,
 random_closed_curve) gets vertices on the trace with equal chords
-(_inscribe_equal_chords); a polygon (resample_arclength, the optimizer's
-start curves) is Newton-projected onto the edge constraints (_retract),
-one tridiagonal LAPACK solve per step (_edge_normal).  Both measure
-edges one way (_edges) and respace by one equal-arclength pass
-(_equal_arclength).  The optimizer's trials are planar polygons built
-from their edge angles, whose edges are equal by construction; only
-their closure is Newton-projected (_close_angles).  Every Newton loop
-stops by one rule (_settle).
+(_inscribe_equal_chords); a polygon (resample_arclength, through which
+the optimizer's perturb_mode2 returns its bumped curve) is
+Newton-projected onto the edge constraints (_retract), one tridiagonal
+LAPACK solve per step (_edge_normal).  Both measure edges one way
+(_edges) and respace by one equal-arclength pass (_equal_arclength).
+Every curve of an optimizer solve, its start and its trials, is a
+planar polygon built from its edge angles, whose edges are equal by
+construction; only its closure is Newton-projected (_close_angles).
+Every Newton loop stops by one rule (_settle).
 """
 
 from __future__ import annotations

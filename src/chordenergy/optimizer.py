@@ -13,10 +13,10 @@ tangent space of closure (geometry._angle_gradient).  The flat metric on the
 angles damps vertex mode k by about 1/k^2, so stiff high-frequency
 curvature does not force tiny steps.  Every curve of a solve lives in
 that chart: the start curve's angles are read off its own edges and
-closed like a trial's, with no resample.  Each iteration searches along the limited-memory BFGS direction
-of the last few angle steps with positive curvature (_lbfgs_direction),
-from the full step, and backtracks by safeguarded quadratic
-interpolation.  Its initial matrix comes from the regular n-gon's
+closed like a trial's, with no resample.  Each iteration searches
+along the limited-memory BFGS direction of the last few angle steps
+with positive curvature (_lbfgs_direction), from the full step, and
+backtracks by safeguarded quadratic interpolation.  Its initial matrix comes from the regular n-gon's
 spectrum (_ngon_scales, in closed form from one rfft of the n-gon's
 chord weights) when the n-gon is a strict local maximizer, below the
 critical exponent p_c(n) = 2 sqrt(3) - 7.909/n^2 + O(n^-4); there the
@@ -179,7 +179,8 @@ BAND_BLOCK = 1 << 16
 
 class _ChordBand:
     """The chord-power kernel of one solve: every unordered vertex pair
-    once, in buffers reused by every curve of the solve.
+    once, in buffers reused by every curve of the solve; maximize builds
+    one per solve.
 
     The chord table holds the squared distances of the n vertices to the
     vertices extended by their first n // 2 rows, so its row i, columns

@@ -16,12 +16,12 @@ that chart: the start curve's angles are read off its own edges and
 closed like a trial's, with no resample.  Each iteration searches
 along the limited-memory BFGS direction of the last few angle steps
 with positive curvature (_lbfgs_direction), from the full step, and
-backtracks by safeguarded quadratic interpolation.  Its initial matrix comes from the regular n-gon's
-spectrum (_ngon_scales, in closed form from one rfft of the n-gon's
-chord weights) when the n-gon is a strict local maximizer, below the
-critical exponent p_c(n) = 2 sqrt(3) - 7.909/n^2 + O(n^-4); there the
-first iteration is already a quasi-Newton one.  Above it the initial
-matrix is gamma I.  A search fails when a trial's vertices equal the
+backtracks by safeguarded quadratic interpolation.  Its initial matrix
+comes from the regular n-gon's spectrum (_ngon_scales, in closed form
+from one rfft of the n-gon's chord weights) when the n-gon is a strict
+local maximizer, below the critical exponent
+p_c(n) = 2 sqrt(3) - 7.909/n^2 + O(n^-4); there the first iteration is
+already a quasi-Newton one.  Above it the initial matrix is gamma I.  A search fails when a trial's vertices equal the
 iterate's, or once a backtracked step's predicted gain is below a few
 ulps of the value, which no comparison can resolve; a failed
 quasi-Newton search forgets its curvature pairs and searches once more
@@ -542,9 +542,8 @@ def maximize(p: float, init: PolyCurve,
     of about 5 reaches, when the line search finds no ascent, or after
     opts.max_iters iterations; result.reason says which, and
     result.history holds an IterationRecord per iteration.  p must be
-    positive and at most
-    _MAX_EXPONENT, 303, above which the squared gradient norms overflow;
-    other exponents raise ParameterDomainError.
+    positive and at most _MAX_EXPONENT, 303, above which the squared
+    gradient norms overflow; other exponents raise ParameterDomainError.
     """
     _require_exponent(p)
     if init.dim != 2:

@@ -866,9 +866,7 @@ class TestMaximize:
 
     def test_above_the_critical_exponent_the_ascent_is_unchanged(self):
         # criterion 10: past p_c the n-gon metric is not used, and the
-        # solve is the gamma I ascent's, bit for bit.  The start's angles
-        # are read off its own edges, not off a second resample of them,
-        # which moved the iterates at round-off: 39 iterations then
+        # solve is the gamma I ascent's, bit for bit
         init = opt.perturb_mode2(geo.make_circle(256), 0.05)
         result = opt.maximize(4.0, init, opt.OptimizeOptions(n=256))
         assert result.iterations == 40

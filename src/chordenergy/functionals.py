@@ -36,9 +36,9 @@ from .geometry import (
     PolyCurve,
     grid_offsets,
     half_offsets,
-    lambda_chord,
     offset_arcs,
     offset_chord_blocks,
+    require_real,
 )
 # not called here: perfbench's tracer and tests/test_benchmark_bindings.py
 # count the Gram table through this module's binding of it
@@ -61,8 +61,8 @@ KERNEL_CHORDS, KERNEL_ARCS = 64, 16
 
 
 def require_finite_exponent(p: float) -> None:
-    """Raise ParameterDomainError unless 0 < p < inf; NaN is refused too."""
-    if not 0 < p < math.inf:
+    """Raise ParameterDomainError unless p is a real number in (0, inf)."""
+    if not 0 < require_real("p", p, ParameterDomainError) < math.inf:
         raise ParameterDomainError(f"need a finite p > 0, got {p}")
 
 
@@ -75,10 +75,9 @@ class EnergyParams:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.j) and math.isfinite(self.p)) \
-                or self.p <= 0:
-            raise ParameterDomainError(
-                f"need finite j and p > 0, got (j={self.j}, p={self.p})")
+        if not math.isfinite(require_real("j", self.j, ParameterDomainError)):
+            raise ParameterDomainError(f"need a finite j, got {self.j}")
+        require_finite_exponent(self.p)
 
     def convergent(self) -> bool:
         """The double integral converges iff j < 2 + 1/p."""
@@ -253,6 +252,9 @@ def renorm_energy(curve: PolyCurve, kernel: ChordKernel) -> float:
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
         vals = np.asarray(kernel(np.sqrt(d2), np.broadcast_to(
             arcs[rows, None], d2.shape)), dtype=float)
+        if vals.shape != d2.shape:
+            raise ParameterDomainError(
+                f"{kernel.name} returned shape {vals.shape}, not {d2.shape}")
         bad = ~np.isfinite(vals)
         if bad.any():
             r, i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -436,7 +438,10 @@ def _chord_averages(curve: PolyCurve, ks, fs) -> np.ndarray:
     means = np.empty((len(fs), len(ks)))
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
         for row, f in zip(means, fs):
-            row[rows] = np.mean(f(d2), axis=1)
+            if np.shape(vals := f(d2)) != d2.shape:
+                raise ParameterDomainError(
+                    f"f returned shape {np.shape(vals)}, not {d2.shape}")
+            row[rows] = np.mean(vals, axis=1)
     return means
 
 

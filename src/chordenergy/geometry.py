@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,7 +64,8 @@ class PolyCurve:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = require_points("vertices", self.vertices,
+                           InvalidDiscretizationError)
         object.__setattr__(self, "vertices", v)
         if v.ndim != 2 or v.shape[1] not in (2, 3):
             raise InvalidDiscretizationError(
@@ -73,8 +75,6 @@ class PolyCurve:
             raise InvalidDiscretizationError(
                 f"need at least {MIN_VERTICES} vertices, got {v.shape[0]}"
             )
-        if not np.isfinite(v).all():
-            raise InvalidDiscretizationError("vertices must be finite")
 
     @property
     def n(self) -> int:
@@ -172,12 +172,34 @@ def half_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ks, weights
 
 
-def require_integer(name: str, value, error: type) -> None:
-    """Raise error unless value is a Python or numpy integer: a bool, an
-    integral float such as 64.0 and anything else are refused, as
-    grid_offsets refuses 2.0."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+def require_integer(name: str, value, minimum: int, error: type) -> None:
+    """Raise error unless value is a Python or numpy integer of at least
+    minimum: a bool, an integral float such as 64.0 and anything else are
+    refused, as grid_offsets refuses 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise error(f"need {name} >= {minimum}, an integer, got {value!r}")
+
+
+def require_real(name: str, value, error: type) -> float:
+    """value as a float; raise error, before any comparison, unless it is
+    a real number (numbers.Real): a bool, str, None or complex is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def require_points(name: str, points, error: type) -> np.ndarray:
+    """points, a point or a table of points, as a float array; raise error
+    for ragged nesting, a dtype not integer or float, or an inf or NaN."""
+    try:
+        table = np.asarray(points)
+        real = table.dtype.kind in "iuf" and np.isfinite(table).all()
+    except ValueError:
+        real = False
+    if not real:
+        raise error(f"{name} must be finite reals in rows of one length")
+    return table.astype(float, copy=False)
 
 
 def grid_offsets(k, n: int) -> np.ndarray:
@@ -466,9 +488,7 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     projection that does not converge raise DegenerateCurveError, so the
     result always has unit speed.  m must be an integer.
     """
-    require_integer("m", m, InvalidDiscretizationError)
-    if m < MIN_VERTICES:
-        raise InvalidDiscretizationError(f"need m >= {MIN_VERTICES}, got {m}")
+    require_integer("m", m, MIN_VERTICES, InvalidDiscretizationError)
     closed = np.vstack([curve.vertices, curve.vertices[:1]])
     pts = np.column_stack(_equal_arclength(curve.edge_lengths(), closed.T, m))
     pts *= TWO_PI / _edges(pts)[1].sum()
@@ -482,9 +502,7 @@ def make_circle(n: int) -> PolyCurve:
     inscribed polygon has the full length of the unit circle.  n must
     be an integer.
     """
-    require_integer("n", n, InvalidDiscretizationError)
-    if n < MIN_VERTICES:
-        raise InvalidDiscretizationError(f"need n >= {MIN_VERTICES}, got {n}")
+    require_integer("n", n, MIN_VERTICES, InvalidDiscretizationError)
     r = (np.pi / n) / np.sin(np.pi / n)
     t = TWO_PI * np.arange(n) / n
     return PolyCurve(r * np.column_stack([np.cos(t), np.sin(t)]))
@@ -503,12 +521,11 @@ def make_ellipse(axis_ratio: float, n: int) -> PolyCurve:
     and before any work when axis_ratio is not a finite number >= 1 or n
     is not an integer of at least MIN_VERTICES.
     """
-    if not 1 <= axis_ratio < math.inf:
+    if not 1 <= require_real("axis_ratio", axis_ratio,
+                             InvalidDiscretizationError) < math.inf:
         raise InvalidDiscretizationError(
             f"axis_ratio must be finite and >= 1, got {axis_ratio}")
-    require_integer("n", n, InvalidDiscretizationError)
-    if n < MIN_VERTICES:
-        raise InvalidDiscretizationError(f"need n >= {MIN_VERTICES}, got {n}")
+    require_integer("n", n, MIN_VERTICES, InvalidDiscretizationError)
 
     def trace(t):
         return np.column_stack([axis_ratio * np.cos(t), np.sin(t)])
@@ -523,9 +540,7 @@ def make_double_segment(n: int) -> PolyCurve:
     Non-embedded by design: parameters t and 2*pi - t coincide in space.
     n must be an even integer.
     """
-    require_integer("n", n, InvalidDiscretizationError)
-    if n < MIN_VERTICES:
-        raise InvalidDiscretizationError(f"need n >= {MIN_VERTICES}, got {n}")
+    require_integer("n", n, MIN_VERTICES, InvalidDiscretizationError)
     if n % 2 != 0:
         raise InvalidDiscretizationError(
             f"double segment needs even n, got {n}")
@@ -611,15 +626,10 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
     before any draw; a seed that is not a non-negative integer raises
     ParameterDomainError.
     """
-    require_integer("seed", seed, ParameterDomainError)
-    if seed < 0:
-        raise ParameterDomainError(f"need seed >= 0, got {seed}")
-    for name, value in (("K", K), ("n", n), ("dim", dim)):
-        require_integer(name, value, InvalidDiscretizationError)
-    if K < 1:
-        raise InvalidDiscretizationError(f"need K >= 1, got {K}")
-    if n < MIN_VERTICES:
-        raise InvalidDiscretizationError(f"need n >= {MIN_VERTICES}, got {n}")
+    require_integer("seed", seed, 0, ParameterDomainError)
+    for name, value, minimum in (("K", K, 1), ("n", n, MIN_VERTICES),
+                                 ("dim", dim, 1)):
+        require_integer(name, value, minimum, InvalidDiscretizationError)
     if dim not in (2, 3):
         raise InvalidDiscretizationError(f"need dim 2 or 3, got {dim}")
     ks = np.arange(1, K + 1)[:, None]
@@ -665,18 +675,17 @@ def save_curve(curve: PolyCurve, path) -> None:
 def load_curve(path) -> PolyCurve:
     """Read a curve JSON file and check the unit-speed invariants.  A file
     that is not JSON, lacks a key, or holds vertices that are not a table
-    of numbers raises InvalidDiscretizationError."""
+    of numbers (PolyCurve) raises InvalidDiscretizationError."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        vertices = np.asarray(payload["vertices"], dtype=float)
-        shape = (payload["n"], payload["dim"])
+        vertices, shape = payload["vertices"], (payload["n"], payload["dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDiscretizationError(
             f"malformed curve file ({type(exc).__name__}: {exc})") from exc
-    if vertices.shape != shape:
+    curve = PolyCurve(vertices)
+    if curve.vertices.shape != shape:
         raise InvalidDiscretizationError(
             "vertex array shape disagrees with declared n/dim")
-    curve = PolyCurve(vertices)
     curve.validate()
     return curve

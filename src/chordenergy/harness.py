@@ -186,9 +186,7 @@ class VerificationReport:
 def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationReport:
     """Run every cross-module inequality suite on seeded random curves.
     seed, n_curves and n must be integers."""
-    geo.require_integer("n_curves", n_curves, ParameterDomainError)
-    if n_curves < 1:
-        raise ParameterDomainError(f"need n_curves >= 1, got {n_curves}")
+    geo.require_integer("n_curves", n_curves, 1, ParameterDomainError)
     report = VerificationReport()
     curves = [geo.random_closed_curve(seed + i, n=n) for i in range(n_curves)]
     curves3 = [geo.random_closed_curve(seed + 1000 + i, n=n, dim=3)
@@ -218,7 +216,7 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     disc_tol = 10.0 / n**2
     concave = (np.sqrt, np.log, lambda x: x ** 0.4)
     ks = np.arange(1, n, max(1, n // 64))
-    lam2 = fn.lambda_chord(geo.offset_arcs(n, ks)) ** 2
+    lam2 = geo.lambda_chord(geo.offset_arcs(n, ks)) ** 2
     worst_gap = -np.inf
     for c in curves[: min(10, n_curves)]:
         # one walk of the sampled offsets for all three functions
@@ -234,7 +232,7 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
                worst, np.pi / 2, 1e-9)
     ks = np.arange(1, n // 2 + 1, max(1, n // 128))
     s = geo.offset_arcs(n, ks)
-    bound_at = s / fn.lambda_chord(s)
+    bound_at = s / geo.lambda_chord(s)
     worst_at = np.inf
     for walk in walks[: min(10, n_curves)]:
         # fn.distortion_at(c, ks) bit for bit: every ks is <= n/2

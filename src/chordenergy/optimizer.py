@@ -52,7 +52,7 @@ from .errors import DegenerateCurveError, InvalidDiscretizationError, \
     ParameterDomainError, SingularGradientError
 from .geometry import TWO_PI, PolyCurve, _angle_gradient, _bind_lapack, \
     _close_angles, _edges, _tangent_part, make_circle, require_integer, \
-    resample_arclength, squared_chord_matrix
+    require_real, resample_arclength, squared_chord_matrix
 from .functionals import circle_avg_chord, require_finite_exponent, \
     segment_avg_chord
 from . import shape as shape_mod
@@ -103,15 +103,13 @@ class OptimizeOptions:
     perturb: float = 0.05
 
     def __post_init__(self):
-        require_integer("max_iters", self.max_iters, ParameterDomainError)
-        require_integer("n", self.n, InvalidDiscretizationError)
-        if self.max_iters < 1:
-            raise ParameterDomainError(f"need max_iters > 0: {self.max_iters}")
-        if not self.tol_grad > 0:
+        require_integer("max_iters", self.max_iters, 1, ParameterDomainError)
+        require_integer("n", self.n, 32, InvalidDiscretizationError)
+        if not require_real("tol_grad", self.tol_grad,
+                            ParameterDomainError) > 0:
             raise ParameterDomainError(f"need tol_grad > 0: {self.tol_grad}")
-        if self.n < 32:
-            raise InvalidDiscretizationError(f"need n >= 32, got {self.n}")
-        if not math.isfinite(self.perturb):
+        if not math.isfinite(require_real("perturb", self.perturb,
+                                          ParameterDomainError)):
             raise ParameterDomainError(f"need finite perturb: {self.perturb}")
 
 
@@ -620,10 +618,10 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     solve.
     """
     p_grid = list(p_grid)
-    if sorted(p_grid) != p_grid:
-        raise ParameterDomainError("p_grid must be sorted ascending")
     for p in p_grid:
         _require_exponent(p)
+    if sorted(p_grid) != p_grid:
+        raise ParameterDomainError("p_grid must be sorted ascending")
     # scipy.linalg also loads numpy.fft, which numpy would otherwise
     # import at _ngon_scales' first rfft
     _bind_lapack()
@@ -660,11 +658,9 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
 
 def crossover_segment_circle() -> float:
     """Exponent where the doubly covered segment overtakes the circle in
-    average chord power, found by bisection on the closed forms."""
-    # imported here, not at module level: scipy.optimize takes about
-    # 0.3 s to import, and only this function uses it
-    from scipy import optimize
-
-    def gap(p):
-        return segment_avg_chord(p) - circle_avg_chord(p)
-    return float(optimize.brentq(gap, 2.5, 3.9, xtol=1e-8))
+    average chord power, by bisection of [2.5, 3.9] on the closed forms."""
+    bracket = [2.5, 3.9]
+    while bracket[1] - bracket[0] > 1e-8:
+        mid = 0.5 * sum(bracket)
+        bracket[segment_avg_chord(mid) >= circle_avg_chord(mid)] = mid
+    return 0.5 * sum(bracket)

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDiscretizationError, ParameterDomainError
-from .geometry import (TWO_PI, PolyCurve, grid_offsets, lambda_chord,
-                       offset_chord_blocks, require_integer)
+from .geometry import (MIN_VERTICES, TWO_PI, PolyCurve, grid_offsets,
+                       lambda_chord, offset_chord_blocks, require_integer,
+                       require_points)
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,10 @@ def analyze(curve: PolyCurve, K: int | None = None) -> FourierCurve:
     n = curve.n
     if K is None:
         K = n // 2 - 1
-    require_integer("K", K, ParameterDomainError)
-    if not 0 <= K <= (n - 1) // 2:
+    require_integer("K", K, 0, ParameterDomainError)
+    if K > (n - 1) // 2:
         raise ParameterDomainError(
-            f"need 0 <= K <= {(n - 1) // 2} at n = {n}, got {K}")
+            f"need K <= {(n - 1) // 2} at n = {n}, got {K}")
     spec = np.fft.fft(curve.vertices, axis=0) / n
     return FourierCurve(coeffs=spec[np.arange(-K, K + 1) % n], n=n)
 
@@ -102,10 +103,7 @@ def deficit(fc: FourierCurve, n: int | None = None) -> DeficitProfile:
     integer."""
     if n is None:
         n = fc.n
-    require_integer("shift grid size", n, ParameterDomainError)
-    if n < 1:
-        raise ParameterDomainError(
-            f"need a positive integer shift grid size, got {n}")
+    require_integer("shift grid size", n, 1, ParameterDomainError)
     s = TWO_PI * np.arange(1, n) / n
     K = fc.K
     k = np.arange(2, K + 1)
@@ -168,15 +166,12 @@ def tetra_check(A, B, C, D):
     """Both sides and the gap of the tetrahedron inequality
     |AC|^2 + |BD|^2 <= |BC|^2 + |AD|^2 + 2 |AB| |CD|.
 
-    The points are arrays of shape (..., dim): single points give floats,
-    stacked points give arrays of the stack shape.  The gap vanishes
-    exactly when AB and DC are parallel as vectors (same direction).
-    Points of different dimensions raise InvalidDiscretizationError."""
-    A, B, C, D = (np.asarray(P, dtype=float) for P in (A, B, C, D))
-    dims = [P.shape[-1:] for P in (A, B, C, D)]
-    if len(set(dims)) != 1:
-        raise InvalidDiscretizationError(
-            f"tetra_check needs points of one dimension, got {dims}")
+    The points are arrays of one shape (..., dim), the rows of one table
+    of finite reals (require_points): single points give floats, stacked
+    points give arrays of the stack shape.  The gap vanishes exactly when
+    AB and DC are parallel as vectors (same direction)."""
+    A, B, C, D = require_points("A, B, C and D", (A, B, C, D),
+                                InvalidDiscretizationError)
     def d(P, Q):
         # a stacked dot product runs the BLAS dot of np.linalg.norm on
         # one vector, so each distance is the per-point norm bit for bit
@@ -196,13 +191,10 @@ def ellipse_uniform_parameter(a0, a, b, n: int) -> PolyCurve:
     This is the extremal family of the chord-square inequality: the
     mapping matters, so no arclength resampling is applied and the
     result generally violates the equal-edge invariant.  n must be an
-    integer, and a0, a and b vectors of one length."""
-    require_integer("n", n, InvalidDiscretizationError)
+    integer >= MIN_VERTICES, and a0, a, b rows of one finite real table."""
+    require_integer("n", n, MIN_VERTICES, InvalidDiscretizationError)
     t = TWO_PI * np.arange(n) / n
-    a0, a, b = (np.asarray(v, dtype=float) for v in (a0, a, b))
-    if not a0.shape == a.shape == b.shape:
-        raise InvalidDiscretizationError(
-            "ellipse_uniform_parameter needs vectors of one length, got "
-            f"shapes {a0.shape}, {a.shape} and {b.shape}")
+    a0, a, b = require_points("a0, a and b", (a0, a, b),
+                              InvalidDiscretizationError)
     pts = a0 + np.outer(np.cos(t), a) + np.outer(np.sin(t), b)
     return PolyCurve(pts)

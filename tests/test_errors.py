@@ -94,6 +94,25 @@ def _config(text):
     _load_curve_text('{"dim": 2, "n": 2, "vertices": [[0, 0], [1]]}'),
     _load_curve_text('{"dim": 2, "n": 1, "vertices": {"x": 0}}'),
     _load_curve_text('[1, 2]'),
+    lambda: geo.PolyCurve([[1, "a"]] * 8),
+    lambda: geo.PolyCurve(_circle64().vertices + 1j),
+    lambda: geo.PolyCurve([[0, 0]] * 8 + [[1]]),
+    lambda: geo.PolyCurve(np.ones((8, 2), dtype=bool)),
+    lambda: spec.tetra_check(["a", "b"], [1, 0], [1, 1], [0, 1]),
+    lambda: spec.tetra_check([1j, 0], [1, 0], [1, 1], [0, 1]),
+    lambda: spec.ellipse_uniform_parameter([0, 0], [1j, 0], [0, 1], 64),
+    lambda: geo.make_ellipse("a", 16),
+    lambda: fn.EnergyParams("a", 1),
+    lambda: fn.avg_chord_p(_circle64(), "a"),
+    lambda: fn.avg_chord_p(_circle64(), True),
+    lambda: opt.OptimizeOptions(tol_grad="a"),
+    lambda: opt.OptimizeOptions(perturb="a"),
+    lambda: opt.sweep(["a"], opt.OptimizeOptions(n=64)),
+    lambda: opt.sweep([2.0, "a"], opt.OptimizeOptions(n=64)),
+    lambda: opt.maximize("a", _circle64(), opt.OptimizeOptions(n=64)),
+    lambda: fn.renorm_energy(_circle64(),
+                             fn.ChordKernel(lambda chord, arc: 1.0)),
+    lambda: fn.chord_average(_circle64(), 1, lambda d2: 0.0),
 ], ids=["options_n", "options_max_iters", "options_tol_grad",
         "options_perturb", "maximize", "canonicalize", "sweep",
         "width_ratio", "fit_conic", "trig_lemma_check", "verify_all",
@@ -104,7 +123,14 @@ def _config(text):
         "config_optimizer_n", "config_future_version",
         "config_empty_range", "config_numpy_integer", "kernel_decreasing",
         "kernel_convex", "curve_truncated", "curve_non_numeric",
-        "curve_ragged", "curve_vertices_object", "curve_not_object"])
+        "curve_ragged", "curve_vertices_object", "curve_not_object",
+        "vertices_string", "vertices_complex", "vertices_ragged",
+        "vertices_bool", "tetra_check_string", "tetra_check_complex",
+        "ellipse_uniform_parameter_complex", "make_ellipse_string",
+        "energy_params_string", "avg_chord_p_string", "avg_chord_p_bool",
+        "options_tol_grad_string", "options_perturb_string",
+        "sweep_string", "sweep_string_after_number", "maximize_string",
+        "kernel_scalar", "chord_average_scalar"])
 def test_bad_input_raises_a_package_error(call):
     with pytest.raises(ChordEnergyError):
         call()
@@ -118,8 +144,11 @@ def test_bad_input_raises_a_package_error(call):
                              np.ones((5, 3)), np.ones((5, 3))),
     lambda: spec.ellipse_uniform_parameter([0, 0, 0], [1, 0], [0, 1], 64),
     lambda: spec.ellipse_uniform_parameter([0, 0], [1, 0, 0], [0, 1], 64),
+    lambda: spec.tetra_check(np.zeros((5, 2)), np.ones((4, 2)),
+                             np.ones((5, 2)), np.ones((5, 2))),
 ], ids=["hausdorff", "tetra_check", "tetra_check_stacked",
-        "ellipse_uniform_parameter_a0", "ellipse_uniform_parameter_a"])
+        "ellipse_uniform_parameter_a0", "ellipse_uniform_parameter_a",
+        "tetra_check_stack_shapes"])
 def test_mixed_dimensions_raise_a_package_error(call):
     # numpy's broadcast ValueError used to escape
     with pytest.raises(InvalidDiscretizationError, match="one "):

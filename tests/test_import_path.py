@@ -1,6 +1,7 @@
-"""Only the edge-length projection (geometry.resample_arclength, which
-the optimizer calls) and the crossover bisection load scipy: the package
-imports, and the verification paths run, without it.
+"""Only LAPACK's tridiagonal solver, bound at the first edge-length
+projection (geometry.resample_arclength, optimizer.project, maximize's
+stop test, or sweep), loads scipy: the package imports, and the
+verification paths and the crossover bisection run, without it.
 
 Each probe runs in a fresh interpreter, since this test process may
 already hold scipy.
@@ -54,10 +55,11 @@ def test_cli_verify_and_bound_load_no_scipy():
         "import sys; from chordenergy import cli\n"
         "codes = [cli.main(['--quiet', '--n', '64', 'verify', "
         "'--curves', '2']),\n"
-        "         cli.main(['--quiet', 'bound', '--j', '2', '--p', '1'])]\n"
+        "         cli.main(['--quiet', 'bound', '--j', '2', '--p', '1']),\n"
+        "         cli.main(['--quiet', 'crossover'])]\n"
         "print(codes)\n"
         + _LOADED_SCIPY)
-    assert out.splitlines() == ["[0, 0]", "[]"]
+    assert out.splitlines() == ["[0, 0, 0]", "[]"]
 
 
 def test_optimizer_loads_lapack_on_first_use():

@@ -170,8 +170,9 @@ def _band_view(table: np.ndarray, half: int, start: int = 0) -> np.ndarray:
 
 #: entries of _ChordBand's chord scratch buffer, 512 KB of doubles, about
 #: the size of an L2 cache: the chord table is filled in blocks of rows
-#: that fit it (two rows at least), each reduced while it is still in
-#: cache, so no solve holds a whole table.  n <= 209 fits one block
+#: that fit it (two rows at least, so every block's product is a gemm),
+#: each reduced while it is still in cache, so no solve holds a whole
+#: table.  n <= 209 fits one block
 BAND_BLOCK = 1 << 16
 
 
@@ -186,12 +187,12 @@ class _ChordBand:
     1 .. n//2.  That band, n rows of n//2, holds each unordered pair
     once, except that at even n it holds each pair at offset n/2 twice;
     their weights are halved.  The table is never held whole: power_mean
-    fills it in equal blocks of rows, each in one scratch buffer of at
-    most BAND_BLOCK entries (or two rows), and writes the weights
-    w = d2^((p-2)/2) of a block's band into the same band of a zeroed
-    (n, n + n//2) buffer whose other entries stay zero, so the gradient
-    is two products of that buffer with the vertices.  The block views
-    are built once, here.
+    fills it in balanced blocks of at least two rows, each in one scratch
+    buffer of at most BAND_BLOCK entries (or two rows), and writes the
+    weights w = d2^((p-2)/2) of a block's band into the same band of a
+    zeroed (n, n + n//2) buffer whose other entries stay zero, so the
+    gradient is two products of that buffer with the vertices.  The
+    block views are built once, here.
     """
 
     __slots__ = ("weights", "band_weights", "sums", "blocks")
@@ -202,22 +203,16 @@ class _ChordBand:
         self.weights = np.zeros((n, width))
         self.band_weights = _band_view(self.weights, half)
         self.sums = np.empty(n)
-        count = -(-n // max(1, BAND_BLOCK // width))
-        rows = -(-n // count)
-        # numpy takes a product of one row through gemv, whose round-off
-        # is not gemm's, so a block of one row also tabulates a neighbour
-        scratch = np.empty(max(rows, 2) * width)
-        # per block: the vertex rows it tabulates, its chord table, its
-        # band, and the rows of the weights and the row sums it fills
+        count = min(half, -(-n // max(2, BAND_BLOCK // width)))
+        scratch = np.empty(-(-n // count) * width)
+        # per block: its vertex rows, its chord table, its band, and the
+        # rows of the weights and the row sums it fills
         self.blocks = []
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            first = max(0, min(start, stop - 2))
-            end = max(stop, first + 2)
-            table = scratch[:(end - first) * width].reshape(-1, width)
-            band = table[start - first:stop - first]
+        for i in range(count):
+            start, stop = n * i // count, n * (i + 1) // count
+            table = scratch[:(stop - start) * width].reshape(-1, width)
             self.blocks.append((
-                slice(first, end), table, _band_view(band, half, start),
+                slice(start, stop), table, _band_view(table, half, start),
                 self.band_weights[start:stop], self.sums[start:stop]))
 
     def power_mean(self, v: np.ndarray, p: float, floor: float = 0.0):

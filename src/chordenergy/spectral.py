@@ -35,6 +35,14 @@ class FourierCurve:
     coeffs: np.ndarray
     n: int
 
+    def __post_init__(self):
+        require_integer("n", self.n, 1, InvalidDiscretizationError)
+        c = self.coeffs
+        if not (isinstance(c, np.ndarray) and c.ndim == 2 and c.shape[0] % 2
+                and c.dtype.kind in "iufc" and np.isfinite(c).all()):
+            raise InvalidDiscretizationError(
+                "coeffs must be a (2K+1, dim) array of finite numbers")
+
     @property
     def K(self) -> int:
         return (self.coeffs.shape[0] - 1) // 2
@@ -155,9 +163,13 @@ def deficit_direct(curve: PolyCurve, k):
 
 def trig_lemma_check(k, theta):
     """Both sides of sin^2(k theta) <= k^2 sin^2(theta) for integers
-    k >= 2: floats, or arrays for stacked k and theta."""
-    if np.min(k) < 2:
-        raise ParameterDomainError(f"need k >= 2, got {np.min(k)}")
+    k >= 2 and finite real theta: floats, or arrays for stacked k and
+    theta."""
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu" or ks.size and ks.min() < 2:
+        raise ParameterDomainError(f"need k >= 2, integers, got {k!r}")
+    k = ks.astype(float)
+    theta = require_points("theta", theta, ParameterDomainError)
     lhs, rhs = np.sin(k * theta) ** 2, k ** 2 * np.sin(theta) ** 2
     return (float(lhs), float(rhs)) if np.ndim(lhs) == 0 else (lhs, rhs)
 
@@ -170,8 +182,12 @@ def tetra_check(A, B, C, D):
     of finite reals (require_points): single points give floats, stacked
     points give arrays of the stack shape.  The gap vanishes exactly when
     AB and DC are parallel as vectors (same direction)."""
-    A, B, C, D = require_points("A, B, C and D", (A, B, C, D),
-                                InvalidDiscretizationError)
+    points = require_points("A, B, C and D", (A, B, C, D),
+                            InvalidDiscretizationError)
+    if points.ndim < 2:
+        raise InvalidDiscretizationError("A, B, C and D must be points, "
+                                         "not scalars")
+    A, B, C, D = points
     def d(P, Q):
         # a stacked dot product runs the BLAS dot of np.linalg.norm on
         # one vector, so each distance is the per-point norm bit for bit

@@ -113,6 +113,12 @@ def _config(text):
     lambda: fn.renorm_energy(_circle64(),
                              fn.ChordKernel(lambda chord, arc: 1.0)),
     lambda: fn.chord_average(_circle64(), 1, lambda d2: 0.0),
+    lambda: spec.tetra_check(1.0, 2.0, 3.0, 4.0),
+    lambda: spec.trig_lemma_check(math.nan, 0.3),
+    lambda: spec.trig_lemma_check("a", 0.3),
+    lambda: spec.trig_lemma_check(2.5, 0.3),
+    lambda: spec.trig_lemma_check(3, math.inf),
+    lambda: spec.FourierCurve(np.ones(9, dtype=complex), 64),
 ], ids=["options_n", "options_max_iters", "options_tol_grad",
         "options_perturb", "maximize", "canonicalize", "sweep",
         "width_ratio", "fit_conic", "trig_lemma_check", "verify_all",
@@ -130,7 +136,10 @@ def _config(text):
         "energy_params_string", "avg_chord_p_string", "avg_chord_p_bool",
         "options_tol_grad_string", "options_perturb_string",
         "sweep_string", "sweep_string_after_number", "maximize_string",
-        "kernel_scalar", "chord_average_scalar"])
+        "kernel_scalar", "chord_average_scalar", "tetra_check_scalars",
+        "trig_lemma_check_nan", "trig_lemma_check_string",
+        "trig_lemma_check_fraction", "trig_lemma_check_inf_theta",
+        "fourier_curve_1d"])
 def test_bad_input_raises_a_package_error(call):
     with pytest.raises(ChordEnergyError):
         call()

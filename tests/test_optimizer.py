@@ -151,14 +151,15 @@ class TestChordBand:
     @staticmethod
     def _block_entries(n, blocks):
         """A BAND_BLOCK that splits the chord table of n vertices into
-        the given number of row blocks: 1, 2 or n."""
+        the given number of row blocks: 1, 2, or n // 2 for n, since a
+        block holds two rows at least."""
         rows = {1: n, 2: -(-n // 2), n: 1}[blocks]
         return rows * (n + n // 2)
 
     @pytest.mark.parametrize("n", [33, 64, 256])
     def test_block_count_changes_no_bits(self, monkeypatch, n):
         # each Gram entry is the same dot product in every block shape,
-        # one row included, and the row sums are summed in one order
+        # and the row sums are summed in one order
         curve = opt.perturb_mode2(geo.make_ellipse(1.5, n), 0.05)
         v = curve.vertices
         init = opt.perturb_mode2(geo.make_circle(n), 0.05)
@@ -167,7 +168,7 @@ class TestChordBand:
             monkeypatch.setattr(opt, "BAND_BLOCK",
                                 self._block_entries(n, blocks))
             band = opt._ChordBand(n)
-            assert len(band.blocks) == blocks
+            assert len(band.blocks) == min(blocks, n // 2)
             value = band.power_mean(v, 3.0)
             result = opt.maximize(4.0, init, opt.OptimizeOptions(
                 n=n, max_iters=10))
@@ -183,6 +184,30 @@ class TestChordBand:
             assert result.reason is first.reason
             assert np.array_equal(result.curve.vertices,
                                   first.curve.vertices)
+
+    @pytest.mark.parametrize("n", [9, 33, 1226])
+    def test_each_block_tabulates_its_own_rows(self, monkeypatch, n):
+        # BAND_BLOCK of one row asks for one-row blocks; each block gets
+        # two rows at least, and its chord table holds exactly the rows
+        # whose band and row sums it fills
+        monkeypatch.setattr(opt, "BAND_BLOCK", n + n // 2)
+        band = opt._ChordBand(n)
+        band.sums[:] = np.arange(n)
+        for rows, table, _, band_weights, sums in band.blocks:
+            assert len(sums) >= 2
+            assert np.array_equal(np.arange(n)[rows], sums)
+            assert table.shape[0] == len(band_weights) == len(sums)
+        assert np.array_equal(
+            np.concatenate([sums for *_, sums in band.blocks]), np.arange(n))
+        # the same value and gradient as one block holding every row
+        v = geo.random_closed_curve(2, n=n).vertices
+        value = band.power_mean(v, 1.5)
+        grad = band.gradient(v, 1.5)
+        monkeypatch.setattr(opt, "BAND_BLOCK", n * (n + n // 2))
+        whole = opt._ChordBand(n)
+        assert len(whole.blocks) == 1
+        assert whole.power_mean(v, 1.5) == value
+        assert np.array_equal(whole.gradient(v, 1.5), grad)
 
     def test_crowded_last_block_is_not_powered(self, monkeypatch):
         # two coincident dyadic vertices give an exactly zero chord in

@@ -38,6 +38,7 @@ from .geometry import (
     half_offsets,
     offset_arcs,
     offset_chord_blocks,
+    require_points,
     require_real,
 )
 # not called here: perfbench's tracer and tests/test_benchmark_bindings.py
@@ -100,7 +101,8 @@ class ChordKernel:
 
     The flags describe F(sqrt(x), y) as a function of x; they are
     caller-asserted metadata.  validate() spot-checks them on a sample
-    grid and raises ParameterDomainError on a violation.
+    grid and raises ParameterDomainError on a violation, or on a sample
+    value that is not one finite real.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -115,7 +117,12 @@ class ChordKernel:
         ys = np.linspace(0.2, np.pi - 0.2, KERNEL_ARCS)
         for y in ys:
             xs = np.linspace(1e-3 * y**2, y**2 * (1 - 1e-6), KERNEL_CHORDS)
-            vals = np.asarray([float(self.fn(math.sqrt(x), y)) for x in xs])
+            vals = require_points(f"{self.name} values",
+                                  [self.fn(math.sqrt(x), y) for x in xs],
+                                  ParameterDomainError)
+            if vals.shape != xs.shape:
+                raise ParameterDomainError(
+                    f"{self.name}: need one value per sample at y={y:.3f}")
             dv = np.diff(vals)
             if self.decreasing and np.any(dv > 1e-9 * max(1, np.abs(vals).max())):
                 raise ParameterDomainError(

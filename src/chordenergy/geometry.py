@@ -25,8 +25,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -114,8 +118,9 @@ class PolyCurve:
 
 
 def lambda_chord(s):
-    """Chord length subtended by arclength s on the unit circle: 2 sin(s/2)."""
-    return 2.0 * np.sin(np.asarray(s) / 2.0)
+    """Chord length subtended by arclength s on the unit circle: 2 sin(s/2),
+    for s a finite real or an array of them (require_points)."""
+    return 2.0 * np.sin(require_points("s", s, ParameterDomainError) / 2.0)
 
 
 def squared_chord_matrix(vertices: np.ndarray, others=None,
@@ -319,15 +324,38 @@ def _settle(state: tuple, step, tol: float, cap: int, error: type,
 
 
 #: LAPACK's solver of symmetric positive definite tridiagonal systems,
-#: bound by the first _edge_normal: scipy.linalg takes about 0.35 s to
-#: import, and nothing else uses it
+#: bound by the first _edge_normal (_bind_lapack)
 _ptsv = None
+
+#: the compiled module that holds scipy's LAPACK routines
+_FLAPACK = "scipy.linalg._flapack"
 
 
 def _bind_lapack() -> None:
+    """Bind _ptsv to scipy's dptsv, loading only the extension module that
+    holds it: importing scipy.linalg for it took 0.2-0.35 s and 25 MB,
+    this takes 15-20 ms and about 3 MB.  The module is entered in
+    sys.modules under its own name, so a later import of scipy.linalg
+    uses it."""
     global _ptsv
-    from scipy.linalg.lapack import dptsv
-    _ptsv = dptsv
+    if _ptsv is not None:
+        return
+    flapack = sys.modules.get(_FLAPACK)
+    if flapack is None:
+        import scipy
+        folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        path = next(filter(os.path.isfile, (
+            os.path.join(folder, "_flapack" + suffix)
+            for suffix in EXTENSION_SUFFIXES)), None)
+        if path is None:
+            raise ImportError(f"scipy {scipy.__version__} has no LAPACK "
+                              f"extension _flapack in {folder}")
+        spec = spec_from_file_location(
+            _FLAPACK, path, loader=ExtensionFileLoader(_FLAPACK, path))
+        flapack = module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        sys.modules[_FLAPACK] = flapack
+    _ptsv = flapack.dptsv
 
 
 def _edge_normal(u: np.ndarray, c: np.ndarray) -> np.ndarray:

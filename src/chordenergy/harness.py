@@ -300,9 +300,14 @@ def _write_svg(path, elements) -> None:
 
 
 def emit_svg(curves, labels, path) -> None:
-    """Write planar curves into one SVG document with a shared scale."""
+    """Write planar curves into one SVG document with a shared scale,
+    one label per curve."""
     curves = list(curves)
     labels = list(labels)
+    if len(labels) != len(curves):
+        raise ParameterDomainError(
+            f"need one label per curve, got {len(labels)} for "
+            f"{len(curves)} curves")
     elements = []
     if curves:
         allpts = np.vstack([c.vertices for c in curves])

@@ -300,8 +300,12 @@ def project(curve: PolyCurve) -> PolyCurve:
 
 
 def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
-    """Add a radial mode-2 bump (the first non-rigid harmonic) and
-    re-project; this seeds the symmetry breaking."""
+    """Add a radial mode-2 bump (the first non-rigid harmonic) of a
+    finite real amplitude and re-project; this seeds the symmetry
+    breaking."""
+    if not math.isfinite(require_real("amplitude", amplitude,
+                                      ParameterDomainError)):
+        raise ParameterDomainError(f"need finite amplitude: {amplitude}")
     v = curve.vertices - curve.vertices.mean(axis=0)
     theta = np.arctan2(v[:, 1], v[:, 0])
     radius = np.linalg.norm(v, axis=1)
@@ -607,8 +611,8 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     perturbation of amplitude opts.perturb so the circle branch can
     destabilize.  Failures become flagged rows; the sweep continues.
     Each record's seconds is the wall time of its perturbation and
-    solve; LAPACK is bound before the first clock starts, so no record
-    holds its one-off import.  An exponent
+    solve; LAPACK is bound and numpy.fft imported before the first clock
+    starts, so no record holds a one-off import.  An exponent
     that maximize refuses raises ParameterDomainError before the first
     solve.
     """
@@ -617,9 +621,10 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
         _require_exponent(p)
     if sorted(p_grid) != p_grid:
         raise ParameterDomainError("p_grid must be sorted ascending")
-    # scipy.linalg also loads numpy.fft, which numpy would otherwise
-    # import at _ngon_scales' first rfft
+    # the one-off loads stay out of every record's seconds: LAPACK, and
+    # numpy.fft, which numpy imports at _ngon_scales' first rfft
     _bind_lapack()
+    import numpy.fft  # noqa: F401
     records = []
     current = make_circle(opts.n)
     for p in p_grid:

@@ -119,6 +119,14 @@ def _config(text):
     lambda: spec.trig_lemma_check(2.5, 0.3),
     lambda: spec.trig_lemma_check(3, math.inf),
     lambda: spec.FourierCurve(np.ones(9, dtype=complex), 64),
+    lambda: spec.trig_lemma_check(np.arange(2, 5), np.zeros(2)),
+    lambda: geo.lambda_chord("a"),
+    lambda: geo.lambda_chord(math.nan),
+    lambda: geo.lambda_chord(math.inf),
+    lambda: opt.perturb_mode2(_circle64(), "a"),
+    lambda: opt.perturb_mode2(_circle64(), math.inf),
+    lambda: fn.ChordKernel(lambda c, a: "a").validate(),
+    lambda: fn.ChordKernel(lambda c, a: math.nan).validate(),
 ], ids=["options_n", "options_max_iters", "options_tol_grad",
         "options_perturb", "maximize", "canonicalize", "sweep",
         "width_ratio", "fit_conic", "trig_lemma_check", "verify_all",
@@ -139,7 +147,10 @@ def _config(text):
         "kernel_scalar", "chord_average_scalar", "tetra_check_scalars",
         "trig_lemma_check_nan", "trig_lemma_check_string",
         "trig_lemma_check_fraction", "trig_lemma_check_inf_theta",
-        "fourier_curve_1d"])
+        "fourier_curve_1d", "trig_lemma_check_broadcast",
+        "lambda_chord_string", "lambda_chord_nan", "lambda_chord_inf",
+        "perturb_mode2_string", "perturb_mode2_inf", "kernel_string_value",
+        "kernel_nan_value"])
 def test_bad_input_raises_a_package_error(call):
     with pytest.raises(ChordEnergyError):
         call()

@@ -256,6 +256,14 @@ class TestSvg:
         harness.emit_svg([], [], path)
         assert "</svg>" in path.read_text()
 
+    def test_a_missing_label_is_refused(self, tmp_path, circle256):
+        # zip used to drop the curves past the last label
+        path = tmp_path / "gallery.svg"
+        with pytest.raises(ParameterDomainError, match="one label per"):
+            harness.emit_svg([circle256, geo.make_ellipse(2, 256)],
+                             ["only one"], path)
+        assert not path.exists()
+
     def test_write_error_names_the_file(self, tmp_path, circle256):
         path = tmp_path / "missing" / "gallery.svg"
         with pytest.raises(FileNotFoundError) as info:

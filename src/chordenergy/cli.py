@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,10 +27,22 @@ EXIT_VERIFICATION = 3
 EXIT_IO = 4
 
 
+def _json_value(value):
+    """value, a payload dict or an entry of one, with each infinite float
+    as the string "inf" or "-inf", which JSON can hold."""
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 def _emit(payload, quiet: bool) -> None:
+    """Print payload as strict JSON: a NaN raises ValueError before
+    anything is written."""
     if not quiet:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        text = json.dumps(_json_value(payload), indent=2, allow_nan=False)
+        sys.stdout.write(text + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -59,8 +72,7 @@ def cmd_apnorm(args) -> int:
 def cmd_distortion(args) -> int:
     curve = geo.load_curve(args.curve)
     value = fn.distortion(curve)
-    _emit({"value": value if np.isfinite(value) else "inf",
-           "n": curve.n, "params": {}}, args.quiet)
+    _emit({"value": value, "n": curve.n, "params": {}}, args.quiet)
     return EXIT_OK
 
 
@@ -131,7 +143,7 @@ def cmd_shape(args) -> int:
     canon = opt.canonicalize(curve)
     fit = shp.fit_conic(canon)
     ratio = shp.width_ratio(canon)
-    _emit({"r": ratio if np.isfinite(ratio) else "inf",
+    _emit({"r": ratio,
            "efit_log10": float(np.log10(max(fit.residual, 1e-300))),
            "eccentricity": fit.eccentricity if fit.elliptic else None,
            "elliptic": fit.elliptic}, args.quiet)

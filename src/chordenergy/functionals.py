@@ -9,10 +9,9 @@ chord table of geometry.offset_chord_blocks, a block of offsets at a
 time.  The energy walk (_energy_walk) also keeps each offset's smallest
 squared chord and its sum of squared chords, from which the harness
 reads the distortion bounds and the direct deficit without a second
-walk.  The power mean avg_chord_p walks the same table, once for any
-number of exponents (_power_means), and chord_average walks the
-offsets it is given, once for any number of test functions
-(_chord_averages); nothing here builds an N x N table.
+walk.  avg_chord_p walks the same table, and chord_average the offsets
+it is given, each once for a sequence of exponents or test functions;
+nothing here builds an N x N table.
 The circle reference values come from a fixed Gauss-Legendre rule on
 geometrically graded panels of the corresponding closed-form integrals.
 """
@@ -123,13 +122,12 @@ class ChordKernel:
             if vals.shape != xs.shape:
                 raise ParameterDomainError(
                     f"{self.name}: need one value per sample at y={y:.3f}")
-            dv = np.diff(vals)
-            if self.decreasing and np.any(dv > 1e-9 * max(1, np.abs(vals).max())):
+            scale = max(1, np.abs(vals).max())
+            if self.decreasing and np.any(np.diff(vals) > 1e-9 * scale):
                 raise ParameterDomainError(
                     f"{self.name}: declared decreasing in squared chord "
                     f"but increases at y={y:.3f}")
-            d2 = np.diff(vals, 2)
-            if self.convex and np.any(d2 < -1e-7 * max(1, np.abs(vals).max())):
+            if self.convex and np.any(np.diff(vals, 2) < -1e-7 * scale):
                 raise ParameterDomainError(
                     f"{self.name}: declared convex in squared chord "
                     f"but is concave at y={y:.3f}")
@@ -187,10 +185,15 @@ class EnergyWalk(NamedTuple):
 
 def energy_Ejp(curve: PolyCurve, params: EnergyParams) -> float:
     """Discrete chord/arc energy sum (2pi/N)^2 sum_{i!=k}
-    (chord^-j - arc^-j)^p."""
+    (chord^-j - arc^-j)^p; ParameterDomainError where it overflows.
+    Below p = 1 it reads round-off: at adjacent offsets an equal-edge
+    polygon's chord equals its arc to about 1e-14, and the power lifts
+    that noise (1.5e-12 relative at j = 1, p = 0.5); the theorem needs
+    p >= 1."""
     return _energy_walk(curve, [params])[0][0]
 
 
+@np.errstate(over="ignore")
 def _energy_walk(curve: PolyCurve, params_seq) -> EnergyWalk:
     """energy_Ejp of one curve for each EnergyParams of params_seq, the
     curve's distortion, and each offset's smallest squared chord and sum
@@ -245,10 +248,14 @@ def _energy_walk(curve: PolyCurve, params_seq) -> EnergyWalk:
                 totals[pos] += weights[rows] @ _row_power_sums(
                     integrand, params_seq[pos].p)
     worst_ratio = float(_distortion_ratios(arcs, min_d2, ks).max())
-    return EnergyWalk([float((TWO_PI / n) ** 2 * total) for total in totals],
-                      worst_ratio, min_d2, chord_sums)
+    energies = [float((TWO_PI / n) ** 2 * total) for total in totals]
+    for params, energy in zip(params_seq, energies):
+        if not math.isfinite(energy):
+            raise ParameterDomainError(f"the sum of {params} overflows")
+    return EnergyWalk(energies, worst_ratio, min_d2, chord_sums)
 
 
+@np.errstate(over="ignore")
 def renorm_energy(curve: PolyCurve, kernel: ChordKernel) -> float:
     """Double Riemann sum of F(chord, arc) excluding the diagonal.  The
     kernel is applied elementwise to equal-shape chord and arc arrays."""
@@ -268,6 +275,8 @@ def renorm_energy(curve: PolyCurve, kernel: ChordKernel) -> float:
             raise KernelSingularityError(
                 int(i), int((i + ks[rows][r]) % n), float(vals[r, i]))
         total += weights[rows] @ vals.sum(axis=1)
+    if not math.isfinite(total):
+        raise ParameterDomainError(f"the sum of {kernel.name} overflows")
     return float((TWO_PI / n) ** 2 * total)
 
 
@@ -335,7 +344,7 @@ def circle_bound(params: EnergyParams) -> float:
     return float(2.0 ** (3.0 - j * p) * np.pi * (head + tail))
 
 
-def avg_chord_p(curve: PolyCurve, p: float) -> float:
+def avg_chord_p(curve: PolyCurve, p):
     """L^p mean of the chord length over all parameter pairs,
     ((1/N^2) sum |c_i - c_k|^p)^(1/p); the diagonal contributes zero.
     The sum walks the offsets k = 1..N/2 of the exact-difference chord
@@ -348,36 +357,31 @@ def avg_chord_p(curve: PolyCurve, p: float) -> float:
     about 2).  The N zeros of the diagonal are counted, so the mean
     carries a factor (1 - 1/N)^(1/p) and means nothing for p below about
     1/N: make_circle(64) reads 1.5e-7 at p = 1e-3, where
-    circle_avg_chord reads 1.0004, and 0.0 from p = 1e-6."""
-    return _power_means(curve, [p])[0]
+    circle_avg_chord reads 1.0004, and 0.0 from p = 1e-6.
 
-
-def _power_means(curve: PolyCurve, ps) -> list:
-    """avg_chord_p(curve, p) for each p of ps, from one walk of the
-    offset chord table, each equal to avg_chord_p's bit for bit: the
-    largest squared chord seen so far, and so the scaled block, do not
-    depend on p, and no power writes into the block."""
-    for p in ps:
-        require_finite_exponent(p)
+    p may also be a sequence of exponents, giving a list whose entry i
+    equals avg_chord_p(curve, p[i]) bit for bit from one walk: the
+    scaled block does not depend on p, and no power writes into it."""
+    ps = list(p) if np.iterable(p) else [p]
+    for q in ps:
+        require_finite_exponent(q)
     n = curve.n
     ks, weights = half_offsets(n)
     totals, top = [0.0] * len(ps), 0.0
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):
         block_top = float(d2.max())
         if block_top > top:
-            totals = [total * (top / block_top) ** (p / 2.0)
-                      for total, p in zip(totals, ps)]
+            totals = [total * (top / block_top) ** (q / 2.0)
+                      for total, q in zip(totals, ps)]
             top = block_top
         if top == 0.0:
             continue
         d2 /= top
-        for pos, p in enumerate(ps):
-            totals[pos] += weights[rows] @ _row_power_sums(d2, p / 2.0)
-    if top == 0.0:
-        # every vertex at one point
-        return [0.0] * len(ps)
-    return [float((total / n**2) ** (1.0 / p) * math.sqrt(top))
-            for total, p in zip(totals, ps)]
+        for pos, q in enumerate(ps):
+            totals[pos] += weights[rows] @ _row_power_sums(d2, q / 2.0)
+    means = [float((total / n**2) ** (1.0 / q) * math.sqrt(top))
+             for total, q in zip(totals, ps)]
+    return means if np.iterable(p) else means[0]
 
 
 #: below this exponent circle_avg_chord sums its series about p = 0,
@@ -439,29 +443,24 @@ def distortion(curve: PolyCurve) -> float:
     return float(distortion_at(curve, half_offsets(curve.n)[0]).max())
 
 
-def _chord_averages(curve: PolyCurve, ks, fs) -> np.ndarray:
-    """chord_average(curve, ks, f) for each f of fs, from one walk of
-    the offsets ks: row m holds the means of fs[m], equal to
-    chord_average's bit for bit.  Each f reads the same block of squared
-    chords, so none may write into its argument."""
-    ks = grid_offsets(ks, curve.n)
-    means = np.empty((len(fs), len(ks)))
-    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
-        for row, f in zip(means, fs):
-            if np.shape(vals := f(d2)) != d2.shape:
-                raise ParameterDomainError(
-                    f"f returned shape {np.shape(vals)}, not {d2.shape}")
-            row[rows] = np.mean(vals, axis=1)
-    return means
-
-
-def chord_average(curve: PolyCurve, k,
-                  f: Callable[[np.ndarray], np.ndarray]):
+def chord_average(curve: PolyCurve, k, f):
     """Mean of f(squared chord) at grid separation k:
     (1/N) sum_i f(|c_{i+k} - c_i|^2).
 
     k is an int, giving a float, or an int array, giving an array; any
     other k raises ParameterDomainError.  f is applied elementwise to a
-    block of offsets at a time."""
-    means = _chord_averages(curve, k, [f])[0]
-    return float(means[0]) if np.ndim(k) == 0 else means
+    block of offsets at a time, and may also be a sequence of functions,
+    giving a list whose entry i equals chord_average(curve, k, f[i]) bit
+    for bit from one walk: they read the same block, so none may write
+    into its argument."""
+    fs = [f] if callable(f) else list(f)
+    ks = grid_offsets(k, curve.n)
+    means = np.empty((len(fs), len(ks)))
+    for rows, d2 in offset_chord_blocks(curve.vertices, ks):
+        for row, g in zip(means, fs):
+            if np.shape(vals := g(d2)) != d2.shape:
+                raise ParameterDomainError(
+                    f"f returned shape {np.shape(vals)}, not {d2.shape}")
+            row[rows] = np.mean(vals, axis=1)
+    means = [float(row[0]) if np.ndim(k) == 0 else row for row in means]
+    return means[0] if callable(f) else means

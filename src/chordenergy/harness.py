@@ -220,7 +220,7 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     worst_gap = -np.inf
     for c in curves[: min(10, n_curves)]:
         # one walk of the sampled offsets for all three functions
-        for f, means in zip(concave, fn._chord_averages(c, ks, concave)):
+        for f, means in zip(concave, fn.chord_average(c, ks, concave)):
             gaps = means - f(lam2)
             worst_gap = max(worst_gap, float(gaps.max()))
     report.add("chord average <= f(lambda^2)", worst_gap <= disc_tol,
@@ -277,7 +277,7 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     # power-mean monotonicity of the chord means, from one walk of the
     # first curve's chord table for all five exponents
     c = curves[0]
-    vals = fn._power_means(c, (0.5, 1, 2, 3, 4))
+    vals = fn.avg_chord_p(c, (0.5, 1, 2, 3, 4))
     mono = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     report.add("A_p monotone in p", mono, float(min(np.diff(vals))), 0.0, 1e-12)
     return report

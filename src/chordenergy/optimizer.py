@@ -105,9 +105,10 @@ class OptimizeOptions:
     def __post_init__(self):
         require_integer("max_iters", self.max_iters, 1, ParameterDomainError)
         require_integer("n", self.n, 32, InvalidDiscretizationError)
-        if not require_real("tol_grad", self.tol_grad,
-                            ParameterDomainError) > 0:
-            raise ParameterDomainError(f"need tol_grad > 0: {self.tol_grad}")
+        if not 0 < require_real("tol_grad", self.tol_grad,
+                                ParameterDomainError) < math.inf:
+            raise ParameterDomainError(
+                f"need a finite tol_grad > 0: {self.tol_grad}")
         if not math.isfinite(require_real("perturb", self.perturb,
                                           ParameterDomainError)):
             raise ParameterDomainError(f"need finite perturb: {self.perturb}")
@@ -308,12 +309,8 @@ def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
         raise ParameterDomainError(f"need finite amplitude: {amplitude}")
     v = curve.vertices - curve.vertices.mean(axis=0)
     theta = np.arctan2(v[:, 1], v[:, 0])
-    radius = np.linalg.norm(v, axis=1)
     factor = 1.0 + amplitude * np.cos(2 * theta)
-    safe = radius > 1e-12
-    out = v.copy()
-    out[safe] *= factor[safe, None]
-    return project(PolyCurve(out))
+    return project(PolyCurve(v * factor[:, None]))
 
 
 def canonicalize(curve: PolyCurve) -> PolyCurve:

@@ -135,6 +135,26 @@ class TestErrorPaths:
         value = json.loads(out)["value"]
         assert 1.99 < value <= math.pi
 
+    def test_infinite_values_print_strict_json(self, capsys, tmp_path):
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        # the doubly covered segment's distortion and width ratio are
+        # infinite
+        segment = tmp_path / "segment.json"
+        geo.save_curve(geo.make_double_segment(64), segment)
+        for command, key in (("distortion", "value"), ("shape", "r")):
+            code, out, _ = run(capsys, command, "--curve", str(segment))
+            assert code == cli.EXIT_OK
+            assert json.loads(out, parse_constant=refuse)[key] == "inf"
+        # the energy sum overflows: an error, not "value": Infinity
+        ellipse = tmp_path / "ellipse.json"
+        geo.save_curve(geo.make_ellipse(50.0, 64), ellipse)
+        code, out, err = run(capsys, "energy", "--curve", str(ellipse),
+                             "--j", "1", "--p", "300")
+        assert code == cli.EXIT_PRECONDITION
+        assert out == "" and "overflows" in err
+
     def test_verify_names_a_bad_vertex_count(self, capsys):
         code, _, err = run(capsys, "--n", "7", "verify", "--curves", "1")
         assert code == cli.EXIT_PRECONDITION

@@ -127,6 +127,9 @@ def _config(text):
     lambda: opt.perturb_mode2(_circle64(), math.inf),
     lambda: fn.ChordKernel(lambda c, a: "a").validate(),
     lambda: fn.ChordKernel(lambda c, a: math.nan).validate(),
+    lambda: fn.energy_Ejp(geo.make_ellipse(50.0, 64), fn.EnergyParams(1, 300)),
+    lambda: fn.renorm_energy(_circle64(), fn.ChordKernel(
+        lambda chord, arc: np.full(np.shape(chord), 1e308))),
 ], ids=["options_n", "options_max_iters", "options_tol_grad",
         "options_perturb", "maximize", "canonicalize", "sweep",
         "width_ratio", "fit_conic", "trig_lemma_check", "verify_all",
@@ -150,7 +153,7 @@ def _config(text):
         "fourier_curve_1d", "trig_lemma_check_broadcast",
         "lambda_chord_string", "lambda_chord_nan", "lambda_chord_inf",
         "perturb_mode2_string", "perturb_mode2_inf", "kernel_string_value",
-        "kernel_nan_value"])
+        "kernel_nan_value", "energy_overflow", "renorm_energy_overflow"])
 def test_bad_input_raises_a_package_error(call):
     with pytest.raises(ChordEnergyError):
         call()

@@ -413,8 +413,16 @@ class TestChordMeans:
         # any order of exponents, one large enough to rescale the sums
         ps = (4, 0.5, 1, 2, 3, 7.3, 1020)
         for curve in (random_curves[2], circle512):
-            assert fn._power_means(curve, ps) \
+            assert fn.avg_chord_p(curve, ps) \
                 == [fn.avg_chord_p(curve, p) for p in ps]
+            # a list and an array of exponents too; one exponent alone
+            # still gives a float
+            assert fn.avg_chord_p(curve, list(ps[:3])) \
+                == fn.avg_chord_p(curve, np.array(ps[:3]))
+            assert isinstance(fn.avg_chord_p(curve, 2), float)
+        assert fn.avg_chord_p(circle512, ()) == []
+        with pytest.raises(ParameterDomainError):
+            fn.avg_chord_p(circle512, (2, -1))
 
     # A_p of the circle and of the doubly covered segment to 20 digits,
     # from their closed forms in 800-digit arithmetic (mpmath)
@@ -639,7 +647,13 @@ class TestChordAverage:
         curve = random_curves[5]
         fs = (np.sqrt, np.log, lambda x: x ** 0.4)
         for ks in (np.arange(1, curve.n, 8), [3, 700, 3]):
-            rows = fn._chord_averages(curve, ks, fs)
-            assert rows.shape == (len(fs), len(ks))
+            rows = fn.chord_average(curve, ks, fs)
+            assert isinstance(rows, list) and len(rows) == len(fs)
             for row, f in zip(rows, fs):
+                assert row.shape == (len(ks),)
                 assert np.array_equal(row, fn.chord_average(curve, ks, f))
+        # a scalar offset gives one float per function
+        values = fn.chord_average(curve, 3, fs)
+        assert values == [fn.chord_average(curve, 3, f) for f in fs]
+        assert all(isinstance(value, float) for value in values)
+        assert fn.chord_average(curve, 3, []) == []

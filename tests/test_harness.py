@@ -181,6 +181,27 @@ class TestVerifyAll:
             assert np.array_equal(
                 read, spec.deficit_direct(curve, np.arange(1, n)))
 
+    def test_chord_means_through_the_public_functions(self, monkeypatch):
+        # one batch call per curve through the module attributes, which
+        # perfbench's tracer wraps; no private twin is left to call
+        assert not hasattr(fn, "_power_means")
+        assert not hasattr(fn, "_chord_averages")
+        calls = {"avg_chord_p": [], "chord_average": []}
+
+        def counted(name, real):
+            def call(curve, *args):
+                calls[name].append(args)
+                return real(curve, *args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(fn, name, counted(name, getattr(fn, name)))
+        report = harness.verify_all(seed=1, n_curves=12, n=64)
+        assert report.passed, report.summary()
+        assert [ps for ps, in calls["avg_chord_p"]] == [(0.5, 1, 2, 3, 4)]
+        assert len(calls["chord_average"]) == 10
+        assert all(len(fs) == 3 for _, fs in calls["chord_average"])
+
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
             harness.verify_all(n_curves=0)

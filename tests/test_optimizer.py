@@ -14,6 +14,7 @@ from scipy import linalg
 
 from chordenergy import functionals as fn
 from chordenergy import geometry as geo
+from chordenergy import harness
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
 from chordenergy import spectral as spec
@@ -624,6 +625,36 @@ class TestMaximize:
                    for rec in result.history)
         assert result.history[-1][2] == result.history[-1].gnorm
 
+    def test_trial_that_does_not_close_halves_the_step(self, monkeypatch):
+        # angles that do not close give no value, so the next trial
+        # takes half the step along the same direction
+        starts, steps = [], []
+        real_close = opt._close_angles
+        real_search = opt._line_search
+
+        def search(band, p, h, theta, *args):
+            starts.append(theta)
+            return real_search(band, p, h, theta, *args)
+
+        def close(theta, h):
+            if starts:
+                steps.append(theta - starts[0])
+                if len(steps) == 1:
+                    raise DegenerateCurveError("angles do not close")
+            return real_close(theta, h)
+
+        monkeypatch.setattr(opt, "_line_search", search)
+        monkeypatch.setattr(opt, "_close_angles", close)
+        init = opt.perturb_mode2(geo.make_circle(64), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(
+            n=64, max_iters=1))
+        assert result.history[-1].trials >= 2
+        first, second = steps[:2]
+        assert np.linalg.norm(second) == pytest.approx(
+            np.linalg.norm(first) / 2, rel=1e-9)
+        np.testing.assert_allclose(second, first / 2, rtol=0,
+                                   atol=1e-9 * np.abs(first).max())
+
     def test_backtracked_steps_shrink_by_a_bounded_factor(self,
                                                           monkeypatch):
         # each trial lies at its step along the search direction from
@@ -1088,7 +1119,7 @@ class TestMaximize:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             opt.OptimizeOptions(n=16)
-        for bad in (0.0, -1e-7, float("nan")):
+        for bad in (0.0, -1e-7, float("nan"), math.inf):
             with pytest.raises(ValueError):
                 opt.OptimizeOptions(tol_grad=bad)
         for bad in (0, -5):
@@ -1492,6 +1523,45 @@ class TestSweep:
             tables.append(json.loads(done.stdout))
         assert len(tables[0]) == 5
         assert tables[0] == tables[1]
+
+    def test_failed_solve_is_a_flagged_row(self, monkeypatch, tmp_path):
+        # the row of a failed solve is flagged, and the next exponent
+        # starts from the last good maximizer
+        real_maximize = opt.maximize
+        starts, results = {}, {}
+
+        def maximize(p, init, opts):
+            starts[p] = init
+            if p == 3.0:
+                raise SingularGradientError("coincident vertices")
+            results[p] = real_maximize(p, init, opts)
+            return results[p]
+
+        monkeypatch.setattr(opt, "maximize", maximize)
+        opts = opt.OptimizeOptions(n=64, max_iters=20)
+        records = opt.sweep([2.0, 3.0, 4.0], opts)
+        good, failed, after = records
+        assert failed.p == 3.0
+        assert all(math.isnan(x) for x in (failed.value, failed.r,
+                                           failed.efit_log10,
+                                           failed.eccentricity))
+        assert failed.converged is False and failed.reason == ""
+        assert failed.curve is None and failed.iterations == 0
+        assert failed.seconds >= 0
+        assert math.isfinite(after.value) and after.curve is not None
+        last_good = opt.perturb_mode2(results[2.0].curve, opts.perturb)
+        for p in (3.0, 4.0):
+            assert np.array_equal(starts[p].vertices, last_good.vertices)
+        path = tmp_path / "sweep.csv"
+        harness.write_sweep_csv(records, path)
+        back = harness.read_sweep_csv(path)
+        assert [rec.p for rec in back] == [2.0, 3.0, 4.0]
+        assert back[0] == good and back[2] == after
+        row = back[1]
+        assert all(math.isnan(x) for x in (row.value, row.r, row.efit_log10,
+                                           row.eccentricity))
+        assert (row.converged, row.iterations, row.reason) == (False, 0, "")
+        assert row.seconds == failed.seconds
 
     def test_criterion_9_sweep_iteration_budget(self):
         # the three legs of the criterion-9 sweep: 21 solves at n=256

@@ -452,8 +452,11 @@ def chord_average(curve: PolyCurve, k, f):
     block of offsets at a time, and may also be a sequence of functions,
     giving a list whose entry i equals chord_average(curve, k, f[i]) bit
     for bit from one walk: they read the same block, so none may write
-    into its argument."""
-    fs = [f] if callable(f) else list(f)
+    into its argument.  Any other f raises ParameterDomainError."""
+    fs = list(f) if np.iterable(f) and not callable(f) else [f]
+    if not all(map(callable, fs)):
+        raise ParameterDomainError(
+            "f must be a function or a sequence of functions")
     ks = grid_offsets(k, curve.n)
     means = np.empty((len(fs), len(ks)))
     for rows, d2 in offset_chord_blocks(curve.vertices, ks):

@@ -22,18 +22,16 @@ Every Newton loop stops by one rule (_settle).
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import numbers
-import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from numpy.linalg import _umath_linalg
 
 from .errors import (DegenerateCurveError, InvalidDiscretizationError,
                      ParameterDomainError)
@@ -327,35 +325,48 @@ def _settle(state: tuple, step, tol: float, cap: int, error: type,
 #: bound by the first _edge_normal (_bind_lapack)
 _ptsv = None
 
-#: the compiled module that holds scipy's LAPACK routines
-_FLAPACK = "scipy.linalg._flapack"
+#: names of dptsv in the LAPACK that numpy links, each with the integer
+#: type it takes: scipy-openblas's 64-bit build (numpy's wheels), another
+#: 64-bit build, and a 32-bit one
+_DPTSV_SYMBOLS = (("scipy_dptsv_64_", ctypes.c_int64),
+                  ("dptsv_64_", ctypes.c_int64), ("dptsv_", ctypes.c_int32))
 
 
 def _bind_lapack() -> None:
-    """Bind _ptsv to scipy's dptsv, loading only the extension module that
-    holds it: importing scipy.linalg for it took 0.2-0.35 s and 25 MB,
-    this takes 15-20 ms and about 3 MB.  The module is entered in
-    sys.modules under its own name, so a later import of scipy.linalg
-    uses it."""
+    """Bind _ptsv to LAPACK's dptsv in the library that numpy's linear
+    algebra already maps.  The symbol is looked up through the handle of
+    numpy.linalg._umath_linalg, so the dynamic linker searches that
+    extension's own dependencies: no library is mapped and none is
+    searched for on disk, and the lookup takes well under a millisecond.  Where that
+    search does not reach dependencies (Windows), or the library has no
+    dptsv, ImportError is raised.
+
+    _ptsv(d, e, b) solves in place and returns LAPACK's info: d (n,) is
+    the diagonal and e (n-1,) the off-diagonal, each C-contiguous, and b
+    the Fortran-ordered (n, nrhs) right-hand side, all float64 and
+    writable; d and e are overwritten with the factorization."""
     global _ptsv
     if _ptsv is not None:
         return
-    flapack = sys.modules.get(_FLAPACK)
-    if flapack is None:
-        import scipy
-        folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        path = next(filter(os.path.isfile, (
-            os.path.join(folder, "_flapack" + suffix)
-            for suffix in EXTENSION_SUFFIXES)), None)
-        if path is None:
-            raise ImportError(f"scipy {scipy.__version__} has no LAPACK "
-                              f"extension _flapack in {folder}")
-        spec = spec_from_file_location(
-            _FLAPACK, path, loader=ExtensionFileLoader(_FLAPACK, path))
-        flapack = module_from_spec(spec)
-        spec.loader.exec_module(flapack)
-        sys.modules[_FLAPACK] = flapack
-    _ptsv = flapack.dptsv
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    for name, integer in _DPTSV_SYMBOLS:
+        if hasattr(library, name):
+            break
+    else:
+        raise ImportError("numpy's LAPACK (the library numpy.linalg links) "
+                          "exports no dptsv")
+    dptsv = getattr(library, name)
+    dptsv.restype = None
+    ref, at = ctypes.byref, ctypes.c_double.from_buffer
+
+    def ptsv(d, e, b):
+        rows, info = integer(len(d)), integer()
+        # from_buffer refuses a read-only or non-contiguous array
+        dptsv(ref(rows), ref(integer(b.shape[1])), ref(at(d)), ref(at(e)),
+              ref(at(b.T)), ref(rows), ref(info))
+        return info.value
+
+    _ptsv = ptsv
 
 
 def _edge_normal(u: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -379,9 +390,8 @@ def _edge_normal(u: np.ndarray, c: np.ndarray) -> np.ndarray:
     rhs = np.zeros((2, n))
     rhs[0], rhs[1, 0], rhs[1, -1] = c, 1.0, -corner
     # rhs.T is the Fortran-ordered (n, 2) array LAPACK solves in place
-    _, _, x, info = _ptsv(diag, coupling[:-1], rhs.T, overwrite_d=1,
-                          overwrite_e=1, overwrite_b=1)
-    y, z = x.T
+    info = _ptsv(diag, coupling[:-1], rhs.T)
+    y, z = rhs
     denom = 1.0 - (z[0] - corner * z[-1])
     # zero for a doubly covered segment, whose cyclic J J^T is singular
     # although B factors; NaN fails the comparison too

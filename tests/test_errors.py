@@ -113,6 +113,8 @@ def _config(text):
     lambda: fn.renorm_energy(_circle64(),
                              fn.ChordKernel(lambda chord, arc: 1.0)),
     lambda: fn.chord_average(_circle64(), 1, lambda d2: 0.0),
+    lambda: fn.chord_average(_circle64(), 1, None),
+    lambda: fn.chord_average(_circle64(), 1, [None]),
     lambda: spec.tetra_check(1.0, 2.0, 3.0, 4.0),
     lambda: spec.trig_lemma_check(math.nan, 0.3),
     lambda: spec.trig_lemma_check("a", 0.3),
@@ -147,7 +149,8 @@ def _config(text):
         "energy_params_string", "avg_chord_p_string", "avg_chord_p_bool",
         "options_tol_grad_string", "options_perturb_string",
         "sweep_string", "sweep_string_after_number", "maximize_string",
-        "kernel_scalar", "chord_average_scalar", "tetra_check_scalars",
+        "kernel_scalar", "chord_average_scalar", "chord_average_none",
+        "chord_average_none_in_list", "tetra_check_scalars",
         "trig_lemma_check_nan", "trig_lemma_check_string",
         "trig_lemma_check_fraction", "trig_lemma_check_inf_theta",
         "fourier_curve_1d", "trig_lemma_check_broadcast",

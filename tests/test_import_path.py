@@ -1,13 +1,15 @@
-"""Only LAPACK's tridiagonal solver, bound at the first edge-length
-projection (geometry.resample_arclength, optimizer.project, maximize's
-stop test, or sweep), loads scipy: the package imports, and the
-verification paths and the crossover bisection run, without it.  The
-binding loads scipy's LAPACK extension on its own, never scipy.linalg.
+"""No library path loads scipy: the package imports, and the verification
+paths, the scalar commands, the optimizer and the sweep run, without it.
+The optimizer's one LAPACK routine, the tridiagonal solver dptsv, is
+looked up in the library that numpy's linear algebra already maps
+(geometry._bind_lapack), at the first edge-length projection or before
+sweep's first clock; binding it maps no file.
 
-Each probe runs in a fresh interpreter, since this test process may
-already hold scipy.
+Each probe runs in a fresh interpreter, since this test process holds
+scipy: the tests use it as a reference.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from scipy import linalg
 
 import chordenergy
 from chordenergy import geometry as geo
+from chordenergy import optimizer as opt
 
 DEFERRED = ("scipy.linalg", "scipy.integrate", "scipy.special",
             "scipy.optimize", "numpy.fft")
@@ -42,8 +45,9 @@ _LOADED_SCIPY = ("print(sorted(m for m in sys.modules "
 def test_import_leaves_deferred_scipy_modules_unloaded():
     out = _run_probe("import sys; import chordenergy; "
                      f"print(sorted(m for m in {DEFERRED!r} "
-                     "if m in sys.modules))")
-    assert out == "[]"
+                     "if m in sys.modules))\n"
+                     + _LOADED_SCIPY)
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_circle_bounds_and_verification_load_no_scipy():
@@ -71,14 +75,14 @@ def test_cli_verify_and_bound_load_no_scipy():
 def test_optimizer_loads_lapack_on_first_use():
     out = _run_probe(
         "import sys; import chordenergy as ce\n"
-        "from chordenergy import optimizer as opt\n"
+        "from chordenergy import geometry as geo, optimizer as opt\n"
+        "print(geo._ptsv is None)\n"
         "opts = opt.OptimizeOptions(n=64, max_iters=3)\n"
         "init = opt.perturb_mode2(ce.make_circle(64), 0.05)\n"
         "result = opt.maximize(4.0, init, opts)\n"
-        "print(result.iterations, result.value > 1.5,\n"
-        "      'scipy.linalg._flapack' in sys.modules,\n"
-        "      'scipy.linalg' in sys.modules)")
-    assert out == "3 True True False"
+        "print(result.iterations, result.value > 1.5, geo._ptsv is None)\n"
+        + _LOADED_SCIPY)
+    assert out.splitlines() == ["True", "3 True False", "[]"]
 
 
 def test_cli_maximize_loads_no_scipy_linalg():
@@ -87,30 +91,35 @@ def test_cli_maximize_loads_no_scipy_linalg():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['--quiet', '--n', '64', 'maximize', "
         "'--p', '4'])\n"
-        "print(code, 'scipy.linalg' in sys.modules)")
-    assert out == "0 False"
+        "print(code)\n"
+        + _LOADED_SCIPY)
+    assert out.splitlines() == ["0", "[]"]
 
 
 def test_sweep_makes_its_one_off_imports_before_the_first_clock():
     out = _run_probe(
-        "import sys, time, types; from chordenergy import optimizer as opt\n"
+        "import sys, time, types\n"
+        "from chordenergy import geometry as geo, optimizer as opt\n"
         "seen = []\n"
         "def perf_counter():\n"
-        "    seen.append(('scipy.linalg._flapack' in sys.modules,\n"
+        "    seen.append((geo._ptsv is not None,\n"
         "                 'numpy.fft' in sys.modules))\n"
         "    return time.perf_counter()\n"
         "opt.time = types.SimpleNamespace(perf_counter=perf_counter)\n"
         "opt.sweep([2.0], opt.OptimizeOptions(n=64, max_iters=5))\n"
-        "print(seen[0])")
-    assert out == "(True, True)"
+        "print(seen[0])\n"
+        + _LOADED_SCIPY)
+    assert out.splitlines() == ["(True, True)", "[]"]
 
 
 def test_scipy_linalg_imported_later_keeps_the_bound_module():
     out = _run_probe(
         "import numpy as np; from chordenergy import geometry as geo\n"
         "geo._bind_lapack()\n"
+        "bound = geo._ptsv\n"
         "import scipy.linalg\n"
-        "print(scipy.linalg.lapack.dptsv is geo._ptsv,\n"
+        "geo._bind_lapack()\n"
+        "print(geo._ptsv is bound,\n"
         "      scipy.linalg.solve(2.0 * np.eye(3), np.ones(3)).tolist())")
     assert out == "True [0.5, 0.5, 0.5]"
 
@@ -126,30 +135,84 @@ def _edge_normal_sample():
                          ids=["module_loaded", "module_dropped"])
 def test_binding_after_scipy_linalg_gives_the_same_results(monkeypatch,
                                                           keep_module):
-    # scipy.linalg is loaded here, so a fresh binding finds its LAPACK
-    # module, or loads the extension file again when that is dropped
+    # scipy.linalg is loaded here; a fresh binding neither uses its LAPACK
+    # module nor depends on it being in sys.modules
     expected = _edge_normal_sample()
     monkeypatch.setattr(geo, "_ptsv", None)
     if not keep_module:
-        monkeypatch.delitem(sys.modules, geo._FLAPACK)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     geo._bind_lapack()
-    if keep_module:
-        assert geo._ptsv is linalg.lapack.dptsv
+    assert geo._ptsv is not linalg.lapack.dptsv
     assert np.array_equal(_edge_normal_sample(), expected)
 
 
 def test_a_bound_routine_is_not_bound_again(monkeypatch):
     geo._bind_lapack()
     bound = geo._ptsv
-    monkeypatch.delitem(sys.modules, geo._FLAPACK)
-    monkeypatch.setattr(geo, "module_from_spec", None)
+    monkeypatch.setattr(geo, "_DPTSV_SYMBOLS", ())
     geo._bind_lapack()
-    assert geo._ptsv is bound and geo._FLAPACK not in sys.modules
+    assert geo._ptsv is bound
 
 
-def test_a_missing_extension_names_scipy(monkeypatch):
+def test_a_missing_symbol_names_numpy(monkeypatch):
     monkeypatch.setattr(geo, "_ptsv", None)
-    monkeypatch.delitem(sys.modules, geo._FLAPACK, raising=False)
-    monkeypatch.setattr(geo, "EXTENSION_SUFFIXES", [".missing"])
-    with pytest.raises(ImportError, match="scipy"):
+    monkeypatch.setattr(geo, "_DPTSV_SYMBOLS",
+                        (("no_such_dptsv_", ctypes.c_int64),))
+    with pytest.raises(ImportError, match="numpy"):
         geo._bind_lapack()
+    assert geo._ptsv is None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/maps")
+def test_binding_maps_no_file():
+    out = _run_probe(
+        "from chordenergy import geometry as geo\n"
+        "def mapped():\n"
+        "    with open('/proc/self/maps') as fh:\n"
+        "        return {line.split()[-1] for line in fh\n"
+        "                if line.split()[-1].startswith('/')}\n"
+        "before = mapped()\n"
+        "geo._bind_lapack()\n"
+        "print(geo._ptsv is not None, sorted(mapped() - before))")
+    assert out == "True []"
+
+
+def _scipy_ptsv(d, e, b):
+    """_ptsv's contract through scipy's binding of dptsv."""
+    _, _, x, info = linalg.lapack.dptsv(d, e, b)
+    b[...] = x
+    return info
+
+
+@pytest.mark.parametrize("n", [32, 64, 255, 256, 1024])
+@pytest.mark.parametrize("kind", ["random", "bumped_circle"])
+def test_edge_normal_equals_scipy_dptsv_bit_for_bit(monkeypatch, kind, n):
+    curve = (geo.random_closed_curve(7, n=n) if kind == "random"
+             else opt.perturb_mode2(geo.make_circle(n), 0.05))
+    u, _ = geo._edges(curve.vertices)
+    u = u / np.linalg.norm(u, axis=1)[:, None]
+    c = np.random.default_rng(n).standard_normal(n)
+    geo._bind_lapack()
+    field = geo._edge_normal(u, c)
+    monkeypatch.setattr(geo, "_ptsv", _scipy_ptsv)
+    assert np.array_equal(field, geo._edge_normal(u, c))
+
+
+_NO_SCIPY = ("import sys; sys.modules['scipy'] = None\n"
+             "import chordenergy; from chordenergy import cli\n")
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["--quiet", "--n", "64", "verify", "--curves", "2"],
+    ["--quiet", "--n", "64", "maximize", "--p", "4"],
+    ["--quiet", "--n", "64", "sweep", "--p-min", "2", "--p-max", "3",
+     "--step", "1", "--out", "{out}"],
+], ids=["import", "verify", "maximize", "sweep"])
+def test_runs_with_scipy_blocked(tmp_path, argv):
+    # an import of any scipy module raises ImportError in these probes
+    if argv is not None:
+        argv = [a.format(out=tmp_path / "sweep.csv") for a in argv]
+    code = _NO_SCIPY + (f"sys.exit(cli.main({argv!r}))" if argv else "")
+    _run_probe(code)

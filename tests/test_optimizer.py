@@ -1469,7 +1469,7 @@ class TestSweep:
         assert solves == []
 
     def test_lapack_is_bound_before_the_first_clock(self, monkeypatch):
-        # the first tangent frame's one-off scipy.linalg import stays out
+        # the one-off LAPACK lookup of the first tangent frame stays out
         # of every record's seconds
         events = []
         real_bind = opt._bind_lapack

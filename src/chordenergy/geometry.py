@@ -12,7 +12,8 @@ random_closed_curve) gets vertices on the trace with equal chords
 (_inscribe_equal_chords); a polygon (resample_arclength, through which
 the optimizer's perturb_mode2 returns its bumped curve) is
 Newton-projected onto the edge constraints (_retract), one tridiagonal
-LAPACK solve per step (_edge_normal).  Both measure edges one way
+LAPACK solve per step (_edge_normal), with the dptsv of the LAPACK that
+numpy already maps (_bind_lapack).  Both measure edges one way
 (_edges) and respace by one equal-arclength pass (_equal_arclength).
 Every curve of an optimizer solve, its start and its trials, is a
 planar polygon built from its edge angles, whose edges are equal by
@@ -337,14 +338,15 @@ def _bind_lapack() -> None:
     algebra already maps.  The symbol is looked up through the handle of
     numpy.linalg._umath_linalg, so the dynamic linker searches that
     extension's own dependencies: no library is mapped and none is
-    searched for on disk, and the lookup takes well under a millisecond.  Where that
+    searched for on disk, and the lookup takes about 0.1 ms.  Where that
     search does not reach dependencies (Windows), or the library has no
     dptsv, ImportError is raised.
 
     _ptsv(d, e, b) solves in place and returns LAPACK's info: d (n,) is
     the diagonal and e (n-1,) the off-diagonal, each C-contiguous, and b
     the Fortran-ordered (n, nrhs) right-hand side, all float64 and
-    writable; d and e are overwritten with the factorization."""
+    writable; d and e are overwritten with the factorization.  Any other
+    array raises TypeError before LAPACK sees a pointer."""
     global _ptsv
     if _ptsv is not None:
         return
@@ -356,13 +358,22 @@ def _bind_lapack() -> None:
         raise ImportError("numpy's LAPACK (the library numpy.linalg links) "
                           "exports no dptsv")
     dptsv = getattr(library, name)
+    to_int = ctypes.POINTER(integer)
+    to_double = ctypes.POINTER(ctypes.c_double)
+    dptsv.argtypes = [to_int, to_int] + [to_double] * 3 + [to_int, to_int]
     dptsv.restype = None
     ref, at = ctypes.byref, ctypes.c_double.from_buffer
+    double = np.dtype(np.float64)
 
     def ptsv(d, e, b):
-        rows, info = integer(len(d)), integer()
+        n, nrhs = b.shape
+        if (d.shape != (n,) or e.shape != (n - 1,)
+                or not d.dtype == e.dtype == b.dtype == double):
+            raise TypeError("dptsv takes float64 arrays d (n,), e (n-1,) "
+                            "and b (n, nrhs)")
+        rows, info = integer(n), integer()
         # from_buffer refuses a read-only or non-contiguous array
-        dptsv(ref(rows), ref(integer(b.shape[1])), ref(at(d)), ref(at(e)),
+        dptsv(ref(rows), ref(integer(nrhs)), ref(at(d)), ref(at(e)),
               ref(at(b.T)), ref(rows), ref(info))
         return info.value
 
@@ -372,8 +383,10 @@ def _bind_lapack() -> None:
 def _edge_normal(u: np.ndarray, c: np.ndarray) -> np.ndarray:
     """J^T (J J^T)^-1 c for the Jacobian J of the edge lengths of a
     closed polygon whose unit edge directions are u: the normal vertex
-    field whose change of the edge lengths, to first order, is c.
-    Dependent edge constraints raise DegenerateCurveError."""
+    field whose change of the edge lengths, to first order, is c, from
+    one call of LAPACK's dptsv on two right-hand sides (_ptsv, bound
+    here on first use).  Dependent edge constraints raise
+    DegenerateCurveError."""
     if _ptsv is None:
         _bind_lapack()
     n = u.shape[0]

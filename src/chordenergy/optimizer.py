@@ -608,9 +608,10 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
     perturbation of amplitude opts.perturb so the circle branch can
     destabilize.  Failures become flagged rows; the sweep continues.
     Each record's seconds is the wall time of its perturbation and
-    solve; LAPACK is bound and numpy.fft imported before the first clock
-    starts, so no record holds a one-off import.  An exponent
-    that maximize refuses raises ParameterDomainError before the first
+    solve; LAPACK's dptsv is looked up in the library numpy maps
+    (geometry._bind_lapack) and numpy.fft imported before the first
+    clock starts, so no record holds a one-off load.  An exponent that
+    maximize refuses raises ParameterDomainError before the first
     solve.
     """
     p_grid = list(p_grid)
@@ -618,8 +619,9 @@ def sweep(p_grid, opts: OptimizeOptions) -> list[shape_mod.SweepRecord]:
         _require_exponent(p)
     if sorted(p_grid) != p_grid:
         raise ParameterDomainError("p_grid must be sorted ascending")
-    # the one-off loads stay out of every record's seconds: LAPACK, and
-    # numpy.fft, which numpy imports at _ngon_scales' first rfft
+    # the one-off loads stay out of every record's seconds: the LAPACK
+    # lookup, and numpy.fft, which numpy imports at _ngon_scales' first
+    # rfft
     _bind_lapack()
     import numpy.fft  # noqa: F401
     records = []

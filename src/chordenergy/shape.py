@@ -39,8 +39,9 @@ class SweepRecord:
     the solve's iteration count and stop reason (the value of an
     optimizer.Termination; empty for a failed solve), its wall time in
     seconds, and the canonicalized maximizer when the solve succeeded.
-    The seconds never hold a one-off import, of scipy's LAPACK extension
-    or of numpy.fft: optimizer.sweep makes both before its first clock."""
+    The seconds never hold a one-off load, the lookup of LAPACK's dptsv
+    or the import of numpy.fft: optimizer.sweep makes both before its
+    first clock."""
 
     p: float
     value: float

@@ -163,6 +163,25 @@ def test_a_missing_symbol_names_numpy(monkeypatch):
     assert geo._ptsv is None
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("d, e, b", [
+    (np.full(8, 3.0), -np.ones(7), np.ones((8, 2))),
+    (np.full(8, 3.0), -np.ones(7), np.ones((8, 2), np.float32, order="F")),
+    (np.full(8, 3.0), -np.ones(8), np.ones((8, 2), order="F")),
+    (np.full(16, 3.0)[::2], -np.ones(7), np.ones((8, 2), order="F")),
+    (_read_only(np.full(8, 3.0)), -np.ones(7), np.ones((8, 2), order="F")),
+], ids=["c_ordered_rhs", "float32", "long_coupling", "strided",
+        "read_only"])
+def test_ptsv_refuses_arrays_lapack_cannot_take(d, e, b):
+    geo._bind_lapack()
+    with pytest.raises(TypeError):
+        geo._ptsv(d, e, b)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads /proc/self/maps")
 def test_binding_maps_no_file():

@@ -209,8 +209,14 @@ def require_points(name: str, points, error: type) -> np.ndarray:
 def grid_offsets(k, n: int) -> np.ndarray:
     """k, an int or an array of ints, as a 1-D intp array of offsets in
     0..n-1.  An empty k, of any dtype, gives an empty array; any other k
-    that is not of an integer dtype raises ParameterDomainError."""
-    ks = np.atleast_1d(np.asarray(k))
+    that is not of an integer dtype, or a ragged nesting, raises
+    ParameterDomainError."""
+    try:
+        ks = np.atleast_1d(np.asarray(k))
+    except ValueError:
+        raise ParameterDomainError(
+            f"grid offsets must be integers in rows of one length, "
+            f"got {k!r}") from None
     if ks.size and ks.dtype.kind not in "iu":
         raise ParameterDomainError(
             f"grid offsets must be integers, got {ks.dtype} ({k!r})")
@@ -248,7 +254,10 @@ def offset_chord_blocks(vertices: np.ndarray, ks):
     evenly spaced ascending offsets (as from half_offsets) reads its
     windows of the vertex coordinates through a slice, with no gathered
     copy; any other block gathers them.  The arithmetic is the same, so
-    the tables are too, bit for bit."""
+    the tables are too, bit for bit.  Each table is a new array, which
+    its reader may overwrite; it is built a coordinate at a time, through
+    one scratch buffer of the walk, so a block holds one table, not one
+    per coordinate."""
     n, dim = vertices.shape
     # windows[d, k] is the d-th coordinate column rolled by -k: a
     # read-only view of the doubled coordinate rows
@@ -258,14 +267,17 @@ def offset_chord_blocks(vertices: np.ndarray, ks):
                          writeable=False)
     ks = np.asarray(ks) % n
     step = max(1, OFFSET_BLOCK // n)
+    scratch = np.empty((min(step, len(ks)), n))
     for start in range(0, len(ks), step):
         rows = slice(start, start + step)
-        diff = np.subtract(windows[:, _offset_index(ks[rows])],
-                           windows[:, :1])
-        diff *= diff
+        index = _offset_index(ks[rows])
+        table = np.subtract(windows[0, index], windows[0, :1])
+        table *= table
         # summed coordinate by coordinate, in the order of np.linalg.norm
-        table = diff[0]
-        for sq in diff[1:]:
+        sq = scratch[:len(table)]
+        for coord in windows[1:]:
+            np.subtract(coord[index], coord[:1], out=sq)
+            sq *= sq
             table += sq
         yield rows, table
 

@@ -188,24 +188,31 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     seed, n_curves and n must be integers."""
     geo.require_integer("n_curves", n_curves, 1, ParameterDomainError)
     report = VerificationReport()
-    curves = [geo.random_closed_curve(seed + i, n=n) for i in range(n_curves)]
-    curves3 = [geo.random_closed_curve(seed + 1000 + i, n=n, dim=3)
-               for i in range(max(1, n_curves // 10))]
-
     # circle minimality of the chord/arc energies: one chord-table walk
-    # per curve for all four, the distortion and the per-offset minima
-    # and chord sums that the distortion and deficit checks read, then
-    # the worst curve of each
+    # per curve, the planar ones and then the space ones, for all four,
+    # the distortion and the per-offset minima and chord sums that the
+    # distortion and deficit checks read; each walk is folded into the
+    # running minima, and only the first 20 planar curves and their
+    # walks, all that the later checks read, are kept, so memory does
+    # not grow with n_curves
     params_seq = [fn.EnergyParams(j, p)
                   for (j, p) in [(2, 1), (1, 1), (1, 2), (2, 1.5)]]
-    walks = [fn._energy_walk(c, params_seq) for c in curves + curves3]
-    energies = np.array([walk.energies for walk in walks])
-    distortions = [walk.distortion for walk in walks[:n_curves]]
-    # only the first 20 curves' minima and chord sums are read below;
-    # the rest (about 0.15 MB at n = 512) are freed before the later
-    # checks allocate, so that they do not raise the peak RSS
-    del walks[min(20, n_curves):]
-    for params, worst in zip(params_seq, energies.min(axis=0)):
+    worst_energies = np.full(len(params_seq), np.inf)
+    worst_distortion = np.inf
+    curves, walks = [], []
+    for dim, first, count in ((2, seed, n_curves),
+                              (3, seed + 1000, max(1, n_curves // 10))):
+        for i in range(count):
+            curve = geo.random_closed_curve(first + i, n=n, dim=dim)
+            walk = fn._energy_walk(curve, params_seq)
+            np.minimum(worst_energies, walk.energies, out=worst_energies)
+            if dim == 2:
+                worst_distortion = min(worst_distortion, walk.distortion)
+                if i < 20:
+                    curves.append(curve)
+                    walks.append(walk)
+    del curve, walk
+    for params, worst in zip(params_seq, worst_energies):
         bound = fn.circle_bound(params)
         report.add(f"energy({params.j},{params.p}) >= circle bound",
                    worst >= 0.95 * bound, worst, bound, 0.05 * bound)
@@ -227,9 +234,8 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
                worst_gap, 0.0, disc_tol)
 
     # distortion lower bounds
-    worst = min(distortions)
-    report.add("distortion >= pi/2", worst >= np.pi / 2 - 1e-9,
-               worst, np.pi / 2, 1e-9)
+    report.add("distortion >= pi/2", worst_distortion >= np.pi / 2 - 1e-9,
+               worst_distortion, np.pi / 2, 1e-9)
     ks = np.arange(1, n // 2 + 1, max(1, n // 128))
     s = geo.offset_arcs(n, ks)
     bound_at = s / geo.lambda_chord(s)
@@ -244,7 +250,7 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     # Wirtinger deficit: series nonnegativity and oracle agreement
     worst_rho = np.inf
     worst_agree = 0.0
-    for c, walk in zip(curves[: min(20, n_curves)], walks):
+    for c, walk in zip(curves, walks):
         fc = spec.analyze(c)
         prof = spec.deficit(fc)
         worst_rho = min(worst_rho, prof.rho.min())
@@ -266,11 +272,13 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     viol = np.subtract(*spec.trig_lemma_check(ks, thetas))
     report.add("sin^2(k theta) <= k^2 sin^2(theta)", viol.max() <= 1e-9,
                float(viol.max()), 0.0, 1e-9)
+    del ks, thetas, viol
     worst_tetra = np.inf
     for dim in (2, 3):
         pts = rng.normal(size=(2000, 4, dim))
         _, _, gaps = spec.tetra_check(*pts.transpose(1, 0, 2))
         worst_tetra = min(worst_tetra, float(gaps.min()))
+    del pts, gaps
     report.add("tetrahedron inequality gap >= 0", worst_tetra >= -1e-12,
                worst_tetra, 0.0, 1e-12)
 

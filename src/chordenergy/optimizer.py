@@ -176,6 +176,13 @@ def _band_view(table: np.ndarray, half: int, start: int = 0) -> np.ndarray:
 #: table.  n <= 209 fits one block
 BAND_BLOCK = 1 << 16
 
+#: entries of the weight buffer in one row chunk of _ChordBand.gradient's
+#: two products: small products, which give the same gradient at every
+#: BLAS thread count, where whole-buffer ones did not (n = 1225, 1226,
+#: 1227, 1500 at 1 and 2 OpenBLAS threads).  Apart from BAND_BLOCK, so
+#: the block count still changes no bits; n <= 295 is one chunk
+GRAD_CHUNK = 1 << 17
+
 
 class _ChordBand:
     """The chord-power kernel of one solve: every unordered vertex pair
@@ -192,8 +199,9 @@ class _ChordBand:
     buffer of at most BAND_BLOCK entries (or two rows), and writes the
     weights w = d2^((p-2)/2) of a block's band into the same band of a
     zeroed (n, n + n//2) buffer whose other entries stay zero, so the
-    gradient is two products of that buffer with the vertices.  The
-    block views are built once, here.
+    gradient is two products of that buffer with the vertices, taken in
+    row chunks of GRAD_CHUNK entries.  The block views are built once,
+    here.
     """
 
     __slots__ = ("weights", "band_weights", "sums", "blocks")
@@ -254,10 +262,18 @@ class _ChordBand:
         ext[:, dim] = 1.0
         # row m of the symmetric weight matrix W is row m of the buffer
         # plus its column m, with column n + m folded onto m, so W v and
-        # the row sums of W come from one product with the buffer and
-        # one with its transpose
-        rows = self.weights @ ext
-        cols = self.weights.T @ ext[:n]
+        # the row sums of W come from products with the buffer and with
+        # its transpose, a chunk of GRAD_CHUNK entries' rows at a time
+        rows = np.empty((n, dim + 1))
+        step = max(1, GRAD_CHUNK // self.weights.shape[1])
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            w = self.weights[a:b]
+            rows[a:b] = w @ ext
+            if a == 0:
+                cols = w.T @ ext[:b]
+            else:
+                cols += w.T @ ext[a:b]
         cols[:half] += cols[n:]
         sums = rows + cols[:n]
         # sum_k w_mk (v_m - v_k) = (row sums) v_m - (W v)_m

@@ -164,9 +164,13 @@ def deficit_direct(curve: PolyCurve, k):
 def trig_lemma_check(k, theta):
     """Both sides of sin^2(k theta) <= k^2 sin^2(theta) for integers
     k >= 2 and finite real theta: floats, or arrays for stacked k and
-    theta, whose shapes broadcast."""
-    ks = np.asarray(k)
-    if ks.dtype.kind not in "iu" or ks.size and ks.min() < 2:
+    theta, whose shapes broadcast, with k theta finite."""
+    try:
+        ks = np.asarray(k)
+        integers = ks.dtype.kind in "iu" and not (ks.size and ks.min() < 2)
+    except ValueError:  # a ragged nesting
+        integers = False
+    if not integers:
         raise ParameterDomainError(f"need k >= 2, integers, got {k!r}")
     k = ks.astype(float)
     theta = require_points("theta", theta, ParameterDomainError)
@@ -176,7 +180,11 @@ def trig_lemma_check(k, theta):
         raise ParameterDomainError(
             f"k of shape {k.shape} and theta of shape {theta.shape} "
             "do not broadcast") from None
-    lhs, rhs = np.sin(k * theta) ** 2, k ** 2 * np.sin(theta) ** 2
+    with np.errstate(over="ignore"):
+        angle = k * theta
+    if not np.isfinite(angle).all():
+        raise ParameterDomainError("k theta overflows")
+    lhs, rhs = np.sin(angle) ** 2, k ** 2 * np.sin(theta) ** 2
     return (float(lhs), float(rhs)) if np.ndim(lhs) == 0 else (lhs, rhs)
 
 

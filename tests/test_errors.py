@@ -132,6 +132,12 @@ def _config(text):
     lambda: fn.energy_Ejp(geo.make_ellipse(50.0, 64), fn.EnergyParams(1, 300)),
     lambda: fn.renorm_energy(_circle64(), fn.ChordKernel(
         lambda chord, arc: np.full(np.shape(chord), 1e308))),
+    lambda: fn.chord_average(_circle64(), [[1, 2], [3]], np.sqrt),
+    lambda: fn.distortion_at(_circle64(), [[1, 2], [3]]),
+    lambda: spec.deficit_direct(_circle64(), [[1, 2], [3]]),
+    lambda: spec.trig_lemma_check([[2, 3], [4]], 0.3),
+    lambda: spec.trig_lemma_check(3, 1e308),
+    lambda: spec.trig_lemma_check([2, 3], [0.3, 1e308]),
 ], ids=["options_n", "options_max_iters", "options_tol_grad",
         "options_perturb", "maximize", "canonicalize", "sweep",
         "width_ratio", "fit_conic", "trig_lemma_check", "verify_all",
@@ -156,7 +162,11 @@ def _config(text):
         "fourier_curve_1d", "trig_lemma_check_broadcast",
         "lambda_chord_string", "lambda_chord_nan", "lambda_chord_inf",
         "perturb_mode2_string", "perturb_mode2_inf", "kernel_string_value",
-        "kernel_nan_value", "energy_overflow", "renorm_energy_overflow"])
+        "kernel_nan_value", "energy_overflow", "renorm_energy_overflow",
+        "chord_average_ragged", "distortion_at_ragged",
+        "deficit_direct_ragged", "trig_lemma_check_ragged",
+        "trig_lemma_check_angle_overflow",
+        "trig_lemma_check_angle_overflow_stacked"])
 def test_bad_input_raises_a_package_error(call):
     with pytest.raises(ChordEnergyError):
         call()

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -475,6 +476,33 @@ class TestChordMeans:
         assert fn.segment_avg_chord(p) == pytest.approx(
             (2.0 * math.pi ** p / ((p + 1) * (p + 2))) ** (1.0 / p),
             rel=4e-16)
+
+    @pytest.mark.parametrize("p, circle", [
+        (9999, 1.99903394945245299875), (10001, 1.99903412260924408714),
+        (1e6, 1.99998573295712411638), (1e308, 2.0),
+        (sys.float_info.max, 2.0)])
+    def test_circle_finite_up_to_the_largest_exponent(self, p, circle):
+        # the closed form's Gamma values overflowed, and raised a bare
+        # OverflowError, from p of about 5e305 on; above
+        # CIRCLE_ASYMPTOTIC_CUT the series in 1/p tends to the diameter
+        # 2.  References from the closed form in 40-digit arithmetic
+        value = fn.circle_avg_chord(p)
+        assert math.isfinite(value) and value <= 2.0
+        assert value == pytest.approx(circle, rel=1e-15)
+
+    def test_circle_series_meets_the_closed_form(self):
+        # past the cut the closed form still holds to its round-off, so
+        # there the two forms agree
+        def closed_form(p):
+            return 2.0 * math.exp((math.lgamma((p + 1) / 2)
+                                   - math.lgamma(p / 2 + 1)
+                                   - 0.5 * math.log(math.pi)) / p)
+
+        cut = fn.CIRCLE_ASYMPTOTIC_CUT
+        assert fn.circle_avg_chord(cut) == closed_form(cut)
+        for p in (math.nextafter(cut, math.inf), 1.5 * cut, 1e6, 1e12):
+            assert fn.circle_avg_chord(p) == pytest.approx(closed_form(p),
+                                                           rel=1e-15)
 
     @pytest.mark.parametrize("p", [1020, 1023, 1024])
     def test_finite_where_chord_powers_overflow(self, p):

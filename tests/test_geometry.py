@@ -489,8 +489,13 @@ class TestOffsetKernel:
               "single": np.array([7]),
               "every_fifth": np.arange(3, n + 40, 5)}[ks]
         v = np.random.default_rng(n + dim).normal(size=(n, dim))
-        assert np.array_equal(_offset_table(v, ks),
-                              _gathered_squared_chords(v, ks))
+        table = _offset_table(v, ks)
+        assert np.array_equal(table, _gathered_squared_chords(v, ks))
+        # summed a coordinate at a time through a scratch buffer that
+        # the blocks share, a short last block included, the table's
+        # roots are np.linalg.norm's of the chord vectors bit for bit
+        diff = v[(ks[:, None] + np.arange(n)) % n] - v
+        assert np.array_equal(np.sqrt(table), np.linalg.norm(diff, axis=-1))
 
     def test_even_runs_are_indexed_by_slices(self):
         assert geo._offset_index(np.array([3, 5, 7])) == slice(3, 8, 2)

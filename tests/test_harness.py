@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,21 @@ class TestVerifyAll:
         assert [ps for ps, in calls["avg_chord_p"]] == [(0.5, 1, 2, 3, 4)]
         assert len(calls["chord_average"]) == 10
         assert all(len(fs) == 3 for _, fs in calls["chord_average"])
+
+    def test_memory_does_not_grow_with_the_curve_count(self):
+        # the curves are generated, walked and folded one at a time, and
+        # only the first 20 planar ones are kept; holding every curve
+        # and walk raised the peak by about 270 KB from 20 to 200 curves
+        harness.verify_all(n_curves=20, n=64)  # first-call caches
+        peaks = []
+        for n_curves in (20, 200):
+            tracemalloc.start()
+            try:
+                harness.verify_all(n_curves=n_curves, n=64)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4096, peaks
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):

@@ -28,10 +28,11 @@ DEFERRED = ("scipy.linalg", "scipy.integrate", "scipy.special",
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(chordenergy.__file__)))
 
 
-def _run_probe(code: str) -> str:
+def _run_probe(code: str, **env: str) -> str:
     """stdout of code run in a fresh interpreter that imports the
-    package from this checkout."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    package from this checkout, with the environment variables env set
+    on top of this one's."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -1,9 +1,6 @@
 import functools
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 import types
 import warnings
@@ -20,6 +17,7 @@ from chordenergy import shape as shp
 from chordenergy import spectral as spec
 from chordenergy.errors import DegenerateCurveError, ParameterDomainError, \
     SingularGradientError
+from test_import_path import _run_probe
 
 
 def _fd_gradient(curve, p, h=1e-6):
@@ -209,6 +207,36 @@ class TestChordBand:
         assert len(whole.blocks) == 1
         assert whole.power_mean(v, 1.5) == value
         assert np.array_equal(whole.gradient(v, 1.5), grad)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 33])
+    def test_gradient_row_chunks_match_dense_reference(self, monkeypatch,
+                                                        rows):
+        # chunks of one row (products through gemv), of a few rows with
+        # a short last chunk, and one chunk of every row
+        n = 33
+        monkeypatch.setattr(opt, "GRAD_CHUNK", rows * (n + n // 2))
+        curve = opt.perturb_mode2(geo.make_ellipse(1.5, n), 0.05)
+        v = curve.vertices
+        band = opt._ChordBand(n)
+        band.power_mean(v, 3.0)
+        grad = band.gradient(v, 3.0)
+        ref_grad = _dense_power_sum(v, 3.0)[1]
+        assert np.abs(grad - ref_grad).max() < 1e-12 * np.abs(ref_grad).max()
+
+    def test_gradient_is_the_same_at_one_and_two_blas_threads(self):
+        # whole-buffer products gave another gradient at 2 OpenBLAS
+        # threads at n = 1225, 1226, 1227 and 1500; fresh processes,
+        # since OpenBLAS reads the thread count at load time
+        probe = ("import hashlib\n"
+                 "from chordenergy import geometry as geo, optimizer as opt\n"
+                 "for n in (256, 1225, 1226, 1227, 1500):\n"
+                 "    curve = geo.random_closed_curve(2, n=n)\n"
+                 "    grad = opt.objective_grad(curve, 1.5)\n"
+                 "    print(n, hashlib.sha256(grad.tobytes()).hexdigest())")
+        one, two = (_run_probe(probe, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2"))
+        assert len(one.splitlines()) == 5
+        assert one == two
 
     def test_crowded_last_block_is_not_powered(self, monkeypatch):
         # two coincident dyadic vertices give an exactly zero chord in
@@ -1505,22 +1533,14 @@ class TestSweep:
         # a verdict must not depend on the BLAS thread count; the sweep
         # runs in fresh processes, since OpenBLAS reads it at load time.
         # 3.45, 3.50 and 3.55 straddle the critical exponent
-        src = os.path.dirname(os.path.dirname(os.path.abspath(opt.__file__)))
         probe = ("import json; from chordenergy import optimizer as opt; "
                  "o = opt.OptimizeOptions(n=256); "
                  "recs = opt.sweep([3.8, 4.0], o) "
                  "+ opt.sweep([3.45, 3.5, 3.55], o); "
                  "print(json.dumps([[r.iterations, r.reason, r.value] "
                  "for r in recs]))")
-        tables = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src,
-                       OPENBLAS_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", probe], env=env,
-                                  capture_output=True, text=True,
-                                  timeout=600)
-            assert done.returncode == 0, done.stderr
-            tables.append(json.loads(done.stdout))
+        tables = [json.loads(_run_probe(probe, OPENBLAS_NUM_THREADS=threads))
+                  for threads in ("1", "2")]
         assert len(tables[0]) == 5
         assert tables[0] == tables[1]
 

@@ -269,7 +269,7 @@ class _ChordBand:
         for a in range(0, n, step):
             b = min(a + step, n)
             w = self.weights[a:b]
-            rows[a:b] = w @ ext
+            np.matmul(w, ext, out=rows[a:b])
             if a == 0:
                 cols = w.T @ ext[:b]
             else:

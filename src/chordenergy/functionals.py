@@ -13,7 +13,10 @@ walk.  avg_chord_p walks the same table, and chord_average the offsets
 it is given, each once for a sequence of exponents or test functions;
 nothing here builds an N x N table.
 The circle reference values come from a fixed Gauss-Legendre rule on
-geometrically graded panels of the corresponding closed-form integrals.
+geometrically graded panels of the corresponding closed-form integrals;
+the rule's nodes and weights are computed here, by Newton's method on
+the Legendre recurrence (_gauss_legendre), so no circle value loads
+numpy.polynomial or LAPACK's eigensolver.
 """
 
 from __future__ import annotations
@@ -311,9 +314,36 @@ def _bound_integrand(s, j: float, p: float):
 
 @lru_cache(maxsize=1)
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The BOUND_NODES-point Gauss-Legendre nodes and weights on [-1, 1],
-    computed on first use: leggauss takes about 6 ms."""
-    return np.polynomial.legendre.leggauss(BOUND_NODES)
+    """The BOUND_NODES-point Gauss-Legendre nodes, ascending, and weights
+    on [-1, 1], read-only, computed on first use (about 1 ms).
+
+    Newton's method on P_n, n = BOUND_NODES (even), evaluated by the
+    three-term recurrence k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2),
+    runs on the n/2 positive roots at once from the guesses
+    cos(pi (i - 1/4) / (n + 1/2)); the negative roots are their mirror
+    images, so the rule is exactly symmetric.  The weights are
+    2 / ((1 - x^2) P_n'(x)^2).  The nodes are within 1 ulp and the weights
+    within 1.1e-14 relative of 40-digit values (numpy's leggauss, which
+    loads numpy.polynomial and runs LAPACK's eigensolver, is 1.2e-13 off
+    in its weights).  The classical method; see Hale and Townsend, SIAM
+    J. Sci. Comput. 35 (2013) A652."""
+    n = BOUND_NODES
+    x = np.cos(np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    # quadratic from these guesses: 5 steps at n = 24
+    for _ in range(10):
+        p_prev, p_n = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p_n = p_n, ((2 * k - 1) * x * p_n - (k - 1) * p_prev) / k
+        dp = n * (x * p_n - p_prev) / (x * x - 1.0)
+        step = p_n / dp
+        x = x - step
+        if np.abs(step).max() <= np.finfo(float).eps:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    rule = np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def circle_bound(params: EnergyParams) -> float:

@@ -42,6 +42,14 @@ TWO_PI = 2.0 * np.pi
 #: minimum vertex count for a meaningful closed polygon
 MIN_VERTICES = 8
 
+#: maximum vertex count: the (n, 3) float table of a larger one would be
+#: more bytes than a numpy array can hold
+MAX_VERTICES = np.iinfo(np.intp).max // 24
+
+#: largest coordinate of a polygon whose edges _edges measures: the
+#: squared length of a 3-D edge between two points within it is finite
+MAX_COORDINATE = math.sqrt(np.finfo(float).max / 12)
+
 #: relative tolerance on the perimeter after normalization
 PERIMETER_TOL = 1e-9
 
@@ -183,6 +191,18 @@ def require_integer(name: str, value, minimum: int, error: type) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < minimum:
         raise error(f"need {name} >= {minimum}, an integer, got {value!r}")
+
+
+def require_vertex_count(name: str, value,
+                         minimum: int = MIN_VERTICES) -> None:
+    """Raise InvalidDiscretizationError unless value is an integer
+    (require_integer) from minimum to MAX_VERTICES, before anything is
+    allocated for it: numpy cannot make arrays of a larger count, and
+    would raise its own ValueError."""
+    require_integer(name, value, minimum, InvalidDiscretizationError)
+    if value > MAX_VERTICES:
+        raise InvalidDiscretizationError(
+            f"need {name} <= {MAX_VERTICES}, got {value!r}")
 
 
 def require_real(name: str, value, error: type) -> float:
@@ -549,9 +569,15 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     already equal-edge curve at fixed m maps to itself, up to its
     centroid.  A collapsed curve, dependent edge constraints or a
     projection that does not converge raise DegenerateCurveError, so the
-    result always has unit speed.  m must be an integer.
+    result always has unit speed.  So does a coordinate beyond
+    MAX_COORDINATE, whose squared edge lengths would overflow.  m must be
+    an integer.
     """
-    require_integer("m", m, MIN_VERTICES, InvalidDiscretizationError)
+    require_vertex_count("m", m)
+    if not np.abs(curve.vertices).max() <= MAX_COORDINATE:
+        raise DegenerateCurveError(
+            f"coordinates beyond {MAX_COORDINATE:.4g}: the squared edge "
+            "lengths overflow")
     closed = np.vstack([curve.vertices, curve.vertices[:1]])
     pts = np.column_stack(_equal_arclength(curve.edge_lengths(), closed.T, m))
     pts *= TWO_PI / _edges(pts)[1].sum()
@@ -565,7 +591,7 @@ def make_circle(n: int) -> PolyCurve:
     inscribed polygon has the full length of the unit circle.  n must
     be an integer.
     """
-    require_integer("n", n, MIN_VERTICES, InvalidDiscretizationError)
+    require_vertex_count("n", n)
     r = (np.pi / n) / np.sin(np.pi / n)
     t = TWO_PI * np.arange(n) / n
     return PolyCurve(r * np.column_stack([np.cos(t), np.sin(t)]))
@@ -581,14 +607,16 @@ def make_ellipse(axis_ratio: float, n: int) -> PolyCurve:
     of the elliptical trace, not the uniform-parameter ellipse.  Raises
     InvalidDiscretizationError when the inscribed edges are not equal
     within EDGE_SPREAD_TOL, as for a stretched ellipse at a small odd n,
-    and before any work when axis_ratio is not a finite number >= 1 or n
-    is not an integer of at least MIN_VERTICES.
+    and before any work when axis_ratio is not a number from 1 to
+    MAX_COORDINATE, the largest trace whose squared chords are finite, or
+    n is not an integer of at least MIN_VERTICES.
     """
     if not 1 <= require_real("axis_ratio", axis_ratio,
-                             InvalidDiscretizationError) < math.inf:
+                             InvalidDiscretizationError) <= MAX_COORDINATE:
         raise InvalidDiscretizationError(
-            f"axis_ratio must be finite and >= 1, got {axis_ratio}")
-    require_integer("n", n, MIN_VERTICES, InvalidDiscretizationError)
+            f"axis_ratio must be from 1 to {MAX_COORDINATE:.4g}, "
+            f"got {axis_ratio}")
+    require_vertex_count("n", n)
 
     def trace(t):
         return np.column_stack([axis_ratio * np.cos(t), np.sin(t)])
@@ -603,7 +631,7 @@ def make_double_segment(n: int) -> PolyCurve:
     Non-embedded by design: parameters t and 2*pi - t coincide in space.
     n must be an even integer.
     """
-    require_integer("n", n, MIN_VERTICES, InvalidDiscretizationError)
+    require_vertex_count("n", n)
     if n % 2 != 0:
         raise InvalidDiscretizationError(
             f"double segment needs even n, got {n}")
@@ -684,15 +712,15 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
     from the powers of exp(it) (_harmonics); on the SPEED_GRID speed grid
     they come from a small read-only cache keyed by grid size and K
     (_harmonic_table), built by the same function.  K, n and dim must be
-    integers: n below MIN_VERTICES, dim other than 2 or 3, K below 1,
-    and any of them not an integer raise InvalidDiscretizationError
-    before any draw; a seed that is not a non-negative integer raises
-    ParameterDomainError.
+    integers: n below MIN_VERTICES or above MAX_VERTICES, dim other than
+    2 or 3, K below 1, and any of them not an integer raise
+    InvalidDiscretizationError before any draw; a seed that is not a
+    non-negative integer raises ParameterDomainError.
     """
     require_integer("seed", seed, 0, ParameterDomainError)
-    for name, value, minimum in (("K", K, 1), ("n", n, MIN_VERTICES),
-                                 ("dim", dim, 1)):
+    for name, value, minimum in (("K", K, 1), ("dim", dim, 1)):
         require_integer(name, value, minimum, InvalidDiscretizationError)
+    require_vertex_count("n", n)
     if dim not in (2, 3):
         raise InvalidDiscretizationError(f"need dim 2 or 3, got {dim}")
     ks = np.arange(1, K + 1)[:, None]

@@ -148,7 +148,7 @@ class VerificationReport:
     chord and each offset's sum of squared chords, before its first
     energy check, so that check carries the whole walk, the curve set-up
     and, in a fresh process, circle_bound's Gauss-Legendre nodes (about
-    6 ms).  The other three energy checks carry only their circle
+    1 ms).  The other three energy checks carry only their circle
     bounds; the "distortion >= pi/2" check only the minimum over the
     planar curves' distortions; the "distortion_at >= s/lambda(s)" check
     only the ratios read off the walk's minima; and the deficit checks

@@ -50,9 +50,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateCurveError, InvalidDiscretizationError, \
     ParameterDomainError, SingularGradientError
-from .geometry import TWO_PI, PolyCurve, _angle_gradient, _bind_lapack, \
-    _close_angles, _edges, _tangent_part, make_circle, require_integer, \
-    require_real, resample_arclength, squared_chord_matrix
+from .geometry import MAX_COORDINATE, TWO_PI, PolyCurve, _angle_gradient, \
+    _bind_lapack, _close_angles, _edges, _tangent_part, make_circle, \
+    require_integer, require_real, require_vertex_count, resample_arclength, \
+    squared_chord_matrix
 from .functionals import circle_avg_chord, require_finite_exponent, \
     segment_avg_chord
 from . import shape as shape_mod
@@ -104,7 +105,7 @@ class OptimizeOptions:
 
     def __post_init__(self):
         require_integer("max_iters", self.max_iters, 1, ParameterDomainError)
-        require_integer("n", self.n, 32, InvalidDiscretizationError)
+        require_vertex_count("n", self.n, 32)
         if not 0 < require_real("tol_grad", self.tol_grad,
                                 ParameterDomainError) < math.inf:
             raise ParameterDomainError(
@@ -319,11 +320,18 @@ def project(curve: PolyCurve) -> PolyCurve:
 def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
     """Add a radial mode-2 bump (the first non-rigid harmonic) of a
     finite real amplitude and re-project; this seeds the symmetry
-    breaking."""
+    breaking.  An amplitude that takes a coordinate beyond MAX_COORDINATE
+    raises DegenerateCurveError before the bump is made, as
+    resample_arclength would raise on the bumped curve."""
     if not math.isfinite(require_real("amplitude", amplitude,
                                       ParameterDomainError)):
         raise ParameterDomainError(f"need finite amplitude: {amplitude}")
     v = curve.vertices - curve.vertices.mean(axis=0)
+    # the bump scales each vertex by at most 1 + |amplitude|
+    if not float(np.abs(v).max()) * (1.0 + abs(amplitude)) <= MAX_COORDINATE:
+        raise DegenerateCurveError(
+            f"amplitude {amplitude} takes the coordinates beyond "
+            f"{MAX_COORDINATE:.4g}, where the squared edge lengths overflow")
     theta = np.arctan2(v[:, 1], v[:, 0])
     factor = 1.0 + amplitude * np.cos(2 * theta)
     return project(PolyCurve(v * factor[:, None]))

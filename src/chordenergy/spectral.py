@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDiscretizationError, ParameterDomainError
-from .geometry import (MIN_VERTICES, TWO_PI, PolyCurve, grid_offsets,
-                       lambda_chord, offset_chord_blocks, require_integer,
-                       require_points)
+from .geometry import (TWO_PI, PolyCurve, grid_offsets, lambda_chord,
+                       offset_chord_blocks, require_integer, require_points,
+                       require_vertex_count)
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,9 @@ def ellipse_uniform_parameter(a0, a, b, n: int) -> PolyCurve:
     This is the extremal family of the chord-square inequality: the
     mapping matters, so no arclength resampling is applied and the
     result generally violates the equal-edge invariant.  n must be an
-    integer >= MIN_VERTICES, and a0, a, b rows of one finite real table."""
-    require_integer("n", n, MIN_VERTICES, InvalidDiscretizationError)
+    integer from MIN_VERTICES to MAX_VERTICES, and a0, a, b rows of one
+    finite real table."""
+    require_vertex_count("n", n)
     t = TWO_PI * np.arange(n) / n
     a0, a, b = require_points("a0, a and b", (a0, a, b),
                               InvalidDiscretizationError)

@@ -9,6 +9,7 @@ import ast
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from chordenergy import harness
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
 from chordenergy import spectral as spec
-from chordenergy.errors import ChordEnergyError, \
+from chordenergy.errors import ChordEnergyError, DegenerateCurveError, \
     InvalidDiscretizationError, ParameterDomainError
 
 PACKAGE = os.path.dirname(os.path.abspath(chordenergy.__file__))
@@ -270,3 +271,40 @@ def test_counts_must_be_integers(call, error):
     # wrong vertex count or fail later with a TypeError or IndexError
     with pytest.raises(error, match="integer|seed|axis_ratio|need n"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: geo.make_circle(2 ** 70),
+    lambda: geo.make_ellipse(1.5, 2 ** 70),
+    lambda: geo.make_double_segment(2 ** 70),
+    lambda: geo.resample_arclength(_circle64(), 2 ** 70),
+    lambda: spec.ellipse_uniform_parameter(0.0, 1.0, 0.5, 2 ** 70),
+    lambda: geo.random_closed_curve(1, n=2 ** 70),
+    lambda: opt.OptimizeOptions(n=2 ** 70),
+], ids=["make_circle", "make_ellipse", "make_double_segment",
+        "resample_arclength", "ellipse_uniform_parameter",
+        "random_closed_curve", "options_n"])
+def test_counts_numpy_cannot_allocate_are_refused(call):
+    # numpy's "Maximum allowed size exceeded" ValueError used to escape
+    with pytest.raises(InvalidDiscretizationError, match="<= "):
+        call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: geo.make_ellipse(1e308, 16), InvalidDiscretizationError),
+    (lambda: opt.perturb_mode2(geo.make_circle(16), 1e308),
+     DegenerateCurveError),
+    (lambda: opt.perturb_mode2(geo.make_circle(16), -1.7e308),
+     DegenerateCurveError),
+    (lambda: geo.resample_arclength(geo.PolyCurve(1e300
+                                                  * _circle64().vertices), 64),
+     DegenerateCurveError),
+], ids=["make_ellipse", "perturb_mode2", "perturb_mode2_largest",
+        "resample_arclength"])
+def test_overflowing_sizes_raise_without_a_warning(call, error):
+    # the squared edge lengths overflowed, with a RuntimeWarning, before
+    # the package error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=r"from 1 to|overflow"):
+            call()

@@ -163,6 +163,51 @@ class TestCircleBound:
             self._quad_bound(*jp), rel=5e-12, abs=0)
 
 
+class TestGaussLegendre:
+    def test_symmetric_with_weights_summing_to_two(self):
+        nodes, weights = fn._gauss_legendre()
+        assert nodes.shape == weights.shape == (fn.BOUND_NODES,)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert abs(weights.sum() - 2.0) < 1e-15
+
+    @pytest.mark.parametrize("k", range(2 * fn.BOUND_NODES))
+    def test_integrates_monomials_exactly(self, k):
+        nodes, weights = fn._gauss_legendre()
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(weights @ nodes ** k - exact) < 1e-15
+
+    def test_agrees_with_leggauss(self):
+        nodes, weights = fn._gauss_legendre()
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(
+            fn.BOUND_NODES)
+        assert np.allclose(nodes, ref_nodes, rtol=1e-13, atol=0)
+        # leggauss's own weights are 1.2e-13 relative off the true ones
+        # (test_weights_match_extended_precision), so the two rules'
+        # weights differ by up to 1.1e-13
+        assert np.allclose(weights, ref_weights, rtol=2e-13, atol=0)
+
+    def test_weights_match_extended_precision(self):
+        # three Newton steps in long double from leggauss's nodes give
+        # the rule within 1e-17 of 40-digit values
+        ld = np.longdouble
+        n = fn.BOUND_NODES
+        x = np.polynomial.legendre.leggauss(n)[0].astype(ld)
+        for _ in range(3):
+            p_prev, p_n = np.ones_like(x), x
+            for k in range(2, n + 1):
+                p_prev, p_n = p_n, ((2 * k - 1) * x * p_n
+                                    - (k - 1) * p_prev) / k
+            dp = n * (x * p_n - p_prev) / (x * x - 1)
+            x = x - p_n / dp
+        ref_weights = 2 / ((1 - x * x) * dp * dp)
+        nodes, weights = fn._gauss_legendre()
+        assert np.all(np.abs(nodes - x) <= np.spacing(np.abs(nodes)))
+        assert float(np.max(np.abs(weights - ref_weights)
+                            / ref_weights)) < 2e-14
+
+
 class TestEnergy:
     def test_circle_approaches_bound(self):
         params = fn.EnergyParams(2, 1)

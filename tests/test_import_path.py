@@ -73,6 +73,25 @@ def test_cli_verify_and_bound_load_no_scipy():
     assert out.splitlines() == ["[0, 0, 0]", "[]"]
 
 
+def test_circle_bounds_and_verification_load_no_numpy_polynomial():
+    # circle_bound's Gauss-Legendre rule is computed in the package, not
+    # by numpy.polynomial's leggauss and LAPACK's eigensolver
+    out = _run_probe(
+        "import contextlib, io, sys; import chordenergy as ce\n"
+        "from chordenergy import cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith('numpy.polynomial'))\n"
+        "ce.circle_bound(ce.EnergyParams(2, 1))\n"
+        "print(loaded())\n"
+        "ce.verify_all(n_curves=2, n=64)\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['bound', '--j', '1', '--p', '2'])\n"
+        "print(code, loaded())")
+    assert out.splitlines() == ["[]", "[]", "0 []"]
+
+
 def test_optimizer_loads_lapack_on_first_use():
     out = _run_probe(
         "import sys; import chordenergy as ce\n"

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chordenergy import functionals as fn
 from chordenergy import geometry as geo
 from chordenergy import spectral as spec
 from chordenergy.errors import ParameterDomainError
@@ -192,6 +193,52 @@ class TestDeficitSeries:
         assert len(prof.s) == 255
         assert prof.s[0] == pytest.approx(2 * np.pi / 256)
         assert prof.s[-1] == pytest.approx(2 * np.pi * 255 / 256)
+
+
+def _sin2(j, n):
+    """sin^2(pi j / n) for integer j, the argument reduced mod n first."""
+    return np.sin(np.pi * (j % n) / n) ** 2
+
+
+def _chord_square_ratios(curve):
+    """Each offset k = 1..n/2's sum of squared chords, read off the
+    energy walk, and the regular n-gon's bound on it,
+    sin^2(pi k/n) / sin^2(pi/n) times the sum of squared edges."""
+    n = curve.n
+    sums = fn._energy_walk(curve, [fn.EnergyParams(2, 1)]).chord_sums
+    ks = np.arange(1, n // 2 + 1)
+    return sums, _sin2(ks, n) / _sin2(1, n) * sums[0]
+
+
+class TestChordSquareInequality:
+    """The discrete chord-square inequality: for a closed n-gon, each
+    offset's sum of squared chords is at most sin^2(pi k/n) / sin^2(pi/n)
+    times its sum of squared edges, with equality at the regular n-gon.
+    In the DFT of the vertices it is sin^2(pi m k/n) sin^2(pi/n) <=
+    sin^2(pi k/n) sin^2(pi m/n) for every mode m and offset k."""
+
+    @pytest.mark.parametrize("ns", [range(2, 257), [511, 512, 1024, 2048]],
+                             ids=["up_to_256", "large"])
+    def test_trig_form_for_every_mode_and_offset(self, ns):
+        # sin^2 is symmetric under m -> n - m and k -> n - k, so m and k
+        # up to n/2 cover all of them; no slack is needed
+        for n in ns:
+            half = np.arange(1, n // 2 + 1)
+            m, k = half[:, None], half[None, :]
+            lhs = _sin2(m * k, n) * _sin2(1, n)
+            assert np.all(lhs <= _sin2(k, n) * _sin2(m, n)), n
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_per_offset_form_on_random_curves(self, dim):
+        for seed in range(1, 31):
+            sums, bound = _chord_square_ratios(
+                geo.random_closed_curve(seed, n=512, dim=dim))
+            assert np.all(sums <= bound), seed
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 255, 256, 512, 1024])
+    def test_equality_at_the_regular_polygon(self, n):
+        sums, bound = _chord_square_ratios(geo.make_circle(n))
+        assert np.allclose(sums, bound, rtol=2e-15, atol=0)
 
 
 class TestPointwiseLemmas:

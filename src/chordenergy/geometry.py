@@ -70,6 +70,8 @@ class PolyCurve:
 
     vertices has shape (n, dim) with dim 2 or 3; row i is the point at
     parameter 2*pi*i/n, and indices are cyclic: vertex n is vertex 0.
+    A coordinate beyond MAX_COORDINATE, whose squared edge lengths would
+    overflow, raises InvalidDiscretizationError.
     """
 
     vertices: np.ndarray
@@ -86,6 +88,10 @@ class PolyCurve:
             raise InvalidDiscretizationError(
                 f"need at least {MIN_VERTICES} vertices, got {v.shape[0]}"
             )
+        if not np.abs(v).max() <= MAX_COORDINATE:
+            raise InvalidDiscretizationError(
+                f"coordinates beyond {MAX_COORDINATE:.4g}: the squared edge "
+                "lengths overflow")
 
     @property
     def n(self) -> int:
@@ -569,15 +575,9 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     already equal-edge curve at fixed m maps to itself, up to its
     centroid.  A collapsed curve, dependent edge constraints or a
     projection that does not converge raise DegenerateCurveError, so the
-    result always has unit speed.  So does a coordinate beyond
-    MAX_COORDINATE, whose squared edge lengths would overflow.  m must be
-    an integer.
+    result always has unit speed.  m must be an integer.
     """
     require_vertex_count("m", m)
-    if not np.abs(curve.vertices).max() <= MAX_COORDINATE:
-        raise DegenerateCurveError(
-            f"coordinates beyond {MAX_COORDINATE:.4g}: the squared edge "
-            "lengths overflow")
     closed = np.vstack([curve.vertices, curve.vertices[:1]])
     pts = np.column_stack(_equal_arclength(curve.edge_lengths(), closed.T, m))
     pts *= TWO_PI / _edges(pts)[1].sum()

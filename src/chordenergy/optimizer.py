@@ -320,9 +320,9 @@ def project(curve: PolyCurve) -> PolyCurve:
 def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
     """Add a radial mode-2 bump (the first non-rigid harmonic) of a
     finite real amplitude and re-project; this seeds the symmetry
-    breaking.  An amplitude that takes a coordinate beyond MAX_COORDINATE
-    raises DegenerateCurveError before the bump is made, as
-    resample_arclength would raise on the bumped curve."""
+    breaking.  An amplitude that takes a coordinate beyond MAX_COORDINATE,
+    which no PolyCurve holds, raises DegenerateCurveError before the bump
+    is made."""
     if not math.isfinite(require_real("amplitude", amplitude,
                                       ParameterDomainError)):
         raise ParameterDomainError(f"need finite amplitude: {amplitude}")
@@ -342,24 +342,34 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
     axis along x, counterclockwise orientation, first vertex at the
     maximal x coordinate.
 
-    The principal axis points along the sign of its third moment where
-    that is decisive; the minor axis follows by a proper rotation, and
-    is reflected only to make the signed area positive.  Of the vertices
-    whose x lies within 1e-9 of the largest, the one with the largest y
-    comes first.
+    The principal axis is the major eigenvector of the 2 x 2 second
+    moments, in closed form: at angle phi = atan2(2 s_xy, s_xx - s_yy) / 2.
+    The moments are taken of the centered vertices divided by a power of
+    two above their largest |coordinate|, exactly, so that no square
+    overflows; the axis does not depend on scale.  The axis is reversed
+    where its third moment is below -1e-9; the minor axis follows by a
+    proper rotation, and is reflected only to make the signed area
+    positive.  Of the vertices whose x lies within 1e-9 of the largest,
+    the one with the largest y comes first.
     """
     v = curve.vertices - curve.vertices.mean(axis=0)
     if curve.dim != 2:
         raise InvalidDiscretizationError("canonicalize needs a planar curve")
-    _, vecs = np.linalg.eigh(v.T @ v)
-    axis = vecs[:, -1]
-    if np.sum((v @ axis) ** 3) < -1e-9:
-        axis = -axis
-    w = v @ np.column_stack([axis, [-axis[1], axis[0]]])
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(v).max()))[1])
+    u = v / scale
+    (sxx, sxy), (_, syy) = (u.T @ u).tolist()
+    phi = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+    c, s = math.cos(phi), math.sin(phi)
+    # the third moment of v is that of u times scale^3; Python's float
+    # division saturates to inf or 0 without a warning
+    if float(((u @ [c, s]) ** 3).sum()) < -1e-9 / scale / scale / scale:
+        c, s = -c, -s
+    w = u @ np.array([[c, -s], [s, c]])
     # twice the signed (shoelace) area
     if np.sum(w[:, 0] * np.roll(w[:, 1], -1)
               - np.roll(w[:, 0], -1) * w[:, 1]) < 0:
         w[:, 1] = -w[:, 1]
+    w *= scale
     x = w[:, 0]
     ties = np.flatnonzero(x >= x.max() - 1e-9)
     start = int(ties[np.argmax(w[ties, 1])])
@@ -583,7 +593,10 @@ def maximize(p: float, init: PolyCurve,
     pairs = []
     for iters in range(1, opts.max_iters + 1):
         grad = band.gradient(v, p)
-        gnorm = float(np.linalg.norm(_tangent_part(v, grad)))
+        # a numpy sum, not the BLAS dot of np.linalg.norm, whose
+        # round-off depends on the thread count on long vectors
+        tangent = _tangent_part(v, grad)
+        gnorm = math.sqrt((tangent * tangent).sum())
         if gnorm < opts.tol_grad:
             reason = Termination.GRAD_TOL
             history.append(IterationRecord(iters, value, gnorm, 0))

@@ -235,6 +235,11 @@ def _circle64():
     return geo.make_circle(64)
 
 
+def _huge_circle64():
+    # coordinates of 1e300, beyond MAX_COORDINATE
+    return geo.PolyCurve(1e300 * _circle64().vertices)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: geo.make_circle(64.5), InvalidDiscretizationError),
     (lambda: geo.make_circle(64.0), InvalidDiscretizationError),
@@ -296,14 +301,26 @@ def test_counts_numpy_cannot_allocate_are_refused(call):
      DegenerateCurveError),
     (lambda: opt.perturb_mode2(geo.make_circle(16), -1.7e308),
      DegenerateCurveError),
-    (lambda: geo.resample_arclength(geo.PolyCurve(1e300
-                                                  * _circle64().vertices), 64),
-     DegenerateCurveError),
+    (lambda: geo.resample_arclength(_huge_circle64(), 64),
+     InvalidDiscretizationError),
+    (lambda: _huge_circle64().perimeter(), InvalidDiscretizationError),
+    (lambda: fn.distortion(_huge_circle64()), InvalidDiscretizationError),
+    (lambda: shp.fit_conic(_huge_circle64()), InvalidDiscretizationError),
+    (lambda: opt.canonicalize(_huge_circle64()), InvalidDiscretizationError),
+    (lambda: fn.avg_chord_p(_huge_circle64(), 4.0),
+     InvalidDiscretizationError),
+    (lambda: opt.maximize(4.0, _huge_circle64(),
+                          opt.OptimizeOptions(max_iters=2)),
+     InvalidDiscretizationError),
+    (lambda: opt.perturb_mode2(geo.PolyCurve(1.7e308
+                                             * _circle64().vertices), 0.05),
+     InvalidDiscretizationError),
 ], ids=["make_ellipse", "perturb_mode2", "perturb_mode2_largest",
-        "resample_arclength"])
+        "resample_arclength", "perimeter", "distortion", "fit_conic",
+        "canonicalize", "avg_chord_p", "maximize", "perturb_mode2_huge"])
 def test_overflowing_sizes_raise_without_a_warning(call, error):
     # the squared edge lengths overflowed, with a RuntimeWarning, before
-    # the package error
+    # the package error; a PolyCurve now refuses such coordinates
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=r"from 1 to|overflow"):

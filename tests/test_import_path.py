@@ -1,15 +1,20 @@
 """No library path loads scipy: the package imports, and the verification
 paths, the scalar commands, the optimizer and the sweep run, without it.
-The optimizer's one LAPACK routine, the tridiagonal solver dptsv, is
+The library's one LAPACK routine, the tridiagonal solver dptsv, is
 looked up in the library that numpy's linear algebra already maps
 (geometry._bind_lapack), at the first edge-length projection or before
-sweep's first clock; binding it maps no file.
+sweep's first clock; binding it maps no file.  No module calls a dense
+routine of numpy.linalg.
 
 Each probe runs in a fresh interpreter, since this test process holds
 scipy: the tests use it as a reference.
 """
 
+import ast
+import contextlib
 import ctypes
+import io
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +24,7 @@ import pytest
 from scipy import linalg
 
 import chordenergy
+from chordenergy import cli
 from chordenergy import geometry as geo
 from chordenergy import optimizer as opt
 
@@ -255,3 +261,62 @@ def test_runs_with_scipy_blocked(tmp_path, argv):
         argv = [a.format(out=tmp_path / "sweep.csv") for a in argv]
     code = _NO_SCIPY + (f"sys.exit(cli.main({argv!r}))" if argv else "")
     _run_probe(code)
+
+
+#: numpy.linalg's dense routines, each a LAPACK call
+DENSE_ROUTINES = ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr",
+                  "solve", "lstsq")
+
+
+def test_sweep_and_shape_call_no_dense_routine(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense LAPACK routine was called")
+
+    for name in DENSE_ROUTINES:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    records = opt.sweep([2.0, 4.0], opt.OptimizeOptions(n=64))
+    assert all(rec.iterations > 0 for rec in records)
+    assert records[1].r > 1.5 and records[1].eccentricity > 0.9
+    path = tmp_path / "curve.json"
+    geo.save_curve(records[1].curve, path)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["shape", "--curve", str(path)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out.getvalue())["elliptic"] is True
+
+
+def _linalg_name(node):
+    """The attribute read off np.linalg or numpy.linalg by node, or
+    None."""
+    if isinstance(node, ast.Attribute) \
+            and isinstance(node.value, ast.Attribute) \
+            and node.value.attr == "linalg" \
+            and isinstance(node.value.value, ast.Name) \
+            and node.value.value.id in ("np", "numpy"):
+        return node.attr
+    return None
+
+
+def test_no_module_calls_a_dense_linalg_routine():
+    # np.linalg.norm with axis= reduces along an axis in numpy's own
+    # loops; every other numpy.linalg function runs LAPACK or a BLAS dot
+    found = []
+    for name in sorted(os.listdir(os.path.dirname(chordenergy.__file__))):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(os.path.dirname(chordenergy.__file__), name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                attr = _linalg_name(node.func)
+                if attr is not None and not (
+                        attr == "norm"
+                        and any(k.arg == "axis" for k in node.keywords)):
+                    found.append(f"{name}:{node.lineno} np.linalg.{attr}")
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module == "numpy.linalg":
+                found.extend(f"{name}:{node.lineno} {alias.name}"
+                             for alias in node.names
+                             if alias.name != "_umath_linalg")
+    assert found == []

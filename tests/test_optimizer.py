@@ -456,7 +456,44 @@ class TestRetraction:
         assert result.value > fn.avg_chord_p(init, 4.0)
 
 
+def _eigh_canonicalize(curve):
+    """canonicalize with the principal axis from LAPACK's eigensolver,
+    as it was computed before the closed form."""
+    v = curve.vertices - curve.vertices.mean(axis=0)
+    _, vecs = np.linalg.eigh(v.T @ v)
+    axis = vecs[:, -1]
+    if np.sum((v @ axis) ** 3) < -1e-9:
+        axis = -axis
+    w = v @ np.column_stack([axis, [-axis[1], axis[0]]])
+    if np.sum(w[:, 0] * np.roll(w[:, 1], -1)
+              - np.roll(w[:, 0], -1) * w[:, 1]) < 0:
+        w[:, 1] = -w[:, 1]
+    x = w[:, 0]
+    ties = np.flatnonzero(x >= x.max() - 1e-9)
+    return np.roll(w, -int(ties[np.argmax(w[ties, 1])]), axis=0)
+
+
 class TestCanonicalize:
+    def test_matches_the_eigensolver_axis(self):
+        rng = np.random.default_rng(34)
+        compared = 0
+        for seed in range(30):
+            curve = geo.random_closed_curve(seed, n=256)
+            theta = rng.uniform(0, 2 * np.pi)
+            rot = np.array([[np.cos(theta), -np.sin(theta)],
+                            [np.sin(theta), np.cos(theta)]])
+            curve = geo.PolyCurve(curve.vertices @ rot.T + [3.0, -1.0])
+            v = curve.vertices - curve.vertices.mean(axis=0)
+            low, high = np.linalg.eigvalsh(v.T @ v)
+            ref = _eigh_canonicalize(curve)
+            # only a decisive axis: separated second moments and a third
+            # moment far from the 1e-9 threshold
+            if low < 0.9 * high and abs(np.sum(ref[:, 0] ** 3)) > 1e-3:
+                compared += 1
+                assert np.abs(opt.canonicalize(curve).vertices - ref).max() \
+                    < 1e-12
+        assert compared >= 10
+
     def test_idempotent_up_to_tolerance(self):
         curve = opt.canonicalize(geo.random_closed_curve(8, n=256))
         again = opt.canonicalize(curve)
@@ -528,6 +565,23 @@ def _circle_start_p4_value():
 
 
 class TestMaximize:
+    def test_gradient_norm_is_a_numpy_sum(self):
+        # the stop test reads a numpy sum, not the BLAS dot of
+        # np.linalg.norm, whose last bit changed with the OpenBLAS thread
+        # count on a (20000, 2) array.  At n = 66 OpenBLAS's dot and the
+        # numpy sum round differently even at one thread, so the test
+        # tells them apart
+        init = opt.perturb_mode2(geo.make_circle(66), 0.05)
+        result = opt.maximize(4.0, init, opt.OptimizeOptions(
+            n=66, max_iters=2))
+        edges = geo._edges(init.vertices)[0]
+        _, v = geo._close_angles(np.arctan2(edges[:, 1], edges[:, 0]),
+                                 geo.TWO_PI / 66)
+        tangent = geo._tangent_part(
+            v, opt.objective_grad(geo.PolyCurve(v), 4.0))
+        assert result.history[1].gnorm == \
+            math.sqrt((tangent * tangent).sum())
+
     def test_subcritical_returns_to_circle(self):
         opts = opt.OptimizeOptions(n=128, max_iters=500)
         init = opt.perturb_mode2(geo.make_circle(128), 0.05)

@@ -674,6 +674,59 @@ SPEED_GRID = 4096
 #: coefficient scale ratio of successive harmonics in random_closed_curve
 AMPLITUDE_DECAY = 0.4
 
+#: draws random_closed_curve tries for a seed, on the streams keyed
+#: (seed, 0) .. (seed, DRAW_ATTEMPTS - 1)
+DRAW_ATTEMPTS = 32
+
+#: SplitMix64's counter increment, the odd integer nearest 2**64 / phi
+_GAMMA = 0x9E3779B97F4A7C15
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix(z):
+    """SplitMix64's finalizer on 64-bit words: a Python int below 2**64,
+    or a uint64 array, whose products wrap without a warning."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def _key(*words) -> int:
+    """The key of the random stream named by the non-negative integers
+    words, such as (seed, attempt).  Each word's 64-bit limbs, the low
+    limb first and one limb for 0, are xored into the key in turn, and
+    the key plus _GAMMA passes through _mix after each.  The arithmetic
+    is on Python ints, so a seed of any size is taken whole."""
+    key = 0
+    for word in words:
+        word = int(word)
+        for shift in range(0, max(word.bit_length(), 1), 64):
+            key = _mix(((key ^ (word >> shift & _MASK64)) + _GAMMA)
+                       & _MASK64)
+    return key
+
+
+def _uniforms(key: int, count: int) -> np.ndarray:
+    """The SplitMix64 outputs z at counters 1..count of the stream keyed
+    by key, each as (z >> 11) * 2**-53: count floats in [0, 1), on the
+    grid of 2**-53.  The stream is the library's own, so a seed's draws
+    do not change with numpy's random module."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA + key
+    return (_mix(z) >> 11) * 2.0 ** -53
+
+
+def _normals(key: int, shape) -> np.ndarray:
+    """Standard normal draws of the given shape from the stream keyed by
+    key, by Box-Muller on successive pairs (u, v) of _uniforms: the pair
+    gives r cos(2 pi v) and r sin(2 pi v), r = sqrt(-2 log(1 - u)), in
+    that order; 1 - u is exact and positive, so r is finite."""
+    count = math.prod(shape)
+    u, v = _uniforms(key, count + count % 2).reshape(-1, 2).T
+    r, angle = np.sqrt(-2.0 * np.log(1.0 - u)), TWO_PI * v
+    pairs = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
+    return pairs.reshape(-1)[:count].reshape(shape)
+
 
 def _harmonics(t: np.ndarray, K: int) -> np.ndarray:
     """cos(k t) and sin(k t) for k = 1..K as one (len(t), 2K) array, row
@@ -705,10 +758,13 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
 
     Coefficients for harmonic k have magnitude proportional to
     AMPLITUDE_DECAY**|k|; vertices are placed on the smooth trace with
-    equal chord lengths and perimeter 2*pi.  Deterministic per seed;
-    draws whose speed dips below 0.35 of its mean, and draws the
-    inscriber rejects (a perimeter below 1e-6, or unequal edges), fall
-    through to the next substream.  The trace takes cos(kt) and sin(kt)
+    equal chord lengths and perimeter 2*pi.  Deterministic per seed:
+    attempt a draws its coefficients by _normals from the SplitMix64
+    stream keyed (seed, a), the library's own, so a seed's curve does
+    not change with numpy's random streams.  Draws whose speed dips
+    below 0.35 of its mean, and draws the inscriber rejects (a perimeter
+    below 1e-6, or unequal edges), fall through to the next of the
+    DRAW_ATTEMPTS streams.  The trace takes cos(kt) and sin(kt)
     from the powers of exp(it) (_harmonics); on the SPEED_GRID speed grid
     they come from a small read-only cache keyed by grid size and K
     (_harmonic_table), built by the same function.  K, n and dim must be
@@ -724,11 +780,9 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
     if dim not in (2, 3):
         raise InvalidDiscretizationError(f"need dim 2 or 3, got {dim}")
     ks = np.arange(1, K + 1)[:, None]
-    for attempt in range(32):
-        rng = np.random.default_rng((seed, attempt))
+    for attempt in range(DRAW_ATTEMPTS):
         scale = 0.25 * AMPLITUDE_DECAY ** ks
-        a = rng.normal(size=(K, dim)) * scale
-        b = rng.normal(size=(K, dim)) * scale
+        a, b = _normals(_key(seed, attempt), (2, K, dim)) * scale
         # base circle in the first two coordinates keeps the speed bounded
         # away from zero, so the chord-equalized sampling stays smooth
         a[0, 0] += 1.0

@@ -185,7 +185,11 @@ class VerificationReport:
 
 def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationReport:
     """Run every cross-module inequality suite on seeded random curves.
-    seed, n_curves and n must be integers."""
+    seed, n_curves and n must be integers.  The planar curves are
+    random_closed_curve(seed + i), the space ones random_closed_curve(
+    seed + 1000 + i, dim=3), and the pointwise lemmas' samples come from
+    the SplitMix64 streams keyed (seed, geometry.DRAW_ATTEMPTS + i), so
+    a seed's report does not change with numpy's random streams."""
     geo.require_integer("n_curves", n_curves, 1, ParameterDomainError)
     report = VerificationReport()
     # circle minimality of the chord/arc energies: one chord-table walk
@@ -265,17 +269,20 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     report.add("deficit series vs direct", worst_agree <= agree_tol,
                worst_agree, 0.0, agree_tol)
 
-    # pointwise lemmas
-    rng = np.random.default_rng(seed)
-    ks = rng.integers(2, 51, size=10000)
-    thetas = rng.uniform(-10, 10, size=10000)
+    # pointwise lemmas, on the streams keyed (seed, DRAW_ATTEMPTS + i),
+    # which no random_closed_curve draw reads: ks in [2, 50], thetas in
+    # [-10, 10), then the planar and the space tetrahedra
+    stream = geo.DRAW_ATTEMPTS
+    u = geo._uniforms(geo._key(seed, stream), 10000)
+    ks = 2 + (49.0 * u).astype(int)
+    thetas = 20.0 * geo._uniforms(geo._key(seed, stream + 1), 10000) - 10.0
     viol = np.subtract(*spec.trig_lemma_check(ks, thetas))
     report.add("sin^2(k theta) <= k^2 sin^2(theta)", viol.max() <= 1e-9,
                float(viol.max()), 0.0, 1e-9)
-    del ks, thetas, viol
+    del u, ks, thetas, viol
     worst_tetra = np.inf
     for dim in (2, 3):
-        pts = rng.normal(size=(2000, 4, dim))
+        pts = geo._normals(geo._key(seed, stream + dim), (2000, 4, dim))
         _, _, gaps = spec.tetra_check(*pts.transpose(1, 0, 2))
         worst_tetra = min(worst_tetra, float(gaps.min()))
     del pts, gaps

@@ -346,33 +346,36 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
     moments, in closed form: at angle phi = atan2(2 s_xy, s_xx - s_yy) / 2.
     The moments are taken of the centered vertices divided by a power of
     two above their largest |coordinate|, exactly, so that no square
-    overflows; the axis does not depend on scale.  The axis is reversed
-    where its third moment is below -1e-9; the minor axis follows by a
-    proper rotation, and is reflected only to make the signed area
-    positive.  Of the vertices whose x lies within 1e-9 of the largest,
-    the one with the largest y comes first.
+    overflows; the axis does not depend on scale.  Both thresholds are
+    in units of L/(2 pi), L the perimeter, so the canonical form of a
+    scaled curve is the scaled canonical form; at the library's perimeter
+    of 2 pi they are 1e-9 in coordinates.  The axis is reversed where its
+    third moment is below -1e-9 (L/(2 pi))^3; the minor axis follows by
+    a proper rotation, and is reflected only to make the signed area
+    positive.  Of the vertices whose x lies within 1e-9 L/(2 pi) of the
+    largest, the one with the largest y comes first.
     """
     v = curve.vertices - curve.vertices.mean(axis=0)
     if curve.dim != 2:
         raise InvalidDiscretizationError("canonicalize needs a planar curve")
     scale = math.ldexp(1.0, math.frexp(float(np.abs(v).max()))[1])
     u = v / scale
+    # L/(2 pi) in u's units, in which both thresholds are compared
+    unit = float(_edges(u)[1].sum()) / TWO_PI
     (sxx, sxy), (_, syy) = (u.T @ u).tolist()
     phi = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
     c, s = math.cos(phi), math.sin(phi)
-    # the third moment of v is that of u times scale^3; Python's float
-    # division saturates to inf or 0 without a warning
-    if float(((u @ [c, s]) ** 3).sum()) < -1e-9 / scale / scale / scale:
+    if float(((u @ [c, s]) ** 3).sum()) < -1e-9 * unit ** 3:
         c, s = -c, -s
     w = u @ np.array([[c, -s], [s, c]])
     # twice the signed (shoelace) area
     if np.sum(w[:, 0] * np.roll(w[:, 1], -1)
               - np.roll(w[:, 0], -1) * w[:, 1]) < 0:
         w[:, 1] = -w[:, 1]
-    w *= scale
     x = w[:, 0]
-    ties = np.flatnonzero(x >= x.max() - 1e-9)
+    ties = np.flatnonzero(x >= x.max() - 1e-9 * unit)
     start = int(ties[np.argmax(w[ties, 1])])
+    w *= scale
     return PolyCurve(np.roll(w, -start, axis=0))
 
 

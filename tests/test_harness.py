@@ -88,6 +88,22 @@ class TestVerifyAll:
         assert [(c.name, c.measured) for c in a.checks] \
             == [(c.name, c.measured) for c in b.checks]
 
+    def test_lemma_samples_cover_their_ranges(self, monkeypatch):
+        seen = []
+        check = spec.trig_lemma_check
+
+        def recording(ks, thetas):
+            seen.append((ks, thetas))
+            return check(ks, thetas)
+
+        monkeypatch.setattr(spec, "trig_lemma_check", recording)
+        harness.verify_all(seed=3, n_curves=1, n=64)
+        (ks, thetas), = seen
+        assert ks.dtype.kind == "i"
+        assert np.array_equal(np.unique(ks), np.arange(2, 51))
+        assert thetas.min() >= -10.0 and thetas.max() < 10.0
+        assert thetas.min() < -9.99 and thetas.max() > 9.99
+
     def test_summary_has_line_per_check(self):
         report = harness.verify_all(seed=2, n_curves=1, n=128)
         lines = report.summary().splitlines()

@@ -4,7 +4,8 @@ The library's one LAPACK routine, the tridiagonal solver dptsv, is
 looked up in the library that numpy's linear algebra already maps
 (geometry._bind_lapack), at the first edge-length projection or before
 sweep's first clock; binding it maps no file.  No module calls a dense
-routine of numpy.linalg.
+routine of numpy.linalg or uses numpy.random: the seeded curves come
+from the package's own SplitMix64 streams.
 
 Each probe runs in a fresh interpreter, since this test process holds
 scipy: the tests use it as a reference.
@@ -94,6 +95,27 @@ def test_circle_bounds_and_verification_load_no_numpy_polynomial():
         "print(loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['bound', '--j', '1', '--p', '2'])\n"
+        "print(code, loaded())")
+    assert out.splitlines() == ["[]", "[]", "0 []"]
+
+
+def test_seeded_curves_and_verification_load_no_numpy_random():
+    # the seeded curves and verify's samples come from the package's own
+    # SplitMix64 streams; numpy.random would load its extensions and,
+    # through secrets and hmac, _hashlib and libcrypto
+    out = _run_probe(
+        "import contextlib, io, sys; import chordenergy as ce\n"
+        "from chordenergy import cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith('numpy.random')\n"
+        "                  or m == '_hashlib')\n"
+        "ce.random_closed_curve(3, n=64, dim=3)\n"
+        "print(loaded())\n"
+        "ce.verify_all(n_curves=2, n=64)\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['--n', '64', 'verify', '--curves', '2'])\n"
         "print(code, loaded())")
     assert out.splitlines() == ["[]", "[]", "0 []"]
 
@@ -297,16 +319,41 @@ def _linalg_name(node):
     return None
 
 
+def _package_trees():
+    """(file name, ast) of each module of the package."""
+    package = os.path.dirname(chordenergy.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def test_no_module_uses_numpy_random():
+    # a seed's curve and verify's samples must not change with numpy's
+    # random streams, which NEP 19 does not keep across versions
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "random" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy"):
+                found.append(f"{name}:{node.lineno} {node.value.id}.random")
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module] + [f"{node.module}.{alias.name}"
+                                           for alias in node.names]
+            if any(m.split(".")[:2] == ["numpy", "random"] for m in modules):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 def test_no_module_calls_a_dense_linalg_routine():
     # np.linalg.norm with axis= reduces along an axis in numpy's own
     # loops; every other numpy.linalg function runs LAPACK or a BLAS dot
     found = []
-    for name in sorted(os.listdir(os.path.dirname(chordenergy.__file__))):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(os.path.dirname(chordenergy.__file__), name)
-        with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=name)
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 attr = _linalg_name(node.func)

@@ -64,10 +64,14 @@ class TestAnalyze:
         assert np.abs(fc.coeff(10)).max() == 0.0
 
     @pytest.mark.parametrize("n", [64, 65])
-    def test_truncation_beyond_nyquist_rejected(self, n):
+    def test_truncation_beyond_nyquist_rejected(self, n, legacy_curve):
         # K = 100 at n = 64 used to alias the DFT: derivative_energy()
-        # read 50,618 instead of about 2 pi
-        curve = geo.random_closed_curve(1, n=n)
+        # read 50,618 instead of about 2 pi, on seed 1's curve from
+        # numpy's random streams.  The rel=1e-3 below was set on that
+        # curve and is not proven: at n = 64 the SplitMix64 curves of
+        # seeds 1-10 read 0.84e-3 to 1.27e-3, and the earlier ones 0.86e-3
+        # to 1.06e-3
+        curve = legacy_curve(1, n=n)
         for K in (-1, (n - 1) // 2 + 1, 100):
             with pytest.raises(ParameterDomainError):
                 spec.analyze(curve, K=K)

@@ -40,6 +40,7 @@ from .geometry import (
     half_offsets,
     offset_arcs,
     offset_chord_blocks,
+    require_curve,
     require_points,
     require_real,
 )
@@ -193,6 +194,7 @@ def energy_Ejp(curve: PolyCurve, params: EnergyParams) -> float:
     polygon's chord equals its arc to about 1e-14, and the power lifts
     that noise (1.5e-12 relative at j = 1, p = 0.5); the theorem needs
     p >= 1."""
+    require_curve("curve", curve)
     return _energy_walk(curve, [params])[0][0]
 
 
@@ -267,6 +269,7 @@ def _energy_walk(curve: PolyCurve, params_seq) -> EnergyWalk:
 def renorm_energy(curve: PolyCurve, kernel: ChordKernel) -> float:
     """Double Riemann sum of F(chord, arc) excluding the diagonal.  The
     kernel is applied elementwise to equal-shape chord and arc arrays."""
+    require_curve("curve", curve)
     n = curve.n
     ks, weights = half_offsets(n)
     arcs = offset_arcs(n, ks)
@@ -397,6 +400,7 @@ def avg_chord_p(curve: PolyCurve, p):
     p may also be a sequence of exponents, giving a list whose entry i
     equals avg_chord_p(curve, p[i]) bit for bit from one walk: the
     scaled block does not depend on p, and no power writes into it."""
+    require_curve("curve", curve)
     ps = list(p) if np.iterable(p) else [p]
     for q in ps:
         require_finite_exponent(q)
@@ -473,6 +477,7 @@ def distortion_at(curve: PolyCurve, k):
     other k raises ParameterDomainError.  The ratio is the infinity
     sentinel where some chord vanishes at positive arc distance
     (non-embedded curve), and 0 at k = 0 mod N."""
+    require_curve("curve", curve)
     n = curve.n
     ks = grid_offsets(k, n)
     min_d2 = np.empty(ks.shape)
@@ -485,6 +490,7 @@ def distortion_at(curve: PolyCurve, k):
 def distortion(curve: PolyCurve) -> float:
     """Gromov distortion over the grid: max over separations k in
     [1, N/2] of the worst arc/chord ratio."""
+    require_curve("curve", curve)
     return float(distortion_at(curve, half_offsets(curve.n)[0]).max())
 
 
@@ -498,6 +504,7 @@ def chord_average(curve: PolyCurve, k, f):
     giving a list whose entry i equals chord_average(curve, k, f[i]) bit
     for bit from one walk: they read the same block, so none may write
     into its argument.  Any other f raises ParameterDomainError."""
+    require_curve("curve", curve)
     fs = list(f) if np.iterable(f) and not callable(f) else [f]
     if not all(map(callable, fs)):
         raise ParameterDomainError(

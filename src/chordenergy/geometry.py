@@ -130,6 +130,15 @@ class PolyCurve:
             )
 
 
+def require_curve(name: str, value) -> None:
+    """Raise InvalidDiscretizationError, naming the argument, unless
+    value is a PolyCurve: a vertex array, a float or None is not.  Each
+    public function that takes a curve calls it first."""
+    if not isinstance(value, PolyCurve):
+        raise InvalidDiscretizationError(
+            f"{name} must be a PolyCurve, got {type(value).__name__}")
+
+
 def lambda_chord(s):
     """Chord length subtended by arclength s on the unit circle: 2 sin(s/2),
     for s a finite real or an array of them (require_points)."""
@@ -577,6 +586,7 @@ def resample_arclength(curve: PolyCurve, m: int) -> PolyCurve:
     projection that does not converge raise DegenerateCurveError, so the
     result always has unit speed.  m must be an integer.
     """
+    require_curve("curve", curve)
     require_vertex_count("m", m)
     closed = np.vstack([curve.vertices, curve.vertices[:1]])
     pts = np.column_stack(_equal_arclength(curve.edge_lengths(), closed.T, m))
@@ -678,6 +688,11 @@ AMPLITUDE_DECAY = 0.4
 #: (seed, 0) .. (seed, DRAW_ATTEMPTS - 1)
 DRAW_ATTEMPTS = 32
 
+#: samples harness.verify_all's pointwise lemma checks draw from their
+#: streams and check at a time: LEMMA_BLOCK pairs (k, theta), or
+#: LEMMA_BLOCK // 4 tetrahedra
+LEMMA_BLOCK = 1000
+
 #: SplitMix64's counter increment, the odd integer nearest 2**64 / phi
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -686,7 +701,10 @@ _MASK64 = (1 << 64) - 1
 
 def _mix(z):
     """SplitMix64's finalizer on 64-bit words: a Python int below 2**64,
-    or a uint64 array, whose products wrap without a warning."""
+    or a uint64 array.  The array path relies on two numpy behaviours:
+    uint64 products and shifts wrap mod 2**64 without a warning, and a
+    Python int below 2**64 (the multipliers, _MASK64) combines with a
+    uint64 array as uint64."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
@@ -707,22 +725,33 @@ def _key(*words) -> int:
     return key
 
 
-def _uniforms(key: int, count: int) -> np.ndarray:
-    """The SplitMix64 outputs z at counters 1..count of the stream keyed
-    by key, each as (z >> 11) * 2**-53: count floats in [0, 1), on the
-    grid of 2**-53.  The stream is the library's own, so a seed's draws
-    do not change with numpy's random module."""
-    z = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA + key
+def _uniforms(key: int, count: int, start: int = 0) -> np.ndarray:
+    """The SplitMix64 outputs z at counters start+1..start+count of the
+    stream keyed by key, each as (z >> 11) * 2**-53: count floats in
+    [0, 1), on the grid of 2**-53.  Output i depends on its counter
+    alone, so a stream can be drawn a block at a time, start = 0, m,
+    2m, ..., bit for bit as in one draw.  The counters times _GAMMA plus
+    the key rely on the wrap-around of uint64 arithmetic and on a Python
+    int below 2**64 (_GAMMA, the key) combining with a uint64 array as
+    uint64 (see _mix).  The stream is the library's own, so a seed's
+    draws do not change with numpy's random module."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GAMMA \
+        + key
     return (_mix(z) >> 11) * 2.0 ** -53
 
 
-def _normals(key: int, shape) -> np.ndarray:
+def _normals(key: int, shape, start: int = 0) -> np.ndarray:
     """Standard normal draws of the given shape from the stream keyed by
-    key, by Box-Muller on successive pairs (u, v) of _uniforms: the pair
-    gives r cos(2 pi v) and r sin(2 pi v), r = sqrt(-2 log(1 - u)), in
-    that order; 1 - u is exact and positive, so r is finite."""
+    key, by Box-Muller on successive pairs (u, v) of _uniforms from
+    counter start + 1 on: the pair gives r cos(2 pi v) and r sin(2 pi v),
+    r = sqrt(-2 log(1 - u)), in that order; 1 - u is exact and positive,
+    so r is finite.  start must be even, so that the pairs line up with
+    those of a draw from counter 1: then the draw is the slice from
+    start of a longer one-shot draw, bit for bit."""
+    if start % 2:
+        raise ParameterDomainError(f"need an even start, got {start}")
     count = math.prod(shape)
-    u, v = _uniforms(key, count + count % 2).reshape(-1, 2).T
+    u, v = _uniforms(key, count + count % 2, start).reshape(-1, 2).T
     r, angle = np.sqrt(-2.0 * np.log(1.0 - u)), TWO_PI * v
     pairs = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
     return pairs.reshape(-1)[:count].reshape(shape)
@@ -808,6 +837,7 @@ def random_closed_curve(seed: int, K: int = 6, n: int = 512,
 
 def save_curve(curve: PolyCurve, path) -> None:
     """Write the curve JSON file: {"dim": d, "n": N, "vertices": [...]}."""
+    require_curve("curve", curve)
     payload = {
         "dim": curve.dim,
         "n": curve.n,

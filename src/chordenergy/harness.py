@@ -189,7 +189,12 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
     random_closed_curve(seed + i), the space ones random_closed_curve(
     seed + 1000 + i, dim=3), and the pointwise lemmas' samples come from
     the SplitMix64 streams keyed (seed, geometry.DRAW_ATTEMPTS + i), so
-    a seed's report does not change with numpy's random streams."""
+    a seed's report does not change with numpy's random streams.  The
+    lemma checks draw and check geometry.LEMMA_BLOCK samples at a time,
+    by counter into those streams (_uniforms, _normals), and keep the
+    running worst value: their measured values equal those of one draw
+    of all the samples, bit for bit, while their memory stays that of
+    one block."""
     geo.require_integer("n_curves", n_curves, 1, ParameterDomainError)
     report = VerificationReport()
     # circle minimality of the chord/arc energies: one chord-table walk
@@ -271,21 +276,27 @@ def verify_all(seed: int = 1, n_curves: int = 50, n: int = 512) -> VerificationR
 
     # pointwise lemmas, on the streams keyed (seed, DRAW_ATTEMPTS + i),
     # which no random_closed_curve draw reads: ks in [2, 50], thetas in
-    # [-10, 10), then the planar and the space tetrahedra
-    stream = geo.DRAW_ATTEMPTS
-    u = geo._uniforms(geo._key(seed, stream), 10000)
-    ks = 2 + (49.0 * u).astype(int)
-    thetas = 20.0 * geo._uniforms(geo._key(seed, stream + 1), 10000) - 10.0
-    viol = np.subtract(*spec.trig_lemma_check(ks, thetas))
-    report.add("sin^2(k theta) <= k^2 sin^2(theta)", viol.max() <= 1e-9,
-               float(viol.max()), 0.0, 1e-9)
-    del u, ks, thetas, viol
+    # [-10, 10), then the planar and the space tetrahedra, LEMMA_BLOCK
+    # samples at a time, each block's worst value folded into a running one
+    stream, block = geo.DRAW_ATTEMPTS, geo.LEMMA_BLOCK
+    k_key, theta_key = geo._key(seed, stream), geo._key(seed, stream + 1)
+    worst_trig = -np.inf
+    for start in range(0, 10000, block):
+        count = min(block, 10000 - start)
+        ks = 2 + (49.0 * geo._uniforms(k_key, count, start)).astype(int)
+        thetas = 20.0 * geo._uniforms(theta_key, count, start) - 10.0
+        viol = np.subtract(*spec.trig_lemma_check(ks, thetas))
+        worst_trig = max(worst_trig, float(viol.max()))
+    report.add("sin^2(k theta) <= k^2 sin^2(theta)", worst_trig <= 1e-9,
+               worst_trig, 0.0, 1e-9)
     worst_tetra = np.inf
     for dim in (2, 3):
-        pts = geo._normals(geo._key(seed, stream + dim), (2000, 4, dim))
-        _, _, gaps = spec.tetra_check(*pts.transpose(1, 0, 2))
-        worst_tetra = min(worst_tetra, float(gaps.min()))
-    del pts, gaps
+        key = geo._key(seed, stream + dim)
+        for first in range(0, 2000, block // 4):
+            count = min(block // 4, 2000 - first)
+            pts = geo._normals(key, (count, 4, dim), 4 * dim * first)
+            _, _, gaps = spec.tetra_check(*pts.transpose(1, 0, 2))
+            worst_tetra = min(worst_tetra, float(gaps.min()))
     report.add("tetrahedron inequality gap >= 0", worst_tetra >= -1e-12,
                worst_tetra, 0.0, 1e-12)
 
@@ -316,9 +327,12 @@ def _write_svg(path, elements) -> None:
 
 def emit_svg(curves, labels, path) -> None:
     """Write planar curves into one SVG document with a shared scale,
-    one label per curve."""
+    one label per curve; an entry of curves that is not a PolyCurve
+    raises InvalidDiscretizationError."""
     curves = list(curves)
     labels = list(labels)
+    for i, curve in enumerate(curves):
+        geo.require_curve(f"curves[{i}]", curve)
     if len(labels) != len(curves):
         raise ParameterDomainError(
             f"need one label per curve, got {len(labels)} for "

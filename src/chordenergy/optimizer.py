@@ -52,8 +52,8 @@ from .errors import DegenerateCurveError, InvalidDiscretizationError, \
     ParameterDomainError, SingularGradientError
 from .geometry import MAX_COORDINATE, TWO_PI, PolyCurve, _angle_gradient, \
     _bind_lapack, _close_angles, _edges, _tangent_part, make_circle, \
-    require_integer, require_real, require_vertex_count, resample_arclength, \
-    squared_chord_matrix
+    require_curve, require_integer, require_real, require_vertex_count, \
+    resample_arclength, squared_chord_matrix
 from .functionals import circle_avg_chord, require_finite_exponent, \
     segment_avg_chord
 from . import shape as shape_mod
@@ -300,6 +300,7 @@ def objective_grad(curve: PolyCurve, p: float) -> np.ndarray:
     respect to the vertices: row m is
     (2p/N^2) sum_{k != m} |v_m - v_k|^(p-2) (v_m - v_k).  p must be
     positive and at most _MAX_EXPONENT, 303."""
+    require_curve("curve", curve)
     _require_exponent(p)
     band = _ChordBand(curve.n)
     _start_value(band, curve.vertices, p)
@@ -314,6 +315,7 @@ def project(curve: PolyCurve) -> PolyCurve:
     start as it closes every trial's (_close_angles).  A collapsed
     curve, or one whose edges the projection cannot equalize, raises
     DegenerateCurveError."""
+    require_curve("curve", curve)
     return resample_arclength(curve, curve.n)
 
 
@@ -323,6 +325,7 @@ def perturb_mode2(curve: PolyCurve, amplitude: float) -> PolyCurve:
     breaking.  An amplitude that takes a coordinate beyond MAX_COORDINATE,
     which no PolyCurve holds, raises DegenerateCurveError before the bump
     is made."""
+    require_curve("curve", curve)
     if not math.isfinite(require_real("amplitude", amplitude,
                                       ParameterDomainError)):
         raise ParameterDomainError(f"need finite amplitude: {amplitude}")
@@ -355,6 +358,7 @@ def canonicalize(curve: PolyCurve) -> PolyCurve:
     positive.  Of the vertices whose x lies within 1e-9 L/(2 pi) of the
     largest, the one with the largest y comes first.
     """
+    require_curve("curve", curve)
     v = curve.vertices - curve.vertices.mean(axis=0)
     if curve.dim != 2:
         raise InvalidDiscretizationError("canonicalize needs a planar curve")
@@ -576,6 +580,7 @@ def maximize(p: float, init: PolyCurve,
     positive and at most _MAX_EXPONENT, 303, above which the squared
     gradient norms overflow; other exponents raise ParameterDomainError.
     """
+    require_curve("init", init)
     _require_exponent(p)
     if init.dim != 2:
         raise InvalidDiscretizationError("maximize needs a planar curve")

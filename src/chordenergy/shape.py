@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDiscretizationError
-from .geometry import PolyCurve, _edges
+from .geometry import PolyCurve, _edges, require_curve
 
 #: sentinel for ratios of collapsed curves
 INFINITE_RATIO = math.inf
@@ -64,6 +64,7 @@ class SweepRecord:
 def width_ratio(curve: PolyCurve) -> float:
     """Ratio of the widest and narrowest 1-D projections of a planar
     curve, probed at WIDTH_ANGLES directions spanning a half turn."""
+    require_curve("curve", curve)
     if curve.dim != 2:
         raise InvalidDiscretizationError("width_ratio needs a planar curve")
     theta = np.pi * np.arange(WIDTH_ANGLES) / WIDTH_ANGLES
@@ -189,7 +190,16 @@ def fit_conic(curve: PolyCurve) -> ConicFit:
     the smaller as the determinant over it, so neither cancels.  Collinear
     input yields a degenerate (non-elliptic) fit rather than an error.
     No LAPACK routine runs.
+
+    The fit holds while the squared coordinates in the design are
+    normal floats: for a largest coordinate above about 1.5e-154, the
+    square root of the smallest normal float.  Below it they lose digits
+    as subnormals (make_circle(64) scaled by 1e-158 fits with
+    eccentricity 4e-4), and below about 2.2e-162, the square root of the
+    smallest subnormal, they underflow to zero: make_circle(64) scaled
+    by 1e-200 or 1e-300 fits as non-elliptic with residual 0.
     """
+    require_curve("curve", curve)
     if curve.dim != 2:
         raise InvalidDiscretizationError("fit_conic needs a planar curve")
     x, y = curve.vertices[:, 0], curve.vertices[:, 1]
@@ -242,6 +252,8 @@ def _point_polyline_dist(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
 def hausdorff(curve_a: PolyCurve, curve_b: PolyCurve) -> float:
     """Symmetric vertex-to-polyline Hausdorff distance.  Curves of
     different dimensions raise InvalidDiscretizationError."""
+    require_curve("curve_a", curve_a)
+    require_curve("curve_b", curve_b)
     if curve_a.dim != curve_b.dim:
         raise InvalidDiscretizationError(
             f"hausdorff needs curves of one dimension, got {curve_a.dim} "

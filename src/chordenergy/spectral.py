@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InvalidDiscretizationError, ParameterDomainError
 from .geometry import (TWO_PI, PolyCurve, grid_offsets, lambda_chord,
-                       offset_chord_blocks, require_integer, require_points,
-                       require_vertex_count)
+                       offset_chord_blocks, require_curve, require_integer,
+                       require_points, require_vertex_count)
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,7 @@ def analyze(curve: PolyCurve, K: int | None = None) -> FourierCurve:
     K must be an integer in [0, (n-1)//2]: beyond it harmonics k and
     k - n read the same DFT bin, so the truncated series would count
     them twice."""
+    require_curve("curve", curve)
     n = curve.n
     if K is None:
         K = n // 2 - 1
@@ -150,6 +151,7 @@ def deficit_direct(curve: PolyCurve, k):
     The chord table is walked once at each offset min(k, n - k) that k
     names, and offset n - k reads the sum of offset k (_mirrored_deficit).
     """
+    require_curve("curve", curve)
     n = curve.n
     ks = grid_offsets(k, n)
     walked = np.unique(np.minimum(ks, n - ks))

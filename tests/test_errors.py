@@ -6,6 +6,7 @@ a caller that catches ChordEnergyError.
 """
 
 import ast
+import inspect
 import math
 import os
 import tempfile
@@ -229,6 +230,67 @@ def test_offsets_must_be_integers(name):
                            atol=1e-13)
     assert call(curve, []).shape == (0,)
     assert call(curve, np.array([], dtype=int)).shape == (0,)
+
+
+#: each public function that takes a curve, called with x in that
+#: argument, and the argument's name
+CURVE_CALLS = {
+    "geometry.resample_arclength": (
+        lambda x: geo.resample_arclength(x, 64), "curve"),
+    "geometry.save_curve": (
+        lambda x: geo.save_curve(x, os.devnull), "curve"),
+    "functionals.energy_Ejp": (
+        lambda x: fn.energy_Ejp(x, fn.EnergyParams(2, 1)), "curve"),
+    "functionals.renorm_energy": (lambda x: fn.renorm_energy(
+        x, fn.ChordKernel(lambda chord, arc: chord)), "curve"),
+    "functionals.avg_chord_p": (lambda x: fn.avg_chord_p(x, 2), "curve"),
+    "functionals.distortion_at": (lambda x: fn.distortion_at(x, 1), "curve"),
+    "functionals.distortion": (fn.distortion, "curve"),
+    "functionals.chord_average": (
+        lambda x: fn.chord_average(x, 1, np.sqrt), "curve"),
+    "spectral.analyze": (spec.analyze, "curve"),
+    "spectral.deficit_direct": (lambda x: spec.deficit_direct(x, 1), "curve"),
+    "optimizer.objective_grad": (lambda x: opt.objective_grad(x, 2.0),
+                                 "curve"),
+    "optimizer.project": (opt.project, "curve"),
+    "optimizer.perturb_mode2": (lambda x: opt.perturb_mode2(x, 0.05),
+                                "curve"),
+    "optimizer.canonicalize": (opt.canonicalize, "curve"),
+    "optimizer.maximize": (lambda x: opt.maximize(
+        2.0, x, opt.OptimizeOptions(n=64)), "init"),
+    "shape.width_ratio": (shp.width_ratio, "curve"),
+    "shape.fit_conic": (shp.fit_conic, "curve"),
+    "shape.hausdorff[a]": (lambda x: shp.hausdorff(x, _circle64()),
+                           "curve_a"),
+    "shape.hausdorff[b]": (lambda x: shp.hausdorff(_circle64(), x),
+                           "curve_b"),
+    "harness.emit_svg": (lambda x: harness.emit_svg(
+        [_circle64(), x], ["a", "b"], os.devnull), r"curves\[1\]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CALLS))
+def test_a_curve_argument_must_be_a_curve(name):
+    call, argument = CURVE_CALLS[name]
+    for value in (1.0, _circle64().vertices, None, "curve.json"):
+        with pytest.raises(InvalidDiscretizationError,
+                           match=f"^{argument} must be a PolyCurve"):
+            call(value)
+
+
+def test_curve_calls_cover_every_curve_parameter():
+    # every public function with a parameter annotated PolyCurve
+    found = set()
+    for module in (geo, fn, spec, opt, shp, harness):
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and inspect.isfunction(obj) \
+                    and obj.__module__ == module.__name__ \
+                    and any(annotation == "PolyCurve" for argument, annotation
+                            in obj.__annotations__.items()
+                            if argument != "return"):
+                found.add(f"{module.__name__.split('.')[-1]}.{name}")
+    covered = {name.split("[")[0] for name in CURVE_CALLS}
+    assert found == covered - {"harness.emit_svg"}
 
 
 def _circle64():

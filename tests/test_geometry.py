@@ -10,7 +10,7 @@ from chordenergy import geometry as geo
 from chordenergy import optimizer as opt
 from chordenergy import shape as shp
 from chordenergy.errors import DegenerateCurveError, \
-    InvalidDiscretizationError
+    InvalidDiscretizationError, ParameterDomainError
 
 TWO_PI = 2 * np.pi
 
@@ -271,6 +271,39 @@ class TestSplitMix64:
         assert np.array_equal(geo._normals(key, (2, 2, 2)).ravel(), flat)
         assert np.array_equal(geo._normals(key, (7,)), flat[:7])
         assert np.all(np.isfinite(flat))
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("count", [1, 2, 5, 999])
+    def test_uniforms_from_any_counter(self, start, count):
+        # output i depends on its counter alone: a draw from counter
+        # start + 1 is the tail of the draw from counter 1, bit for bit
+        key = geo._key(5, 1)
+        block = geo._uniforms(key, count, start)
+        assert block.shape == (count,)
+        assert block.tobytes() == \
+            geo._uniforms(key, start + count)[start:].tobytes()
+
+    def test_uniforms_at_a_far_counter(self):
+        # the uint64 counters times _GAMMA wrap as the Python ints do
+        key, start = geo._key(5, 1), 2 ** 40 + 3
+        assert geo._uniforms(key, 3, start).tolist() == [
+            (geo._mix((key + (start + i) * geo._GAMMA) & geo._MASK64)
+             >> 11) * 2.0 ** -53 for i in (1, 2, 3)]
+
+    @pytest.mark.parametrize("start", [0, 2, 6, 1000])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (250, 4, 2), (7, 3)])
+    def test_normals_from_an_even_counter(self, start, shape):
+        key = geo._key(2, geo.DRAW_ATTEMPTS + 3)
+        count = math.prod(shape)
+        whole = geo._normals(key, (start + count,)).reshape(-1)
+        block = geo._normals(key, shape, start)
+        assert block.shape == shape
+        assert block.tobytes() == whole[start:].tobytes()
+
+    def test_normals_refuse_an_odd_counter(self):
+        # an odd start would pair each u with the previous pair's v
+        with pytest.raises(ParameterDomainError, match="even"):
+            geo._normals(geo._key(1), (4,), 3)
 
     def test_keys_take_every_limb_of_a_seed(self):
         assert geo._key(np.uint64(5), np.int8(1)) == geo._key(5, 1)

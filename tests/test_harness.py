@@ -98,11 +98,36 @@ class TestVerifyAll:
 
         monkeypatch.setattr(spec, "trig_lemma_check", recording)
         harness.verify_all(seed=3, n_curves=1, n=64)
-        (ks, thetas), = seen
+        # one call per block of LEMMA_BLOCK samples
+        assert len(seen) == 10000 // geo.LEMMA_BLOCK
+        ks = np.concatenate([ks for ks, _ in seen])
+        thetas = np.concatenate([thetas for _, thetas in seen])
+        assert ks.shape == thetas.shape == (10000,)
         assert ks.dtype.kind == "i"
         assert np.array_equal(np.unique(ks), np.arange(2, 51))
         assert thetas.min() >= -10.0 and thetas.max() < 10.0
         assert thetas.min() < -9.99 and thetas.max() > 9.99
+
+    @pytest.mark.parametrize("seed", [1, 77])
+    def test_lemma_blocks_read_as_one_draw(self, seed, monkeypatch):
+        # the checks as one draw of all their samples, without blocks
+        stream = geo.DRAW_ATTEMPTS
+        ks = 2 + (49.0 * geo._uniforms(geo._key(seed, stream), 10000)
+                  ).astype(int)
+        thetas = 20.0 * geo._uniforms(geo._key(seed, stream + 1), 10000) \
+            - 10.0
+        trig = float(np.subtract(*spec.trig_lemma_check(ks, thetas)).max())
+        tetra = min(float(spec.tetra_check(*geo._normals(
+            geo._key(seed, stream + dim), (2000, 4, dim)).transpose(
+                1, 0, 2))[2].min()) for dim in (2, 3))
+        # blocks that divide the samples, blocks that leave a partial
+        # last one, and one block of them all
+        for block in (geo.LEMMA_BLOCK, 300, 10000):
+            monkeypatch.setattr(geo, "LEMMA_BLOCK", block)
+            measured = {c.name: c.measured for c in harness.verify_all(
+                seed=seed, n_curves=1, n=64).checks}
+            assert measured["sin^2(k theta) <= k^2 sin^2(theta)"] == trig
+            assert measured["tetrahedron inequality gap >= 0"] == tetra
 
     def test_summary_has_line_per_check(self):
         report = harness.verify_all(seed=2, n_curves=1, n=128)

@@ -147,6 +147,18 @@ class TestConicFit:
         assert ratio == pytest.approx(1.0, abs=2e-3)
         assert distance < 1e-2 * geo.MAX_COORDINATE
 
+    def test_a_tiny_curve_inside_the_stated_range(self):
+        # scaled by 1e-100 the squared coordinates are normal floats, so
+        # the fit is the unscaled one's (the docstring's range)
+        circle = shp.fit_conic(geo.PolyCurve(
+            1e-100 * geo.make_circle(64).vertices))
+        assert circle.elliptic and circle.eccentricity < 1e-6
+        ellipse = geo.make_ellipse(2.0, 64)
+        tiny = shp.fit_conic(geo.PolyCurve(1e-100 * ellipse.vertices))
+        assert tiny.elliptic
+        assert tiny.eccentricity == pytest.approx(
+            shp.fit_conic(ellipse).eccentricity, abs=1e-12)
+
     def test_noisy_circle_residual_tracks_noise(self):
         rng = np.random.default_rng(4)
         base = geo.make_circle(256).vertices
